@@ -22,7 +22,9 @@ result is independent of evaluation order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,9 +39,13 @@ SPARSE_LOW_RANK = "SPARSE_LOW_RANK"
 # Sigma_0 condition numbers above this raise instead of silently pseudo-inverting
 COND_THRESHOLD = 1e12
 
-# iterative-solver defaults, overridable per call
-SOLVER_TOL = 1e-10
+# iterative-solver defaults, overridable per call: the stopping tolerance on
+# the optimality certificate, relative to the gradient scale, and the budget
+# of proximal steps (rejected steps included)
+SOLVER_TOL = 1e-6
 SOLVER_MAX_ITER = 100_000
+# largest certificate gap, relative to the gradient scale, a solver may return
+CERTIFICATE_BOUND = 1e-4
 
 
 class SingularCovarianceError(ValueError):
@@ -50,13 +56,13 @@ class ConvergenceError(RuntimeError):
     """Iterative solver failed; carries iteration diagnostics."""
 
     def __init__(self, message: str, iterations: int, objective: float,
-                 last_decrease: float):
+                 gap: float):
         super().__init__(
             f"{message} (iterations={iterations}, objective={objective:.6e}, "
-            f"last_decrease={last_decrease:.3e})")
+            f"gap={gap:.3e})")
         self.iterations = iterations
         self.objective = objective
-        self.last_decrease = last_decrease
+        self.gap = gap
 
 
 @dataclass(frozen=True)
@@ -124,6 +130,11 @@ def _check_invertible(sigma0: np.ndarray, n_samples: int,
             f"probability one (have T={n_samples})")
 
 
+def _check_penalty(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+
+
 def estimate_uml(cov: CovariancePair, *, cond_threshold: float = COND_THRESHOLD,
                  allow_pseudo_inverse: bool = False) -> EstimationResult:
     """Unrestricted maximum likelihood: A_hat = Sigma_1 Sigma_0^{-1}.
@@ -184,8 +195,7 @@ def estimate_tikhonov(cov: CovariancePair, a_prev: np.ndarray,
 
     Closed form (Sigma_1 + (nu/(T-1)) A_prev)(Sigma_0 + (nu/(T-1)) I)^{-1}.
     """
-    if nu < 0:
-        raise ValueError("nu must be nonnegative")
+    _check_penalty("nu", nu)
     n2 = cov.sigma0.shape[0]
     if a_prev.shape != (n2, n2):
         raise ValueError(f"a_prev must be {n2}x{n2}, got {a_prev.shape}")
@@ -207,14 +217,52 @@ def soft_threshold(x: np.ndarray, threshold: float) -> np.ndarray:
 
 def singular_value_threshold(x: np.ndarray, threshold: float) -> np.ndarray:
     """Soft-threshold the singular values; prox of the nuclear norm."""
+    return _svt_factors(x, threshold)[0]
+
+
+def _svt_factors(x: np.ndarray, threshold: float):
+    """Singular-value soft-threshold, also returning the factors (U, s, V^T)."""
     u, s, vt = np.linalg.svd(x, full_matrices=False)
     s = np.maximum(s - threshold, 0.0)
-    return (u * s) @ vt
+    return (u * s) @ vt, (u, s, vt)
 
 
 def lasso_kill_threshold(cov: CovariancePair) -> float:
     """Smallest lambda at which the zero matrix is l1-optimal."""
     return 2.0 * (cov.n_samples - 1) * float(np.max(np.abs(cov.sigma1)))
+
+
+def _ls_gradient(cov: CovariancePair, a: np.ndarray) -> np.ndarray:
+    return 2.0 * (cov.n_samples - 1) * (a @ cov.sigma0 - cov.sigma1)
+
+
+def _l1_gap(a: np.ndarray, grad: np.ndarray, lam: float) -> float:
+    at_zero = np.maximum(np.abs(grad) - lam, 0.0)
+    at_nonzero = np.abs(grad + lam * np.sign(a))
+    return float(np.max(np.where(a == 0.0, at_zero, at_nonzero)))
+
+
+def _nuclear_gap(factors, grad: np.ndarray, eta: float) -> float:
+    """Nuclear-norm certificate at the square matrix L = U diag(s) V^T.
+
+    Optimality needs -G = eta (U_r V_r^T + W), with r the number of
+    nonzero s, W orthogonal to the row and column spaces of L and
+    ||W||_2 <= 1.
+    """
+    u, s, vt = factors
+    rank = int(np.count_nonzero(s))
+    u_r, v_r = u[:, :rank], vt[:rank].T
+    resid = -grad - eta * (u_r @ v_r.T)
+    on_space = max(float(np.max(np.abs(u_r.T @ resid), initial=0.0)),
+                   float(np.max(np.abs(resid @ v_r), initial=0.0)))
+    off_block = u[:, rank:].T @ grad @ vt[rank:].T
+    off_space = 0.0
+    if off_block.size:
+        # spectral norm from the top eigenvalue of B^T B: one small eigvalsh
+        # instead of a second SVD per iteration
+        top = float(np.linalg.eigvalsh(off_block.T @ off_block)[-1])
+        off_space = math.sqrt(max(top, 0.0)) - eta
+    return max(on_space, off_space, 0.0)
 
 
 def l1_optimality_gap(cov: CovariancePair, a: np.ndarray, lam: float) -> float:
@@ -223,127 +271,177 @@ def l1_optimality_gap(cov: CovariancePair, a: np.ndarray, lam: float) -> float:
     Zero entries need |grad J| <= lambda, nonzero entries need
     grad J = -lambda sign(A); returns the largest excess over either.
     """
-    grad = 2.0 * (cov.n_samples - 1) * (a @ cov.sigma0 - cov.sigma1)
-    at_zero = np.maximum(np.abs(grad) - lam, 0.0)
-    at_nonzero = np.abs(grad + lam * np.sign(a))
-    return float(np.max(np.where(a == 0.0, at_zero, at_nonzero)))
+    return _l1_gap(a, _ls_gradient(cov, a), lam)
+
+
+def slr_optimality_gap(cov: CovariancePair, a: np.ndarray, low: np.ndarray,
+                       lam: float, eta: float) -> float:
+    """Worst violation of the optimality conditions of the sparse + low-rank fit.
+
+    Both blocks see the same gradient G = grad J(A+L).  A must meet the l1
+    conditions of l1_optimality_gap with G.  With L = U_r S V_r^T, -G must
+    be eta (U_r V_r^T + W) with W orthogonal to the row and column spaces
+    of L and ||W||_2 <= 1: the residual R = -G - eta U_r V_r^T must vanish
+    on those spaces (largest entry of U_r^T R and R V_r), and off them the
+    spectral norm of G may not exceed eta.  Singular values of L below
+    n * eps * sigma_max(L) count as zero.  Returns the worst violation.
+    """
+    grad = _ls_gradient(cov, a + low)
+    u, s, vt = np.linalg.svd(low)
+    s = np.where(s > s[0] * max(low.shape) * np.finfo(float).eps, s, 0.0)
+    return max(_l1_gap(a, grad, lam), _nuclear_gap((u, s, vt), grad, eta))
+
+
+class _Block(NamedTuple):
+    """One additive block X_k of the variable and its penalty w_k R_k(X_k).
+
+    prox(V, t) returns (X_k, aux); norm(aux) is R_k(X_k) and
+    gap(aux, G, w_k) the block's optimality certificate at gradient G.
+    aux is X_k itself for the l1 block and the SVD factors of X_k for the
+    nuclear block, so each step takes one SVD.
+    """
+
+    weight: float
+    prox: Callable[[np.ndarray, float], tuple[np.ndarray, object]]
+    norm: Callable[[object], float]
+    gap: Callable[[object, np.ndarray, float], float]
+
+
+def _l1_block(lam: float) -> _Block:
+    return _Block(lam, lambda v, t: (soft_threshold(v, t),) * 2,
+                  lambda a: float(np.sum(np.abs(a))), _l1_gap)
+
+
+def _nuclear_block(eta: float) -> _Block:
+    return _Block(eta, _svt_factors, lambda f: float(np.sum(f[1])), _nuclear_gap)
+
+
+def _accelerated_prox_grad(cov: CovariancePair, blocks: tuple[_Block, ...],
+                           scale: float, *, tol: float, max_iter: int,
+                           name: str):
+    """Minimize J(X_1 + ... + X_k) + sum_k w_k R_k(X_k) from all X_k = 0.
+
+    Monotone FISTA (Beck & Teboulle 2009) with function-value restart
+    (O'Donoghue & Candes 2015): a step that would raise the objective is
+    rejected and the momentum restarts from the last accepted point, so
+    the objective history is monotone.  Acceptance compares the exact
+    objective difference between the two points, and the objective is
+    carried forward by those differences.  The gradient of the smooth part in
+    (X_1..X_k) is k 2(T-1) lambda_max(Sigma_0)-Lipschitz, which fixes the
+    step.  Stops once the worst block certificate, evaluated at every
+    accepted point, is at most tol * scale.
+
+    Returns (blocks stacked on axis 0, iterations, gap, objective, history);
+    iterations counts every proximal step, rejected ones included.
+    """
+    n2 = cov.sigma0.shape[0]
+    lip = 2.0 * (cov.n_samples - 1) * float(np.linalg.eigvalsh(cov.sigma0)[-1])
+    # lip = 0 only when every regressor X_t is zero; then G(0) = 0 and X = 0
+    # is certified before any step
+    step = 1.0 / (len(blocks) * lip) if lip > 0.0 else 0.0
+
+    def certificate(aux, grad):
+        return max(b.gap(aux_k, grad, b.weight) for b, aux_k in zip(blocks, aux))
+
+    def penalty(aux):
+        return sum(b.weight * b.norm(aux_k) for b, aux_k in zip(blocks, aux))
+
+    x = np.zeros((len(blocks), n2, n2))
+    # a zero-threshold prox of the zero start yields its aux
+    aux = [b.prox(x_k, 0.0)[1] for b, x_k in zip(blocks, x)]
+    gap = certificate(aux, _ls_gradient(cov, x.sum(axis=0)))
+    obj = ls_objective(cov, x.sum(axis=0))
+    history = [obj]
+    x_prev, theta, it = x, 1.0, 0
+    # negated comparisons so that a NaN gap or objective never passes
+    while not gap <= tol * scale:
+        if it == max_iter:
+            raise ConvergenceError(f"{name} did not reach its certificate",
+                                   iterations=it, objective=obj, gap=gap)
+        it += 1
+        theta_next = (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
+        y = x + ((theta - 1.0) / theta_next) * (x - x_prev)
+        v = y - step * _ls_gradient(cov, y.sum(axis=0))
+        steps = [b.prox(v_k, step * b.weight) for b, v_k in zip(blocks, v)]
+        z = np.stack([z_k for z_k, _ in steps])
+        new_aux = [aux_k for _, aux_k in steps]
+        # J(Z) - J(X) = (T-1) <Z - X, (Z + X) Sigma_0 - 2 Sigma_1> leaves
+        # out sum ||X_{t+1}||^2, whose rounding in J itself hides the last
+        # decreases and would reject every step near the minimizer
+        z_sum, x_sum = z.sum(axis=0), x.sum(axis=0)
+        change = (cov.n_samples - 1) * float(np.sum(
+            (z_sum - x_sum) * ((z_sum + x_sum) @ cov.sigma0 - 2.0 * cov.sigma1)))
+        change += penalty(new_aux) - penalty(aux)
+        if not change <= 0.0:
+            x_prev, theta = x, 1.0
+            continue
+        x_prev, x, theta, aux = x, z, theta_next, new_aux
+        obj += change
+        history.append(obj)
+        gap = certificate(aux, _ls_gradient(cov, x.sum(axis=0)))
+    if not gap <= CERTIFICATE_BOUND * scale:
+        raise ConvergenceError(f"{name} certificate failed (gap={gap:.3e})",
+                               iterations=it, objective=obj, gap=gap)
+    return x, it, gap, obj, tuple(history)
+
+
+def _certificate_scale(cov: CovariancePair, lam: float) -> float:
+    return max(lam, lasso_kill_threshold(cov), 1.0)
 
 
 def estimate_lasso(traj: Trajectory, lam: float, *,
                    tol: float = SOLVER_TOL,
                    max_iter: int = SOLVER_MAX_ITER) -> EstimationResult:
-    """Minimize J(A) + lambda ||A||_1 by proximal gradient from A = 0.
+    """Minimize J(A) + lambda ||A||_1 by accelerated proximal gradient from A = 0.
 
-    Step size 1/(2(T-1) lambda_max(Sigma_0)), the inverse Lipschitz
-    constant of the smooth part; stops when the relative objective
-    decrease falls below `tol`.  The returned matrix is checked against
-    the entrywise subgradient optimality conditions.
+    FISTA with function-value restart and step 1/(2(T-1) lambda_max(Sigma_0));
+    the prox is the entrywise soft-threshold.  Stops when the l1
+    subgradient certificate (l1_optimality_gap) falls to `tol` times the
+    gradient scale max(lambda, 2(T-1) max|Sigma_1|, 1), and raises
+    ConvergenceError if that takes more than `max_iter` proximal steps.
     """
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    _check_penalty("lambda", lam)
     cov = covariances(traj)
     return _lasso_from_cov(cov, lam, tol=tol, max_iter=max_iter)
 
 
 def _lasso_from_cov(cov: CovariancePair, lam: float, *, tol: float,
                     max_iter: int) -> EstimationResult:
-    n2 = cov.sigma0.shape[0]
-    tm1 = cov.n_samples - 1
-    lip = 2.0 * tm1 * float(np.linalg.eigvalsh(cov.sigma0)[-1])
-    if lip <= 0.0:
-        # all-zero data: the zero matrix is trivially optimal
-        return EstimationResult(a_hat=np.zeros((n2, n2)), estimator=LASSO,
-                                hyperparams={"lambda": lam, "iterations": 0},
-                                objective=0.0, objective_history=(0.0,))
-    step = 1.0 / lip
-    a = np.zeros((n2, n2))
-    obj = ls_objective(cov, a)
-    history = [obj]
-    decrease = np.inf
-    for it in range(1, max_iter + 1):
-        grad = 2.0 * tm1 * (a @ cov.sigma0 - cov.sigma1)
-        a = soft_threshold(a - step * grad, step * lam)
-        new_obj = ls_objective(cov, a) + lam * float(np.sum(np.abs(a)))
-        decrease = obj - new_obj
-        history.append(new_obj)
-        obj = new_obj
-        if decrease < tol * max(1.0, abs(obj)):
-            break
-    else:
-        raise ConvergenceError("LASSO proximal gradient did not converge",
-                               iterations=max_iter, objective=obj,
-                               last_decrease=decrease)
-    gap = l1_optimality_gap(cov, a, lam)
-    scale = max(lam, 2.0 * tm1 * float(np.max(np.abs(cov.sigma1))), 1.0)
-    if gap > 1e-4 * scale:
-        raise ConvergenceError(
-            f"LASSO subgradient certificate failed (gap={gap:.3e})",
-            iterations=it, objective=obj, last_decrease=decrease)
-    return EstimationResult(a_hat=a, estimator=LASSO,
+    x, it, gap, obj, history = _accelerated_prox_grad(
+        cov, (_l1_block(lam),), _certificate_scale(cov, lam), tol=tol,
+        max_iter=max_iter, name="LASSO")
+    return EstimationResult(a_hat=x[0], estimator=LASSO,
                             hyperparams={"lambda": lam, "iterations": it,
                                          "optimality_gap": gap},
-                            objective=obj, objective_history=tuple(history))
+                            objective=obj, objective_history=history)
 
 
 def estimate_sparse_low_rank(traj: Trajectory, lam: float, eta: float, *,
                              tol: float = SOLVER_TOL,
                              max_iter: int = SOLVER_MAX_ITER) -> EstimationResult:
-    """Minimize J(A+L) + lambda ||A||_1 + eta ||L||_* by alternating prox steps.
+    """Minimize J(A+L) + lambda ||A||_1 + eta ||L||_* by accelerated proximal gradient.
 
-    Each sweep takes one proximal gradient step in A (entrywise
-    soft-threshold) and one in L (singular-value soft-threshold) with the
-    shared Lipschitz step size, so the objective never increases; the
-    history is recorded and the monotone decrease is verified.
+    Joint FISTA steps in (A, L) from zero with function-value restart: the
+    prox soft-thresholds A entrywise and L's singular values, and the step
+    is 1/(4(T-1) lambda_max(Sigma_0)) because the gradient of J(A+L) in
+    (A, L) is twice as Lipschitz as in A+L.  Stops when the joint l1 and
+    nuclear-norm certificate (slr_optimality_gap) falls to `tol` times the
+    gradient scale max(lambda, 2(T-1) max|Sigma_1|, 1), and raises
+    ConvergenceError if that takes more than `max_iter` proximal steps.
     """
-    if lam < 0 or eta < 0:
-        raise ValueError("penalties must be nonnegative")
+    _check_penalty("lambda", lam)
+    _check_penalty("eta", eta)
     cov = covariances(traj)
-    n2 = cov.sigma0.shape[0]
-    tm1 = cov.n_samples - 1
-    lip = 2.0 * tm1 * float(np.linalg.eigvalsh(cov.sigma0)[-1])
-    if lip <= 0.0:
-        zero = np.zeros((n2, n2))
-        return EstimationResult(a_hat=zero, estimator=SPARSE_LOW_RANK,
-                                hyperparams={"lambda": lam, "eta": eta,
-                                             "iterations": 0},
-                                objective=0.0, l_hat=zero.copy(),
-                                objective_history=(0.0,))
-    step = 1.0 / lip
-    a = np.zeros((n2, n2))
-    low = np.zeros((n2, n2))
-
-    def objective(a_m, l_m):
-        return (ls_objective(cov, a_m + l_m)
-                + lam * float(np.sum(np.abs(a_m)))
-                + eta * float(np.sum(np.linalg.svd(l_m, compute_uv=False))))
-
-    obj = objective(a, low)
-    history = [obj]
-    decrease = np.inf
-    for it in range(1, max_iter + 1):
-        grad = 2.0 * tm1 * ((a + low) @ cov.sigma0 - cov.sigma1)
-        a = soft_threshold(a - step * grad, step * lam)
-        grad = 2.0 * tm1 * ((a + low) @ cov.sigma0 - cov.sigma1)
-        low = singular_value_threshold(low - step * grad, step * eta)
-        new_obj = objective(a, low)
-        decrease = obj - new_obj
-        if decrease < -1e-9 * max(1.0, abs(obj)):
-            raise ConvergenceError("objective increased across a sweep",
-                                   iterations=it, objective=new_obj,
-                                   last_decrease=decrease)
-        history.append(new_obj)
-        obj = new_obj
-        if decrease < tol * max(1.0, abs(obj)):
-            break
-    else:
-        raise ConvergenceError("sparse-plus-low-rank solver did not converge",
-                               iterations=max_iter, objective=obj,
-                               last_decrease=decrease)
-    return EstimationResult(a_hat=a, estimator=SPARSE_LOW_RANK,
+    x, it, gap, obj, history = _accelerated_prox_grad(
+        cov, (_l1_block(lam), _nuclear_block(eta)),
+        _certificate_scale(cov, lam), tol=tol, max_iter=max_iter,
+        name="sparse-plus-low-rank")
+    return EstimationResult(a_hat=x[0], estimator=SPARSE_LOW_RANK,
                             hyperparams={"lambda": lam, "eta": eta,
-                                         "iterations": it},
-                            objective=obj, l_hat=low,
-                            objective_history=tuple(history))
+                                         "iterations": it,
+                                         "optimality_gap": gap},
+                            objective=obj, l_hat=x[1],
+                            objective_history=history)
 
 
 def estimate_b(traj: Trajectory, a_hat: np.ndarray) -> np.ndarray:

@@ -22,11 +22,13 @@ Formats:
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .estimators import CERTIFICATE_BOUND, SOLVER_MAX_ITER, SOLVER_TOL
 from .model import GridModel, Line, ValidationError
 from .sim import DT_BASE, Trajectory
 
@@ -287,8 +289,10 @@ class ExperimentConfig:
     lam: float = 0.0
     eta: float = 0.0
     cond_threshold: float = 1e12
-    solver_tol: float = 1e-10
-    solver_max_iter: int = 100_000
+    # stopping tolerance on the solvers' optimality certificate, relative to
+    # the gradient scale max(lambda, 2(T-1) max|Sigma_1|, 1)
+    solver_tol: float = SOLVER_TOL
+    solver_max_iter: int = SOLVER_MAX_ITER
     outputs: str = "out"
     sweep_variable: str | None = None
     sweep_values: tuple[float, ...] = ()
@@ -311,6 +315,21 @@ class ExperimentConfig:
         if not self.estimators:
             raise ValidationError("estimators must be non-empty",
                                   field="estimators")
+        for name, key, value in (("nu", "nu", self.nu),
+                                 ("lambda", "lam", self.lam),
+                                 ("eta", "eta", self.eta)):
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValidationError(
+                    f"{name} must be finite and nonnegative, got {value!r}",
+                    field=key)
+        if not 0.0 < self.solver_tol <= CERTIFICATE_BOUND:
+            raise ValidationError(
+                f"solver_tol must be in (0, {CERTIFICATE_BOUND!r}], "
+                f"got {self.solver_tol!r}", field="solver_tol")
+        if self.solver_max_iter < 1:
+            raise ValidationError(
+                f"solver_max_iter must be at least 1, got {self.solver_max_iter}",
+                field="solver_max_iter")
         if self.sweep_variable is not None:
             if self.sweep_variable not in VALID_SWEEP_VARIABLES:
                 raise ValidationError(

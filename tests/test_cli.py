@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from swingid.cli import main
+from swingid.estimators import covariances, lasso_kill_threshold
 from swingid.io_config import (load_matrix, load_records, load_trajectory,
                                save_model, save_trajectory)
-from swingid.sim import DT_BASE, simulate
+from swingid.sim import DT_BASE, simulate, subsample
 
 from conftest import path3_model, systems_for, two_gen_model
 
@@ -136,6 +137,46 @@ def test_estimate_tikhonov_and_lasso_paths(tmp_path, small_model_path, traj_path
     # the pure -I/dt of the inverse Euler map
     a_hat_d = load_matrix(out / "ahat_d_lasso.csv")
     assert np.allclose(a_hat_d, -np.eye(6) / (3 * DT_BASE))
+
+
+def test_estimate_sparse_low_rank_records_certificate(tmp_path, small_model_path,
+                                                      traj_path):
+    out = tmp_path / "est"
+    kill = lasso_kill_threshold(covariances(subsample(load_trajectory(traj_path), 3)))
+    lam = 0.05 * kill
+    assert run("estimate", traj_path, "--model", small_model_path,
+               "--stride", "3", "--estimator", "SPARSE_LOW_RANK",
+               "--lambda", repr(lam), "--eta", repr(5 * lam), "--out", out) == 0
+    meta = load_records(out / "ahat_d_sparse_low_rank.meta")
+    gap = float(meta["hp_optimality_gap"])
+    assert 0.0 <= gap <= 1e-6 * max(lam, kill, 1.0)
+    assert int(meta["hp_iterations"]) >= 1
+
+
+@pytest.mark.parametrize("flags,name", [
+    (("--lambda", "nan"), "lambda"), (("--lambda", "inf"), "lambda"),
+    (("--lambda", "-1"), "lambda"), (("--eta", "nan"), "eta"),
+    (("--eta", "-2"), "eta")])
+def test_estimate_rejects_bad_penalty(tmp_path, small_model_path, traj_path,
+                                      capsys, flags, name):
+    code = run("estimate", traj_path, "--model", small_model_path,
+               "--estimator", "SPARSE_LOW_RANK", *flags, "--out", tmp_path / "e")
+    assert code == 2
+    assert f"validation error: {name} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,name", [
+    ("solver_tol = 0", "solver_tol"), ("solver_tol = 1e-3", "solver_tol"),
+    ("solver_tol = nan", "solver_tol"), ("solver_max_iter = 0", "solver_max_iter"),
+    ("lambda = nan", "lambda")])
+def test_estimate_rejects_bad_solver_config(tmp_path, small_model_path, traj_path,
+                                            capsys, line, name):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[model]\npath = {small_model_path}\n\n"
+                   f"[estimation]\nestimators = LASSO\n{line}\n")
+    code = run("estimate", traj_path, "--config", cfg, "--out", tmp_path / "e")
+    assert code == 2
+    assert f"validation error: {cfg}: {name} must be" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------------ sweep

@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swingid.estimators import (CML, LASSO, UML, ConvergenceError,
-                                CovariancePair, SingularCovarianceError,
-                                covariances, estimate_b, estimate_cml,
-                                estimate_lasso, estimate_sparse_low_rank,
-                                estimate_tikhonov, estimate_uml,
-                                l1_optimality_gap, lasso_kill_threshold,
-                                ls_objective, singular_value_threshold,
+from swingid.estimators import (CML, LASSO, SOLVER_TOL, UML,
+                                ConvergenceError, CovariancePair,
+                                SingularCovarianceError, covariances,
+                                estimate_b, estimate_cml, estimate_lasso,
+                                estimate_sparse_low_rank, estimate_tikhonov,
+                                estimate_uml, l1_optimality_gap,
+                                lasso_kill_threshold, ls_objective,
+                                singular_value_threshold, slr_optimality_gap,
                                 soft_threshold, threshold_structure)
-from swingid.sim import DT_BASE, Trajectory, simulate, spawn_seeds
+from swingid.sim import (DT_BASE, Trajectory, default_burn_in, simulate,
+                         spawn_seeds, steady_start, subsample)
 
 from conftest import single_gen_model, systems_for, two_gen_model
 
@@ -36,7 +38,7 @@ def noisy_traj(seed: int = 0, n_steps: int = 400, sigma=(0.05, 0.05)) -> Traject
 
 def mixing_traj(seed: int = 0, n_steps: int = 200, dim: int = 4) -> Trajectory:
     # fast-mixing rotation dynamics give a well-conditioned sigma0, so the
-    # objective-decrease stopping rule pins the solution tightly
+    # certificate stopping rule pins the solution tightly
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     from swingid.model import DiscreteSystem
@@ -333,6 +335,7 @@ def test_lasso_nonconvergence_carries_diagnostics():
         estimate_lasso(traj, 1e-6, max_iter=3)
     assert excinfo.value.iterations == 3
     assert np.isfinite(excinfo.value.objective)
+    assert excinfo.value.gap > 0.0
 
 
 def test_lasso_objective_history_monotone():
@@ -381,6 +384,106 @@ def test_slr_rejects_negative_penalties():
     traj = noisy_traj(seed=26, n_steps=30)
     with pytest.raises(ValueError, match="nonnegative"):
         estimate_sparse_low_rank(traj, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("lam,eta", [(float("nan"), 1.0), (float("inf"), 1.0),
+                                     (1.0, float("nan")), (1.0, float("inf"))])
+def test_sparse_solvers_reject_nonfinite_penalties(lam, eta):
+    traj = noisy_traj(seed=26, n_steps=30)
+    with pytest.raises(ValueError, match="finite"):
+        estimate_sparse_low_rank(traj, lam, eta)
+    if not np.isfinite(lam):
+        with pytest.raises(ValueError, match="finite"):
+            estimate_lasso(traj, lam)
+
+
+def _low_rank_mix():
+    rng = np.random.default_rng(4)
+    a_true = np.diag([0.5, 0.4, 0.6, 0.3])
+    l_true = 0.2 * np.outer(rng.standard_normal(4), rng.standard_normal(4))
+    return noiseless_traj(a_true + l_true, rng.standard_normal(4), 50)
+
+
+def test_slr_optimality_gap_vanishes_at_solver_output():
+    traj = _low_rank_mix()
+    cov = covariances(traj)
+    lam = eta = 0.1
+    result = estimate_sparse_low_rank(traj, lam, eta)
+    assert np.linalg.matrix_rank(result.l_hat) >= 1
+    scale = max(lam, lasso_kill_threshold(cov), 1.0)
+    gap = slr_optimality_gap(cov, result.a_hat, result.l_hat, lam, eta)
+    assert gap == pytest.approx(result.hyperparams["optimality_gap"],
+                                rel=1e-6, abs=1e-12 * scale)
+    assert gap <= SOLVER_TOL * scale * (1.0 + 1e-6)
+    # every step counts, rejected ones too, and only accepted points are kept
+    assert result.hyperparams["iterations"] >= len(result.objective_history) - 1
+
+
+def test_slr_optimality_gap_positive_off_optimum():
+    traj = _low_rank_mix()
+    cov = covariances(traj)
+    lam = eta = 0.1
+    result = estimate_sparse_low_rank(traj, lam, eta)
+    scale = max(lam, lasso_kill_threshold(cov), 1.0)
+    bumped_low = result.l_hat + 1e-2 * np.outer([1.0, 0, 0, 0], [0, 1.0, 0, 0])
+    assert slr_optimality_gap(cov, result.a_hat, bumped_low, lam, eta) > 1e-3 * scale
+    bumped_a = result.a_hat.copy()
+    bumped_a[0, 0] += 1e-2
+    assert slr_optimality_gap(cov, bumped_a, result.l_hat, lam, eta) > 1e-3 * scale
+
+
+def test_slr_optimality_gap_sees_gradient_off_the_row_space():
+    # sigma0 = I and T = 2 make G = 2(A + L - sigma1), so sigma1 sets G
+    eta, leak = 1.0, 0.3
+    low = np.diag([2.0, 0.0, 0.0])
+    # optimal: -G = eta (e1 e1^T + W) with W off e1 and ||W||_2 <= 1
+    optimal = eta * np.diag([1.0, 0.5, 0.0])
+    for neg_grad, expected in [(optimal, 0.0),
+                               (eta * np.diag([0.7, 0.5, 0.0]), 0.3 * eta),
+                               (optimal + leak * np.outer([1, 0, 0], [0, 1, 0]), leak),
+                               (optimal + leak * np.outer([0, 0, 1], [1, 0, 0]), leak),
+                               (eta * np.diag([1.0, 1.5, 0.0]), 0.5 * eta)]:
+        cov = CovariancePair(sigma0=np.eye(3), sigma1=low + neg_grad / 2.0,
+                             n_samples=2, next_sq_sum=0.0)
+        # lambda large enough that A = 0 is l1-optimal: only L can fail
+        gap = slr_optimality_gap(cov, np.zeros((3, 3)), low, 10.0, eta)
+        assert gap == pytest.approx(expected, abs=1e-12)
+
+
+def test_slr_optimality_gap_reduces_to_l1_gap_at_zero_low_rank():
+    traj = noisy_traj(seed=30, n_steps=120)
+    cov = covariances(traj)
+    lam = 0.2 * lasso_kill_threshold(cov)
+    for a in (estimate_lasso(traj, lam).a_hat, np.zeros((4, 4)),
+              np.diag([0.9, 0.0, 0.5, 0.0])):
+        grad = 2.0 * (cov.n_samples - 1) * (a @ cov.sigma0 - cov.sigma1)
+        eta = np.linalg.norm(grad, 2)
+        assert slr_optimality_gap(cov, a, np.zeros((4, 4)), lam, eta) \
+            == l1_optimality_gap(cov, a, lam)
+
+
+@pytest.fixture(scope="module")
+def fixture_seed3_window(fixture_systems):
+    # the 10-minute fixture seed-3 window at stride 3 (cond sigma0 ~ 3.5e4),
+    # simulated as `swingid simulate --seed 3` does
+    cont, disc = fixture_systems
+    burn_seed, run_seed = spawn_seeds(3, 2)
+    x0 = steady_start(disc, default_burn_in(cont, DT_BASE), burn_seed)
+    return subsample(simulate(disc, round(600 / DT_BASE) - 1, x0, run_seed), 3)
+
+
+def test_fixture_seed3_ill_conditioned_window_is_certified(fixture_seed3_window):
+    # this window once ran LASSO into its iteration budget
+    traj = fixture_seed3_window
+    cov = covariances(traj)
+    assert np.linalg.cond(cov.sigma0) > 1e4
+    lam = 0.01 * lasso_kill_threshold(cov)
+    scale = max(lam, lasso_kill_threshold(cov), 1.0)
+    lasso = estimate_lasso(traj, lam)
+    assert l1_optimality_gap(cov, lasso.a_hat, lam) <= SOLVER_TOL * scale
+    slr = estimate_sparse_low_rank(traj, lam, 5.0 * lam)
+    assert slr_optimality_gap(cov, slr.a_hat, slr.l_hat, lam, 5.0 * lam) \
+        <= SOLVER_TOL * scale * (1.0 + 1e-6)
 
 
 # ------------------------------------------------------------------- estimate_b
@@ -440,3 +543,17 @@ def test_estimators_are_deterministic():
     lam = 0.1 * lasso_kill_threshold(cov)
     assert np.array_equal(estimate_lasso(traj, lam).a_hat,
                           estimate_lasso(traj, lam).a_hat)
+
+
+def test_sparse_low_rank_reaches_tight_certificate(fixture_seed3_window):
+    # accepting steps on the objective difference, not on J evaluated
+    # through sum ||X_{t+1}||^2, keeps 1e-8 reachable
+    traj = fixture_seed3_window
+    cov = covariances(traj)
+    lam = 0.01 * lasso_kill_threshold(cov)
+    result = estimate_sparse_low_rank(traj, lam, 5.0 * lam, tol=1e-8,
+                                      max_iter=20_000)
+    assert result.hyperparams["optimality_gap"] <= 1e-8 * max(
+        lam, lasso_kill_threshold(cov), 1.0)
+    history = np.array(result.objective_history)
+    assert np.all(np.diff(history) <= 0.0)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from swingid.estimators import SOLVER_MAX_ITER, SOLVER_TOL
 from swingid.io_config import (ExperimentConfig, load_config, load_matrix,
                                load_model, load_records, load_trajectory,
                                save_config, save_matrix, save_model,
@@ -10,7 +11,7 @@ from swingid.io_config import (ExperimentConfig, load_config, load_matrix,
 from swingid.model import ValidationError
 from swingid.sim import DT_BASE, simulate
 
-from conftest import systems_for, two_gen_model
+from conftest import REPO_ROOT, systems_for, two_gen_model
 
 
 # ------------------------------------------------------------------ model files
@@ -244,3 +245,21 @@ def test_config_validation():
                          sweep_values=(1.0,))
     with pytest.raises(ValidationError, match="sweep values"):
         ExperimentConfig(model_path="m", sweep_variable="t_obs")
+
+
+@pytest.mark.parametrize("kwargs,field", [
+    ({"lam": float("nan")}, "lam"), ({"lam": -1.0}, "lam"),
+    ({"eta": float("inf")}, "eta"), ({"nu": float("nan")}, "nu"),
+    ({"solver_tol": 0.0}, "solver_tol"), ({"solver_tol": 1e-3}, "solver_tol"),
+    ({"solver_tol": float("nan")}, "solver_tol"),
+    ({"solver_max_iter": 0}, "solver_max_iter")])
+def test_config_rejects_bad_solver_settings(kwargs, field):
+    with pytest.raises(ValidationError) as excinfo:
+        ExperimentConfig(model_path="m", **kwargs)
+    assert excinfo.value.field == field
+
+
+def test_shipped_config_uses_default_solver_settings():
+    cfg = load_config(REPO_ROOT / "configs" / "fixture10.ini")
+    assert (cfg.solver_tol, cfg.solver_max_iter) == (SOLVER_TOL, SOLVER_MAX_ITER)
+    assert ExperimentConfig(model_path="m").solver_tol == SOLVER_TOL == 1e-6
