@@ -17,7 +17,7 @@ from .model import (ContinuousSystem, DiscreteSystem, GridModel, Line,
                     ValidationError, build_continuous, build_discrete,
                     build_laplacian, kron_reduce)
 from .sim import (DT_BASE, Trajectory, default_burn_in, simulate, spawn_seeds,
-                  steady_start, subsample)
+                  steady_sigma0, steady_start, steady_trajectory, subsample)
 
 __version__ = "0.1.0"
 
@@ -28,6 +28,7 @@ __all__ = [
     "build_laplacian", "corollary2_bound", "covariances", "default_burn_in",
     "estimate_b", "estimate_cml", "estimate_lasso", "estimate_sparse_low_rank",
     "estimate_tikhonov", "estimate_uml", "kron_reduce", "relative_error",
-    "simulate", "spawn_seeds", "spectral_distance", "spectrum", "steady_start",
-    "subsample", "theorem1_bound", "threshold_structure", "to_continuous",
+    "simulate", "spawn_seeds", "spectral_distance", "spectrum", "steady_sigma0",
+    "steady_start", "steady_trajectory", "subsample", "theorem1_bound",
+    "threshold_structure", "to_continuous",
 ]

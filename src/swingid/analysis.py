@@ -16,9 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .estimators import COND_THRESHOLD, covariances
+from .estimators import COND_THRESHOLD, check_cond_threshold, covariances
 from .model import DiscreteSystem
-from .sim import simulate, spawn_seeds, steady_start
+from .sim import simulate, spawn_seeds, steady_sigma0, steady_start
+
+# simulate, steady_start and covariances are no longer called here but stay
+# bound: perfbench/smoke.py checks that the tracer patches these sites
 
 DISCRETE = "DISCRETE"
 CONTINUOUS = "CONTINUOUS"
@@ -88,18 +91,16 @@ def _sigma0_moments(sys: DiscreteSystem, n_samples: int, n_trials: int,
                     cond_threshold: float) -> tuple[float, float, int]:
     """Monte Carlo means of Tr Sigma_0 and ||Sigma_0^{-1}||_F^2.
 
-    Each trial draws a fresh steady-state trajectory.  Singular trials are
-    discarded and counted.  Means use exact (fsum) aggregation so the
-    result does not depend on accumulation order.
+    Each trial is a fresh steady-state window; the trials are stepped
+    together by `steady_sigma0`.  Singular trials are discarded and
+    counted.  Means use exact (fsum) aggregation so the result does not
+    depend on accumulation order.
     """
     traces: list[float] = []
     inv_norms: list[float] = []
     discarded = 0
-    for trial_seed in spawn_seeds(seed, n_trials):
-        burn_seed, run_seed = spawn_seeds(trial_seed, 2)
-        x0 = steady_start(sys, burn_in, burn_seed)
-        traj = simulate(sys, n_samples - 1, x0, run_seed)
-        sigma0 = covariances(traj).sigma0
+    for sigma0 in steady_sigma0(sys, n_samples, spawn_seeds(seed, n_trials),
+                                burn_in):
         cond = np.linalg.cond(sigma0)
         if not np.isfinite(cond) or cond > cond_threshold:
             discarded += 1
@@ -140,6 +141,7 @@ def theorem1_bound(sys: DiscreteSystem, n_samples: int, epsilon: float,
         raise ValueError("epsilon must lie in (0, 1)")
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
+    check_cond_threshold(cond_threshold)
     if burn_in is None:
         burn_in = default_bound_burn_in(sys)
     b_norm = float(np.max(np.abs(sys.b_diag)))

@@ -83,13 +83,6 @@ def _resolve_burn_in(cfg: io_config.ExperimentConfig, cont) -> int:
     return sim.default_burn_in(cont, cfg.dt_base)
 
 
-def _simulate_seed(disc, n_samples: int, burn_in: int, seed: int) -> sim.Trajectory:
-    # distinct child streams keep burn-in noise out of the estimation data
-    burn_seed, run_seed = sim.spawn_seeds(seed, 2)
-    x0 = sim.steady_start(disc, burn_in, burn_seed)
-    return sim.simulate(disc, n_samples - 1, x0, run_seed)
-
-
 def cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
     if not cfg.model_path:
@@ -106,7 +99,7 @@ def cmd_simulate(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     files = []
     for seed in cfg.seeds:
-        traj = _simulate_seed(disc, n_samples, burn_in, seed)
+        traj = sim.steady_trajectory(disc, n_samples, burn_in, seed)
         name = f"traj_seed{seed}.csv"
         io_config.save_trajectory(outdir / name, traj)
         files.append(name)
@@ -231,7 +224,7 @@ def cmd_sweep(args) -> int:
     rows: list[tuple[float, str, int, float]] = []
     failures = 0
     for seed in cfg.seeds:
-        base = _simulate_seed(disc, base_samples, burn_in, seed)
+        base = sim.steady_trajectory(disc, base_samples, burn_in, seed)
         for value, stride in zip(values, strides):
             if cfg.sweep_variable == "t_obs":
                 n_keep = round(value / cfg.dt_base)
@@ -348,7 +341,8 @@ def cmd_bound(args) -> int:
     n_samples = args.n_samples if args.n_samples else round(cfg.t_obs / dt)
     seed = cfg.seeds[0]
     discrete = analysis.theorem1_bound(disc, n_samples, args.epsilon,
-                                       args.trials, seed)
+                                       args.trials, seed,
+                                       cond_threshold=cfg.cond_threshold)
     continuous = analysis.corollary2_bound(grid.gen_noise_sigma(),
                                            grid.gen_inertia(), dt, n_samples,
                                            args.epsilon, discrete)

@@ -130,6 +130,15 @@ def _check_invertible(sigma0: np.ndarray, n_samples: int,
             f"probability one (have T={n_samples})")
 
 
+def check_cond_threshold(value: float) -> None:
+    """Reject a Sigma_0 condition limit that would switch the check off.
+
+    `cond > nan` is never true, so a NaN limit would pass every matrix.
+    """
+    if not math.isfinite(value):
+        raise ValueError(f"cond_threshold must be finite, got {value!r}")
+
+
 def _check_penalty(name: str, value: float) -> None:
     if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
@@ -142,6 +151,7 @@ def estimate_uml(cov: CovariancePair, *, cond_threshold: float = COND_THRESHOLD,
     allow_pseudo_inverse swaps the singularity error for a Moore-Penrose
     solve; exploratory use only, the guarantees assume invertibility.
     """
+    check_cond_threshold(cond_threshold)
     if allow_pseudo_inverse:
         a_hat = cov.sigma1 @ np.linalg.pinv(cov.sigma0)
     else:
@@ -160,6 +170,7 @@ def estimate_cml(traj: Trajectory, *,
     normal equations: rows 0..N-1 keep every column, row N+i keeps columns
     0..N-1 plus its own diagonal column.  Closed form, no iterative solver.
     """
+    check_cond_threshold(cond_threshold)
     cov = covariances(traj)
     n2 = cov.sigma0.shape[0]
     n = traj.n_gen

@@ -28,7 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import CERTIFICATE_BOUND, SOLVER_MAX_ITER, SOLVER_TOL
+from .estimators import (CERTIFICATE_BOUND, COND_THRESHOLD, SOLVER_MAX_ITER,
+                         SOLVER_TOL)
 from .model import GridModel, Line, ValidationError
 from .sim import DT_BASE, Trajectory
 
@@ -288,7 +289,7 @@ class ExperimentConfig:
     nu: float = 0.0
     lam: float = 0.0
     eta: float = 0.0
-    cond_threshold: float = 1e12
+    cond_threshold: float = COND_THRESHOLD
     # stopping tolerance on the solvers' optimality certificate, relative to
     # the gradient scale max(lambda, 2(T-1) max|Sigma_1|, 1)
     solver_tol: float = SOLVER_TOL
@@ -322,6 +323,11 @@ class ExperimentConfig:
                 raise ValidationError(
                     f"{name} must be finite and nonnegative, got {value!r}",
                     field=key)
+        # cond(Sigma_0) >= 1 always; a NaN limit would pass every matrix
+        if not (math.isfinite(self.cond_threshold) and self.cond_threshold >= 1.0):
+            raise ValidationError(
+                f"cond_threshold must be finite and at least 1, "
+                f"got {self.cond_threshold!r}", field="cond_threshold")
         if not 0.0 < self.solver_tol <= CERTIFICATE_BOUND:
             raise ValidationError(
                 f"solver_tol must be in (0, {CERTIFICATE_BOUND!r}], "
@@ -340,10 +346,25 @@ class ExperimentConfig:
                                       field="sweep_values")
 
 
+def _setting(path: Path, section: str, key: str, raw: str, parse,
+             fieldname: str | None = None):
+    """parse(raw) for one config value; a bad value names file, key and field."""
+    try:
+        return parse(raw.strip())
+    except ValueError:
+        kind = "an integer" if parse is int else "a number"
+        raise ValidationError(f"{path}: [{section}] {key} is not {kind}: {raw!r}",
+                              field=fieldname or key) from None
+
+
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        # duplicate keys or sections, lines outside any section
+        raise ValidationError(f"{path}: {exc}", field="config") from None
     if not read:
         raise ValidationError(f"{path}: cannot read config file", field="config")
     try:
@@ -354,33 +375,42 @@ def load_config(path) -> ExperimentConfig:
     kwargs: dict[str, object] = {"model_path": model_path}
     gen = parser["generation"] if parser.has_section("generation") else {}
     if "dt_base" in gen:
-        kwargs["dt_base"] = float(gen["dt_base"])
+        kwargs["dt_base"] = _setting(path, "generation", "dt_base",
+                                     gen["dt_base"], float)
     if "t_obs" in gen:
-        kwargs["t_obs"] = float(gen["t_obs"])
+        kwargs["t_obs"] = _setting(path, "generation", "t_obs", gen["t_obs"],
+                                   float)
     if "burn_in" in gen:
-        raw = gen["burn_in"].strip()
-        kwargs["burn_in"] = None if raw == "auto" else int(raw)
+        raw = gen["burn_in"]
+        kwargs["burn_in"] = (None if raw.strip() == "auto" else
+                             _setting(path, "generation", "burn_in", raw, int))
     if "seeds" in gen:
-        kwargs["seeds"] = tuple(int(s) for s in gen["seeds"].replace(",", " ").split())
+        kwargs["seeds"] = tuple(_setting(path, "generation", "seeds", s, int)
+                                for s in gen["seeds"].replace(",", " ").split())
     est = parser["estimation"] if parser.has_section("estimation") else {}
     if "stride" in est:
-        kwargs["stride"] = int(est["stride"])
+        kwargs["stride"] = _setting(path, "estimation", "stride", est["stride"],
+                                    int)
     if "estimators" in est:
         kwargs["estimators"] = tuple(est["estimators"].replace(",", " ").split())
     if "threshold" in est:
         kwargs["threshold"] = est["threshold"].strip().lower() in ("1", "true", "yes")
     if "nu" in est:
-        kwargs["nu"] = float(est["nu"])
+        kwargs["nu"] = _setting(path, "estimation", "nu", est["nu"], float)
     if "lambda" in est:
-        kwargs["lam"] = float(est["lambda"])
+        kwargs["lam"] = _setting(path, "estimation", "lambda", est["lambda"],
+                                 float, "lam")
     if "eta" in est:
-        kwargs["eta"] = float(est["eta"])
+        kwargs["eta"] = _setting(path, "estimation", "eta", est["eta"], float)
     if "cond_threshold" in est:
-        kwargs["cond_threshold"] = float(est["cond_threshold"])
+        kwargs["cond_threshold"] = _setting(path, "estimation", "cond_threshold",
+                                            est["cond_threshold"], float)
     if "solver_tol" in est:
-        kwargs["solver_tol"] = float(est["solver_tol"])
+        kwargs["solver_tol"] = _setting(path, "estimation", "solver_tol",
+                                        est["solver_tol"], float)
     if "solver_max_iter" in est:
-        kwargs["solver_max_iter"] = int(est["solver_max_iter"])
+        kwargs["solver_max_iter"] = _setting(path, "estimation", "solver_max_iter",
+                                             est["solver_max_iter"], int)
     if parser.has_section("outputs") and "dir" in parser["outputs"]:
         kwargs["outputs"] = parser["outputs"]["dir"]
     if parser.has_section("sweep"):
@@ -389,7 +419,8 @@ def load_config(path) -> ExperimentConfig:
             kwargs["sweep_variable"] = sweep["variable"].strip()
         if "values" in sweep:
             kwargs["sweep_values"] = tuple(
-                float(v) for v in sweep["values"].replace(",", " ").split())
+                _setting(path, "sweep", "values", v, float, "sweep_values")
+                for v in sweep["values"].replace(",", " ").split())
     try:
         return ExperimentConfig(**kwargs)  # type: ignore[arg-type]
     except ValidationError as exc:

@@ -6,10 +6,22 @@ one AC cycle) and coarser sampling rates are produced by `subsample`,
 so estimators never see the generation step directly.
 
 Randomness: numpy's default_rng (PCG64 bit generator, ziggurat normal
-transform).  Given the same integer seed the sampled noise, and hence the
-trajectory, is bit-identical across platforms and runs.  Independent
-streams (burn-in vs. main run, per-seed sweep cells) are derived through
-numpy.random.SeedSequence spawning rather than seed arithmetic.
+transform).  Given the same integer seed the sampled noise is
+bit-identical across platforms and runs.  Independent streams are derived
+through numpy.random.SeedSequence spawning rather than seed arithmetic:
+every seed, whether a CLI seed or a Monte Carlo trial, splits into a
+burn-in stream and a run stream in one place, `_split_streams`.
+
+Determinism contract:
+  * `simulate`, `steady_start` and `steady_trajectory` advance one
+    trajectory with one matrix-vector product per step, so a seed's
+    trajectory (and every file written from it) is bit-identical on rerun.
+  * `steady_sigma0` advances a group of trials together, one matrix
+    product per step, and reports only per-trial covariances.  It draws
+    the same noise as the serial path, but the batched product rounds
+    differently from the matrix-vector one, so its results agree with
+    `covariances(steady_trajectory(...)).sigma0` to about 1e-14 relative,
+    not bitwise.  They are bit-identical on rerun for the same seeds.
 """
 
 from __future__ import annotations
@@ -23,6 +35,11 @@ from .model import ContinuousSystem, DiscreteSystem
 
 # one AC cycle at 60 Hz; generation always runs at this step
 DT_BASE = 1.0 / 60.0
+
+# steady_sigma0 steps at most this many trials together and draws their
+# noise this many steps at a time, which bounds its working memory
+SIGMA0_GROUP = 64
+SIGMA0_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -100,6 +117,87 @@ def steady_start(sys: DiscreteSystem, burn_in: int, seed: int) -> np.ndarray:
     if burn_in == 0:
         return origin
     return simulate(sys, burn_in, origin, seed).states[-1]
+
+
+def _split_streams(seed: int) -> tuple[int, int]:
+    """The burn-in and run seeds of one trajectory seed.
+
+    Distinct child streams keep the burn-in noise out of the run's data.
+    """
+    burn_seed, run_seed = spawn_seeds(seed, 2)
+    return burn_seed, run_seed
+
+
+def steady_trajectory(sys: DiscreteSystem, n_samples: int, burn_in: int,
+                      seed: int) -> Trajectory:
+    """n_samples states from the stationary regime: burn-in, then the run.
+
+    The burn-in and the run draw from the two streams of `seed`.
+    """
+    burn_seed, run_seed = _split_streams(seed)
+    x0 = steady_start(sys, burn_in, burn_seed)
+    return simulate(sys, n_samples - 1, x0, run_seed)
+
+
+def _advance(sys: DiscreteSystem, x: np.ndarray, rngs, n_steps: int,
+             buf: np.ndarray):
+    """Step every trial of the group n_steps times, SIGMA0_CHUNK steps at a time.
+
+    x holds one current state per row and rngs one generator per row.
+    Yields the (k, m, 2N) block of the next m states of every trial; the
+    block is a view of `buf`, overwritten by the next chunk.
+    """
+    a_t = sys.a.T
+    step = np.empty_like(x)
+    for start in range(0, n_steps, buf.shape[1]):
+        m = min(buf.shape[1], n_steps - start)
+        block = buf[:, :m]
+        for rng, rows in zip(rngs, block):
+            rng.standard_normal(out=rows)
+        block *= sys.b_diag
+        for t in range(m):
+            # X_{t+1} = A X_t + B xi_t, written over the noise row it uses
+            np.matmul(x, a_t, out=step)
+            x = block[:, t]
+            x += step
+        yield block
+        x = block[:, -1].copy()
+
+
+def steady_sigma0(sys: DiscreteSystem, n_samples: int, trial_seeds,
+                  burn_in: int) -> np.ndarray:
+    """Per-trial Sigma_0 of steady-state windows, without any trajectory.
+
+    Trial k covers the same window as `steady_trajectory(sys, n_samples,
+    burn_in, trial_seeds[k])` from the same noise streams, and returns the
+    symmetrised Gram matrix of its states X_0..X_{T-2} over T-1, shape
+    (len(trial_seeds), 2N, 2N).  Trials advance SIGMA0_GROUP at a time with
+    one matrix product per step; each chunk of states is folded into the
+    Gram matrices and dropped, so memory does not grow with n_samples.
+    """
+    if n_samples < 2:
+        raise ValueError("n_samples must be at least 2")
+    if burn_in < 0:
+        raise ValueError("burn_in must be nonnegative")
+    n2 = 2 * sys.n_gen
+    seeds = list(trial_seeds)
+    out = np.empty((len(seeds), n2, n2))
+    for first in range(0, len(seeds), SIGMA0_GROUP):
+        streams = [_split_streams(s) for s in seeds[first:first + SIGMA0_GROUP]]
+        k = len(streams)
+        buf = np.empty((k, SIGMA0_CHUNK, n2))
+        x = np.zeros((k, n2))
+        burn = [np.random.default_rng(b) for b, _ in streams]
+        for block in _advance(sys, x, burn, burn_in, buf):
+            x = block[:, -1].copy()
+        gram = x[:, :, None] * x[:, None, :]
+        run = [np.random.default_rng(r) for _, r in streams]
+        # X_{T-1} enters only Sigma_1, so the run stops one step short
+        for block in _advance(sys, x, run, n_samples - 2, buf):
+            gram += np.matmul(block.transpose(0, 2, 1), block)
+        gram /= n_samples - 1
+        out[first:first + k] = (gram + gram.transpose(0, 2, 1)) / 2.0
+    return out
 
 
 def default_burn_in(sys: ContinuousSystem, dt: float = DT_BASE) -> int:

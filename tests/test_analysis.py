@@ -11,11 +11,12 @@ from swingid.analysis import (CONTINUOUS, DISCRETE, BoundReport,
                               corollary2_bound, relative_error,
                               spectral_distance, spectrum, theorem1_bound,
                               to_continuous)
+from swingid.estimators import covariances
 from swingid.model import build_continuous, build_discrete
-from swingid.sim import DT_BASE
+from swingid.sim import DT_BASE, SIGMA0_GROUP, spawn_seeds, steady_trajectory
 
-from conftest import (grid_models, single_gen_model, systems_for,
-                      two_gen_model)
+from conftest import (grid_models, path3_model, single_gen_model,
+                      systems_for, two_gen_model)
 
 
 # ---------------------------------------------------------------- to_continuous
@@ -97,6 +98,44 @@ def test_bound_validates_arguments():
         theorem1_bound(disc, 100, 1.5, 5, seed=0)
     with pytest.raises(ValueError, match="n_trials"):
         theorem1_bound(disc, 100, 0.1, 0, seed=0)
+
+
+@pytest.mark.parametrize("limit", [float("nan"), float("inf")])
+def test_bound_rejects_nonfinite_cond_threshold(limit):
+    _, disc = systems_for(single_gen_model(), DT_BASE)
+    with pytest.raises(ValueError, match="cond_threshold"):
+        theorem1_bound(disc, 100, 0.1, 5, seed=0, cond_threshold=limit)
+
+
+def test_bound_discards_match_a_serial_recount():
+    # just above T = 2N+2 Sigma_0 is badly conditioned; a limit between two
+    # trials' condition numbers discards exactly the worse half
+    _, disc = systems_for(path3_model(), DT_BASE)
+    n_samples, n_trials, seed, burn_in = 15, 40, 31, 100
+    sigma0s = [covariances(steady_trajectory(disc, n_samples, burn_in, s)).sigma0
+               for s in spawn_seeds(seed, n_trials)]
+    conds = sorted(np.linalg.cond(s) for s in sigma0s)
+    limit = math.sqrt(conds[n_trials // 2 - 1] * conds[n_trials // 2])
+    kept = [s for s in sigma0s if np.linalg.cond(s) <= limit]
+    report = theorem1_bound(disc, n_samples, 0.1, n_trials, seed,
+                            burn_in=burn_in, cond_threshold=limit)
+    assert report.n_discarded == n_trials - len(kept) == n_trials // 2
+    trace_mean = math.fsum(float(np.trace(s)) for s in kept) / len(kept)
+    inv_mean = math.fsum(float(np.sum(np.linalg.inv(s) ** 2))
+                         for s in kept) / len(kept)
+    assert report.trace_sigma0_mean == pytest.approx(trace_mean, rel=1e-12)
+    # ||Sigma_0^{-1}||_F^2 amplifies rounding by about cond(Sigma_0) ~ 1e6
+    assert report.inv_norm_mean == pytest.approx(inv_mean, rel=1e-8)
+    with pytest.raises(ValueError, match="all Monte Carlo trials"):
+        theorem1_bound(disc, n_samples, 0.1, n_trials, seed, burn_in=burn_in,
+                       cond_threshold=1.0)
+
+
+def test_bound_bit_identical_on_rerun():
+    _, disc = systems_for(path3_model(), 3 * DT_BASE)
+    n_trials = SIGMA0_GROUP + 5
+    first = theorem1_bound(disc, 400, 0.1, n_trials, seed=9)
+    assert theorem1_bound(disc, 400, 0.1, n_trials, seed=9) == first
 
 
 def _expectations(trace=2.0, inv=3.0, n_trials=7):

@@ -179,6 +179,32 @@ def test_estimate_rejects_bad_solver_config(tmp_path, small_model_path, traj_pat
     assert f"validation error: {cfg}: {name} must be" in capsys.readouterr().err
 
 
+def test_config_value_that_does_not_parse_exits_2(tmp_path, small_model_path,
+                                                   traj_path, capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[model]\npath = {small_model_path}\n\n"
+                   "[estimation]\nsolver_max_iter = abc\n")
+    code = run("estimate", traj_path, "--config", cfg, "--out", tmp_path / "e")
+    assert code == 2
+    assert (f"validation error: {cfg}: [estimation] solver_max_iter is not an "
+            "integer: 'abc'") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "0.5"])
+@pytest.mark.parametrize("command", ["estimate", "bound"])
+def test_cond_threshold_config_rejected(tmp_path, small_model_path, traj_path,
+                                        capsys, command, value):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[model]\npath = {small_model_path}\n\n"
+                   f"[estimation]\ncond_threshold = {value}\n")
+    argv = [traj_path] if command == "estimate" else ["--n-samples", "300",
+                                                      "--trials", "2"]
+    code = run(command, *argv, "--config", cfg, "--out", tmp_path / "o")
+    assert code == 2
+    assert (f"validation error: {cfg}: cond_threshold must be finite and at "
+            "least 1") in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------------ sweep
 
 def test_sweep_single_cell(tmp_path, small_model_path):
@@ -274,6 +300,19 @@ def test_bound_reports_both_envelopes(tmp_path, small_model_path, capsys):
     assert float(records["rhs_continuous"]) > 0.0
     printed = capsys.readouterr().out
     assert "rhs_discrete" in printed and "rhs_continuous" in printed
+
+
+def test_bound_applies_config_cond_threshold(tmp_path, small_model_path,
+                                             capsys):
+    # cond(Sigma_0) > 1 for every trial, so a limit of 1 discards them all
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[model]\npath = {small_model_path}\n\n"
+                   "[estimation]\ncond_threshold = 1\n")
+    code = run("bound", "--config", cfg, "--n-samples", "300", "--trials", "3",
+               "--out", tmp_path / "b.csv")
+    assert code == 2
+    assert "all Monte Carlo trials produced singular sigma0" in \
+        capsys.readouterr().err
 
 
 def test_kron_on_fixture(tmp_path, fixture_model_path):

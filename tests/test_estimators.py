@@ -201,6 +201,16 @@ def test_cml_rank_deficient_restricted_regressor():
         estimate_cml(make_traj(states))
 
 
+@pytest.mark.parametrize("limit", [float("nan"), float("inf")])
+def test_closed_forms_reject_nonfinite_cond_threshold(limit):
+    # cond > nan is never true, so a NaN limit would pass any Sigma_0
+    traj = noisy_traj()
+    with pytest.raises(ValueError, match="cond_threshold must be finite"):
+        estimate_uml(covariances(traj), cond_threshold=limit)
+    with pytest.raises(ValueError, match="cond_threshold must be finite"):
+        estimate_cml(traj, cond_threshold=limit)
+
+
 # --------------------------------------------------------------------- Tikhonov
 
 def gradient_descent_tikhonov(cov, a_prev, nu, iters=200_000):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from swingid.estimators import SOLVER_MAX_ITER, SOLVER_TOL
+from swingid.estimators import COND_THRESHOLD, SOLVER_MAX_ITER, SOLVER_TOL
 from swingid.io_config import (ExperimentConfig, load_config, load_matrix,
                                load_model, load_records, load_trajectory,
                                save_config, save_matrix, save_model,
@@ -231,6 +231,19 @@ def test_config_missing_model(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("text", [
+    "[model]\npath = m.grid\n[estimation]\nstride = 3\nstride = 4\n",
+    "path = m.grid\n",
+])
+def test_config_malformed_ini_is_validation_error(tmp_path, text):
+    path = tmp_path / "exp.ini"
+    path.write_text(text)
+    with pytest.raises(ValidationError) as excinfo:
+        load_config(path)
+    assert excinfo.value.field == "config"
+    assert str(excinfo.value).startswith(f"{path}: ")
+
+
 def test_config_validation():
     with pytest.raises(ValidationError, match="t_obs"):
         ExperimentConfig(model_path="m", t_obs=0.0)
@@ -252,7 +265,11 @@ def test_config_validation():
     ({"eta": float("inf")}, "eta"), ({"nu": float("nan")}, "nu"),
     ({"solver_tol": 0.0}, "solver_tol"), ({"solver_tol": 1e-3}, "solver_tol"),
     ({"solver_tol": float("nan")}, "solver_tol"),
-    ({"solver_max_iter": 0}, "solver_max_iter")])
+    ({"solver_max_iter": 0}, "solver_max_iter"),
+    ({"cond_threshold": float("nan")}, "cond_threshold"),
+    ({"cond_threshold": float("inf")}, "cond_threshold"),
+    ({"cond_threshold": 0.5}, "cond_threshold"),
+    ({"cond_threshold": -1.0}, "cond_threshold")])
 def test_config_rejects_bad_solver_settings(kwargs, field):
     with pytest.raises(ValidationError) as excinfo:
         ExperimentConfig(model_path="m", **kwargs)
@@ -263,3 +280,28 @@ def test_shipped_config_uses_default_solver_settings():
     cfg = load_config(REPO_ROOT / "configs" / "fixture10.ini")
     assert (cfg.solver_tol, cfg.solver_max_iter) == (SOLVER_TOL, SOLVER_MAX_ITER)
     assert ExperimentConfig(model_path="m").solver_tol == SOLVER_TOL == 1e-6
+    assert ExperimentConfig(model_path="m").cond_threshold == COND_THRESHOLD
+
+
+@pytest.mark.parametrize("section,line,key,field", [
+    ("generation", "dt_base = fast", "dt_base", "dt_base"),
+    ("generation", "t_obs = 10min", "t_obs", "t_obs"),
+    ("generation", "burn_in = soon", "burn_in", "burn_in"),
+    ("generation", "seeds = 1 two 3", "seeds", "seeds"),
+    ("estimation", "stride = 2.5", "stride", "stride"),
+    ("estimation", "nu = none", "nu", "nu"),
+    ("estimation", "lambda = 1e-3x", "lambda", "lam"),
+    ("estimation", "eta = ?", "eta", "eta"),
+    ("estimation", "cond_threshold = big", "cond_threshold", "cond_threshold"),
+    ("estimation", "solver_tol = tight", "solver_tol", "solver_tol"),
+    ("estimation", "solver_max_iter = abc", "solver_max_iter", "solver_max_iter"),
+    ("sweep", "values = 60 x 600", "values", "sweep_values"),
+])
+def test_config_unparsable_value_names_file_key_and_field(tmp_path, section, line,
+                                                          key, field):
+    path = tmp_path / "exp.ini"
+    path.write_text(f"[model]\npath = m.grid\n\n[{section}]\n{line}\n")
+    with pytest.raises(ValidationError) as excinfo:
+        load_config(path)
+    assert excinfo.value.field == field
+    assert str(excinfo.value).startswith(f"{path}: [{section}] {key} is not")

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swingid.estimators import covariances
 from swingid.model import DiscreteSystem, build_continuous
-from swingid.sim import (DT_BASE, Trajectory, default_burn_in, simulate,
-                         spawn_seeds, steady_start, subsample)
+from swingid.sim import (DT_BASE, SIGMA0_CHUNK, SIGMA0_GROUP, Trajectory,
+                         default_burn_in, simulate, spawn_seeds, steady_sigma0,
+                         steady_start, steady_trajectory, subsample)
 
-from conftest import single_gen_model, systems_for, two_gen_model
+from conftest import path3_model, single_gen_model, systems_for, two_gen_model
 
 
 def noiseless_system(a: np.ndarray, dt: float = DT_BASE) -> DiscreteSystem:
@@ -173,3 +175,53 @@ def test_trajectory_validation():
         Trajectory(dt=0.0, states=np.zeros((3, 2)), n_gen=1)
     with pytest.raises(ValueError, match="dimension"):
         Trajectory(dt=1.0, states=np.zeros((3, 3)), n_gen=1)
+
+
+# ------------------------------------------------- steady windows: one stream policy
+
+def test_steady_trajectory_splits_seed_into_burn_in_and_run_streams():
+    _, disc = systems_for(two_gen_model(sigma=(0.1, 0.1)), DT_BASE)
+    burn_seed, run_seed = spawn_seeds(21, 2)
+    x0 = steady_start(disc, 40, burn_seed)
+    expected = simulate(disc, 29, x0, run_seed)
+    traj = steady_trajectory(disc, 30, 40, 21)
+    assert traj.n_samples == 30
+    assert np.array_equal(traj.states, expected.states)
+
+
+def _assert_sigma0_matches_serial(disc, n_samples, burn_in, seeds):
+    got = steady_sigma0(disc, n_samples, seeds, burn_in)
+    assert got.shape == (len(seeds), 2 * disc.n_gen, 2 * disc.n_gen)
+    for sigma0, seed in zip(got, seeds):
+        ref = covariances(steady_trajectory(disc, n_samples, burn_in, seed)).sigma0
+        # the batched product rounds differently from the serial one
+        assert np.linalg.norm(sigma0 - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.array_equal(sigma0, sigma0.T)
+
+
+@pytest.mark.parametrize("n_samples,burn_in,n_trials", [
+    (300, 300, 3),                        # n_samples - 1 not a chunk multiple
+    (2 * SIGMA0_CHUNK + 2, 0, 2),         # run steps exactly two chunks
+    (2 * SIGMA0_CHUNK + 1, 5, 1),         # burn-in shorter than one chunk
+    (40, SIGMA0_CHUNK, 1),                # burn-in exactly one chunk
+    (2, 7, 2),                            # one state, no run steps
+])
+def test_steady_sigma0_matches_serial_windows_on_fixture(
+        fixture_systems, n_samples, burn_in, n_trials):
+    _, disc = fixture_systems
+    _assert_sigma0_matches_serial(disc, n_samples, burn_in,
+                                  spawn_seeds(n_samples, n_trials))
+
+
+def test_steady_sigma0_matches_serial_across_several_groups():
+    _, disc = systems_for(path3_model(), 3 * DT_BASE)
+    seeds = spawn_seeds(8, 2 * SIGMA0_GROUP + 3)
+    _assert_sigma0_matches_serial(disc, 150, 200, seeds)
+
+
+def test_steady_sigma0_rejects_bad_input():
+    _, disc = systems_for(two_gen_model(), DT_BASE)
+    with pytest.raises(ValueError, match="n_samples"):
+        steady_sigma0(disc, 1, [1], 0)
+    with pytest.raises(ValueError, match="burn_in"):
+        steady_sigma0(disc, 10, [1], -1)
