@@ -17,8 +17,9 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .estimators import COND_THRESHOLD, check_cond_threshold, covariances
-from .model import DiscreteSystem
-from .sim import simulate, spawn_seeds, steady_sigma0, steady_start
+from .model import ContinuousSystem, DiscreteSystem
+from .sim import (default_burn_in, simulate, spawn_seeds, steady_sigma0,
+                  steady_start)
 
 # simulate, steady_start and covariances are no longer called here but stay
 # bound: perfbench/smoke.py checks that the tracer patches these sites
@@ -113,17 +114,6 @@ def _sigma0_moments(sys: DiscreteSystem, n_samples: int, n_trials: int,
     return math.fsum(traces) / kept, math.fsum(inv_norms) / kept, discarded
 
 
-def default_bound_burn_in(sys: DiscreteSystem) -> int:
-    """Burn-in of twice the slowest decaying mode's time constant."""
-    eigs = np.linalg.eigvals(to_continuous(sys.a, sys.dt))
-    radius = max(np.max(np.abs(eigs)), 1.0)
-    decaying = [ev for ev in eigs if abs(ev) > 1e-9 * radius and ev.real < 0]
-    if not decaying:
-        return 0
-    slowest = max(ev.real for ev in decaying)
-    return math.ceil(2.0 / abs(slowest) / sys.dt)
-
-
 def theorem1_bound(sys: DiscreteSystem, n_samples: int, epsilon: float,
                    n_trials: int, seed: int, *,
                    burn_in: int | None = None,
@@ -143,7 +133,9 @@ def theorem1_bound(sys: DiscreteSystem, n_samples: int, epsilon: float,
         raise ValueError("n_trials must be at least 1")
     check_cond_threshold(cond_threshold)
     if burn_in is None:
-        burn_in = default_bound_burn_in(sys)
+        burn_in = default_burn_in(ContinuousSystem(
+            n_gen=sys.n_gen, a_d=to_continuous(sys.a, sys.dt),
+            noise_scale=sys.b_diag / math.sqrt(sys.dt)), sys.dt)
     b_norm = float(np.max(np.abs(sys.b_diag)))
     if b_norm == 0.0:
         # noiseless system: the bound collapses to zero with no data needed

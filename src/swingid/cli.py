@@ -28,10 +28,10 @@ import numpy as np
 
 from . import analysis, io_config, sim
 from .estimators import (CML, LASSO, SPARSE_LOW_RANK, TIKHONOV, UML,
-                         ConvergenceError, SingularCovarianceError,
-                         covariances, estimate_b, estimate_cml, estimate_lasso,
-                         estimate_sparse_low_rank, estimate_tikhonov,
-                         estimate_uml, threshold_structure)
+                         ConvergenceError, CovariancePair,
+                         SingularCovarianceError, covariances, estimate_b,
+                         estimate_cml, estimate_lasso, estimate_sparse_low_rank,
+                         estimate_tikhonov, estimate_uml, threshold_structure)
 from .model import (KronReductionError, ValidationError, build_continuous,
                     build_discrete, build_laplacian, kron_reduce)
 
@@ -58,7 +58,13 @@ def _config_from_args(args) -> io_config.ExperimentConfig:
     if getattr(args, "estimator", None):
         overrides["estimators"] = tuple(args.estimator)
     if getattr(args, "burn_in", None) is not None:
-        overrides["burn_in"] = None if args.burn_in == "auto" else int(args.burn_in)
+        try:
+            overrides["burn_in"] = (None if args.burn_in == "auto"
+                                    else int(args.burn_in))
+        except ValueError:
+            raise ValidationError(
+                f"--burn-in must be 'auto' or an integer, got {args.burn_in!r}",
+                field="burn_in") from None
     if getattr(args, "axis", None) is not None:
         overrides["sweep_variable"] = args.axis
     if getattr(args, "values", None):
@@ -66,11 +72,24 @@ def _config_from_args(args) -> io_config.ExperimentConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
-def _build_systems(model_path: str, dt: float):
+def _build_systems(model_path: str, dt: float | None = None, *,
+                   n_gen: int | None = None):
+    """Model file -> (grid, continuous system, forward-Euler system at step dt).
+
+    The discrete system is None without dt.  An empty path, or with n_gen
+    given a model with another generator count, is a validation error.
+    """
+    if not model_path:
+        raise ValidationError("a model is required (--config or --model)",
+                              field="model_path")
     grid = io_config.load_model(model_path)
+    if n_gen is not None and grid.n_gen != n_gen:
+        raise ValidationError(
+            f"truth model has {grid.n_gen} generators, the data has {n_gen}",
+            field="model_path")
     reduced = kron_reduce(build_laplacian(grid), grid.generator_ids)
     cont = build_continuous(grid, reduced)
-    return grid, cont, build_discrete(cont, dt)
+    return grid, cont, None if dt is None else build_discrete(cont, dt)
 
 
 def _model_sha256(path: str) -> str:
@@ -85,9 +104,6 @@ def _resolve_burn_in(cfg: io_config.ExperimentConfig, cont) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
-    if not cfg.model_path:
-        raise ValidationError("a model is required (--config or --model)",
-                              field="model_path")
     grid, cont, disc = _build_systems(cfg.model_path, cfg.dt_base)
     n_samples = round(cfg.t_obs / cfg.dt_base)
     if n_samples < 2:
@@ -118,22 +134,31 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _run_estimator(tag: str, traj: sim.Trajectory,
-                   cfg: io_config.ExperimentConfig, a_prev: np.ndarray):
-    if tag == UML:
-        return estimate_uml(covariances(traj), cond_threshold=cfg.cond_threshold)
-    if tag == CML:
-        return estimate_cml(traj, cond_threshold=cfg.cond_threshold)
-    if tag == TIKHONOV:
-        return estimate_tikhonov(covariances(traj), a_prev, cfg.nu)
-    if tag == LASSO:
-        return estimate_lasso(traj, cfg.lam, tol=cfg.solver_tol,
-                              max_iter=cfg.solver_max_iter)
-    if tag == SPARSE_LOW_RANK:
-        return estimate_sparse_low_rank(traj, cfg.lam, cfg.eta,
-                                        tol=cfg.solver_tol,
-                                        max_iter=cfg.solver_max_iter)
-    raise ValidationError(f"unknown estimator {tag!r}", field="estimators")
+# tag -> fit(cov, cfg, a_prev), one entry per estimators.ESTIMATORS tag
+_ESTIMATORS = {
+    UML: lambda cov, cfg, a_prev: estimate_uml(
+        cov, cond_threshold=cfg.cond_threshold),
+    CML: lambda cov, cfg, a_prev: estimate_cml(
+        cov, cond_threshold=cfg.cond_threshold),
+    TIKHONOV: lambda cov, cfg, a_prev: estimate_tikhonov(
+        cov, a_prev, cfg.nu, cond_threshold=cfg.cond_threshold),
+    LASSO: lambda cov, cfg, a_prev: estimate_lasso(
+        cov, cfg.lam, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter),
+    SPARSE_LOW_RANK: lambda cov, cfg, a_prev: estimate_sparse_low_rank(
+        cov, cfg.lam, cfg.eta, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter),
+}
+
+
+def _fit(tag: str, cov: CovariancePair, strided: sim.Trajectory,
+         cfg: io_config.ExperimentConfig, a_prev: np.ndarray):
+    """Run one estimator; returns (result, A_hat, continuous A_hat_d).
+
+    A_hat has its known-zero damping entries cleared when cfg.threshold is set.
+    """
+    result = _ESTIMATORS[tag](cov, cfg, a_prev)
+    a_hat = (threshold_structure(result.a_hat, strided.n_gen)
+             if cfg.threshold else result.a_hat)
+    return result, a_hat, analysis.to_continuous(a_hat, strided.dt)
 
 
 def _check_sample_count(traj: sim.Trajectory) -> None:
@@ -145,33 +170,20 @@ def _check_sample_count(traj: sim.Trajectory) -> None:
             field="stride")
 
 
-def _truth_continuous(cfg: io_config.ExperimentConfig, n_gen: int) -> np.ndarray | None:
-    if not cfg.model_path:
-        return None
-    grid = io_config.load_model(cfg.model_path)
-    if grid.n_gen != n_gen:
-        raise ValidationError(
-            f"truth model has {grid.n_gen} generators, trajectory has {n_gen}",
-            field="model_path")
-    reduced = kron_reduce(build_laplacian(grid), grid.generator_ids)
-    return build_continuous(grid, reduced).a_d
-
-
 def cmd_estimate(args) -> int:
     cfg = _config_from_args(args)
     traj = io_config.load_trajectory(args.trajectory)
     strided = sim.subsample(traj, cfg.stride)
     _check_sample_count(strided)
-    a_d_true = _truth_continuous(cfg, strided.n_gen)
+    a_d_true = (_build_systems(cfg.model_path, n_gen=strided.n_gen)[1].a_d
+                if cfg.model_path else None)
     a_prev = (io_config.load_matrix(args.a_prev) if getattr(args, "a_prev", None)
               else np.zeros((2 * strided.n_gen,) * 2))
     outdir = Path(cfg.outputs)
     outdir.mkdir(parents=True, exist_ok=True)
+    cov = covariances(strided)
     for tag in cfg.estimators:
-        result = _run_estimator(tag, strided, cfg, a_prev)
-        a_hat = (threshold_structure(result.a_hat, strided.n_gen)
-                 if cfg.threshold else result.a_hat)
-        a_hat_d = analysis.to_continuous(a_hat, strided.dt)
+        result, a_hat, a_hat_d = _fit(tag, cov, strided, cfg, a_prev)
         b_hat = estimate_b(strided, a_hat)
         stem = f"ahat_d_{tag.lower()}"
         io_config.save_matrix(outdir / f"{stem}.csv", a_hat_d,
@@ -204,9 +216,6 @@ def cmd_sweep(args) -> int:
     if cfg.sweep_variable is None:
         raise ValidationError("sweep axis not defined (--axis or [sweep] section)",
                               field="sweep_variable")
-    if not cfg.model_path:
-        raise ValidationError("a model is required (--config or --model)",
-                              field="model_path")
     grid, cont, disc = _build_systems(cfg.model_path, cfg.dt_base)
     a_d_true = cont.a_d
     burn_in = _resolve_burn_in(cfg, cont)
@@ -234,15 +243,15 @@ def cmd_sweep(args) -> int:
             else:
                 window = base
             strided = sim.subsample(window, stride)
+            cov = None  # one pair per window, built by its first estimator
             for tag in cfg.estimators:
                 try:
                     _check_sample_count(strided)
-                    result = _run_estimator(tag, strided, cfg,
-                                            np.zeros_like(a_d_true))
-                    a_hat = (threshold_structure(result.a_hat, strided.n_gen)
-                             if cfg.threshold else result.a_hat)
-                    eps = analysis.relative_error(
-                        analysis.to_continuous(a_hat, strided.dt), a_d_true)
+                    if cov is None:
+                        cov = covariances(strided)
+                    a_hat_d = _fit(tag, cov, strided, cfg,
+                                   np.zeros_like(a_d_true))[2]
+                    eps = analysis.relative_error(a_hat_d, a_d_true)
                 except (ValidationError, SingularCovarianceError,
                         ConvergenceError) as exc:
                     print(f"cell failed (value={value}, {tag}, seed={seed}): {exc}",
@@ -297,14 +306,8 @@ def cmd_eigen(args) -> int:
               for ev in report.eigenvalues]
     distance = None
     if args.model:
-        grid = io_config.load_model(args.model)
-        if 2 * grid.n_gen != a_hat_d.shape[0]:
-            raise ValidationError(
-                f"truth model has {grid.n_gen} generators, matrix is "
-                f"{a_hat_d.shape[0]}x{a_hat_d.shape[0]}", field="model")
-        reduced = kron_reduce(build_laplacian(grid), grid.generator_ids)
-        truth = analysis.spectrum(build_continuous(grid, reduced).a_d,
-                                  args.zero_mode_tol)
+        cont = _build_systems(args.model, n_gen=a_hat_d.shape[0] // 2)[1]
+        truth = analysis.spectrum(cont.a_d, args.zero_mode_tol)
     elif args.against:
         other = io_config.load_matrix(args.against)
         if other.shape != a_hat_d.shape:
@@ -332,12 +335,8 @@ def cmd_eigen(args) -> int:
 
 def cmd_bound(args) -> int:
     cfg = _config_from_args(args)
-    if not cfg.model_path:
-        raise ValidationError("a model is required (--config or --model)",
-                              field="model_path")
     dt = cfg.dt_base * cfg.stride
-    grid, cont, _ = _build_systems(cfg.model_path, cfg.dt_base)
-    disc = build_discrete(cont, dt)
+    grid, _, disc = _build_systems(cfg.model_path, dt)
     n_samples = args.n_samples if args.n_samples else round(cfg.t_obs / dt)
     seed = cfg.seeds[0]
     discrete = analysis.theorem1_bound(disc, n_samples, args.epsilon,

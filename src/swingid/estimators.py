@@ -11,6 +11,11 @@ maximum-likelihood estimate A_hat = Sigma_1 Sigma_0^{-1}; the variants add
 a support constraint (CML), a quadratic prior (Tikhonov), an entrywise l1
 penalty (LASSO) or an l1 + nuclear-norm split (sparse plus low rank).
 
+Every estimator except estimate_b therefore takes a CovariancePair, which
+a caller builds once per data window with `covariances(traj)` and shares
+across estimators; estimate_b needs the per-row residuals and takes the
+trajectory.
+
 Penalties multiply the raw sum-over-t objective, so hyperparameters must
 be re-tuned when T changes.
 
@@ -35,6 +40,7 @@ CML = "CML"
 TIKHONOV = "TIKHONOV"
 LASSO = "LASSO"
 SPARSE_LOW_RANK = "SPARSE_LOW_RANK"
+ESTIMATORS = (UML, CML, TIKHONOV, LASSO, SPARSE_LOW_RANK)
 
 # Sigma_0 condition numbers above this raise instead of silently pseudo-inverting
 COND_THRESHOLD = 1e12
@@ -92,7 +98,6 @@ class EstimationResult:
     hyperparams: dict[str, float] = field(default_factory=dict)
     objective: float = 0.0
     l_hat: np.ndarray | None = None
-    b_hat: np.ndarray | None = None
     objective_history: tuple[float, ...] | None = None
 
 
@@ -144,36 +149,32 @@ def _check_penalty(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
-def estimate_uml(cov: CovariancePair, *, cond_threshold: float = COND_THRESHOLD,
-                 allow_pseudo_inverse: bool = False) -> EstimationResult:
-    """Unrestricted maximum likelihood: A_hat = Sigma_1 Sigma_0^{-1}.
-
-    allow_pseudo_inverse swaps the singularity error for a Moore-Penrose
-    solve; exploratory use only, the guarantees assume invertibility.
-    """
+def estimate_uml(cov: CovariancePair, *,
+                 cond_threshold: float = COND_THRESHOLD) -> EstimationResult:
+    """Unrestricted maximum likelihood: A_hat = Sigma_1 Sigma_0^{-1}."""
     check_cond_threshold(cond_threshold)
-    if allow_pseudo_inverse:
-        a_hat = cov.sigma1 @ np.linalg.pinv(cov.sigma0)
-    else:
-        _check_invertible(cov.sigma0, cov.n_samples, cond_threshold)
-        # A Sigma_0 = Sigma_1 transposed into a standard left-hand solve
-        a_hat = np.linalg.solve(cov.sigma0.T, cov.sigma1.T).T
+    _check_invertible(cov.sigma0, cov.n_samples, cond_threshold)
+    # A Sigma_0 = Sigma_1 transposed into a standard left-hand solve
+    a_hat = np.linalg.solve(cov.sigma0.T, cov.sigma1.T).T
     return EstimationResult(a_hat=a_hat, estimator=UML,
                             objective=ls_objective(cov, a_hat))
 
 
-def estimate_cml(traj: Trajectory, *,
+def estimate_cml(cov: CovariancePair, *,
                  cond_threshold: float = COND_THRESHOLD) -> EstimationResult:
     """Least squares restricted to a diagonal lower-right N x N block.
 
-    The objective is row-separable, so each row solves its own restricted
-    normal equations: rows 0..N-1 keep every column, row N+i keeps columns
-    0..N-1 plus its own diagonal column.  Closed form, no iterative solver.
+    The state is (angles, speeds), so N is half the dimension of Sigma_0;
+    an odd dimension raises ValueError.  The objective is row-separable, so
+    each row solves its own restricted normal equations: rows 0..N-1 keep
+    every column, row N+i keeps columns 0..N-1 plus its own diagonal
+    column.  Closed form, no iterative solver.
     """
     check_cond_threshold(cond_threshold)
-    cov = covariances(traj)
     n2 = cov.sigma0.shape[0]
-    n = traj.n_gen
+    if n2 % 2:
+        raise ValueError(f"CML needs an even state dimension 2N, got {n2}")
+    n = n2 // 2
     tm1 = cov.n_samples - 1
     a_hat = np.zeros((n2, n2))
     all_cols = list(range(n2))
@@ -200,13 +201,15 @@ def estimate_cml(traj: Trajectory, *,
                             objective=ls_objective(cov, a_hat))
 
 
-def estimate_tikhonov(cov: CovariancePair, a_prev: np.ndarray,
-                      nu: float) -> EstimationResult:
+def estimate_tikhonov(cov: CovariancePair, a_prev: np.ndarray, nu: float, *,
+                      cond_threshold: float = COND_THRESHOLD) -> EstimationResult:
     """Exact minimizer of J(A) + nu ||A - A_prev||_F^2.
 
     Closed form (Sigma_1 + (nu/(T-1)) A_prev)(Sigma_0 + (nu/(T-1)) I)^{-1}.
+    At nu = 0 this is UML, and Sigma_0 must pass the same cond_threshold.
     """
     _check_penalty("nu", nu)
+    check_cond_threshold(cond_threshold)
     n2 = cov.sigma0.shape[0]
     if a_prev.shape != (n2, n2):
         raise ValueError(f"a_prev must be {n2}x{n2}, got {a_prev.shape}")
@@ -214,7 +217,7 @@ def estimate_tikhonov(cov: CovariancePair, a_prev: np.ndarray,
     lhs = cov.sigma0 + (nu / tm1) * np.eye(n2)
     rhs = cov.sigma1 + (nu / tm1) * a_prev
     if nu == 0:
-        _check_invertible(cov.sigma0, cov.n_samples, COND_THRESHOLD)
+        _check_invertible(cov.sigma0, cov.n_samples, cond_threshold)
     a_hat = np.linalg.solve(lhs.T, rhs.T).T
     obj = ls_objective(cov, a_hat) + nu * float(np.sum((a_hat - a_prev) ** 2))
     return EstimationResult(a_hat=a_hat, estimator=TIKHONOV,
@@ -400,7 +403,7 @@ def _certificate_scale(cov: CovariancePair, lam: float) -> float:
     return max(lam, lasso_kill_threshold(cov), 1.0)
 
 
-def estimate_lasso(traj: Trajectory, lam: float, *,
+def estimate_lasso(cov: CovariancePair, lam: float, *,
                    tol: float = SOLVER_TOL,
                    max_iter: int = SOLVER_MAX_ITER) -> EstimationResult:
     """Minimize J(A) + lambda ||A||_1 by accelerated proximal gradient from A = 0.
@@ -412,12 +415,6 @@ def estimate_lasso(traj: Trajectory, lam: float, *,
     ConvergenceError if that takes more than `max_iter` proximal steps.
     """
     _check_penalty("lambda", lam)
-    cov = covariances(traj)
-    return _lasso_from_cov(cov, lam, tol=tol, max_iter=max_iter)
-
-
-def _lasso_from_cov(cov: CovariancePair, lam: float, *, tol: float,
-                    max_iter: int) -> EstimationResult:
     x, it, gap, obj, history = _accelerated_prox_grad(
         cov, (_l1_block(lam),), _certificate_scale(cov, lam), tol=tol,
         max_iter=max_iter, name="LASSO")
@@ -427,7 +424,7 @@ def _lasso_from_cov(cov: CovariancePair, lam: float, *, tol: float,
                             objective=obj, objective_history=history)
 
 
-def estimate_sparse_low_rank(traj: Trajectory, lam: float, eta: float, *,
+def estimate_sparse_low_rank(cov: CovariancePair, lam: float, eta: float, *,
                              tol: float = SOLVER_TOL,
                              max_iter: int = SOLVER_MAX_ITER) -> EstimationResult:
     """Minimize J(A+L) + lambda ||A||_1 + eta ||L||_* by accelerated proximal gradient.
@@ -442,7 +439,6 @@ def estimate_sparse_low_rank(traj: Trajectory, lam: float, eta: float, *,
     """
     _check_penalty("lambda", lam)
     _check_penalty("eta", eta)
-    cov = covariances(traj)
     x, it, gap, obj, history = _accelerated_prox_grad(
         cov, (_l1_block(lam), _nuclear_block(eta)),
         _certificate_scale(cov, lam), tol=tol, max_iter=max_iter,

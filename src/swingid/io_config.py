@@ -28,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import (CERTIFICATE_BOUND, COND_THRESHOLD, SOLVER_MAX_ITER,
-                         SOLVER_TOL)
+from .estimators import (CERTIFICATE_BOUND, CML, COND_THRESHOLD, ESTIMATORS,
+                         SOLVER_MAX_ITER, SOLVER_TOL, UML)
 from .model import GridModel, Line, ValidationError
 from .sim import DT_BASE, Trajectory
 
@@ -270,7 +270,7 @@ def load_records(path) -> dict[str, str]:
 
 # ----------------------------------------------------------- experiment config
 
-VALID_ESTIMATORS = ("UML", "CML", "TIKHONOV", "LASSO", "SPARSE_LOW_RANK")
+VALID_ESTIMATORS = ESTIMATORS
 VALID_SWEEP_VARIABLES = ("stride", "t_obs")
 
 
@@ -284,7 +284,7 @@ class ExperimentConfig:
     burn_in: int | None = None  # None selects the stationarity default
     seeds: tuple[int, ...] = (1,)
     stride: int = 3
-    estimators: tuple[str, ...] = ("UML", "CML")
+    estimators: tuple[str, ...] = (UML, CML)
     threshold: bool = True
     nu: float = 0.0
     lam: float = 0.0

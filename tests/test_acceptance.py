@@ -75,7 +75,7 @@ def sweep(fixture_grid):
             sub = subsample(prefix, STRIDE)
             uml = threshold_structure(estimate_uml(covariances(sub)).a_hat,
                                       disc.n_gen)
-            cml = estimate_cml(sub).a_hat
+            cml = estimate_cml(covariances(sub)).a_hat
             eps_uml[t_obs].append(
                 relative_error(to_continuous(uml, dt_eff), cont.a_d))
             eps_cml[t_obs].append(
@@ -250,19 +250,19 @@ def test_criterion_08_regularizer_limits():
     checks.append(("huge nu returns a_prev", rel_prev <= 1e-6,
                    f"{rel_prev:.1e}<=1e-6"))
 
-    lasso_free = estimate_lasso(traj, lam=0.0).a_hat
+    lasso_free = estimate_lasso(covariances(traj), lam=0.0).a_hat
     rel_free = float(np.linalg.norm(lasso_free - uml) / np.linalg.norm(uml))
     checks.append(("lambda=0 equals UML", rel_free <= 1e-3,
                    f"{rel_free:.1e}<=1e-3"))
 
     kill = lasso_kill_threshold(cov)
-    dead = estimate_lasso(traj, lam=1.001 * kill).a_hat
+    dead = estimate_lasso(covariances(traj), lam=1.001 * kill).a_hat
     checks.append(("kill threshold zeroes A", bool(np.all(dead == 0.0)),
                    f"max|A|={float(np.max(np.abs(dead))):.1e}"))
 
     lam = 0.05 * kill
-    lasso_ref = estimate_lasso(traj, lam=lam)
-    slr = estimate_sparse_low_rank(traj, lam=lam, eta=1e12 * kill)
+    lasso_ref = estimate_lasso(covariances(traj), lam=lam)
+    slr = estimate_sparse_low_rank(covariances(traj), lam=lam, eta=1e12 * kill)
     obj_l = ls_objective(cov, lasso_ref.a_hat) + lam * float(
         np.sum(np.abs(lasso_ref.a_hat)))
     obj_s = ls_objective(cov, slr.a_hat) + lam * float(
@@ -293,8 +293,8 @@ def test_criterion_10_determinism_and_round_trips(fixture_grid, tmp_path):
     traj_a = _steady_traj(disc, 400, seed=11, burn_in=200)
     traj_b = _steady_traj(disc, 400, seed=11, burn_in=200)
     same_states = bool(np.array_equal(traj_a.states, traj_b.states))
-    est_a = estimate_cml(traj_a).a_hat
-    est_b = estimate_cml(traj_b).a_hat
+    est_a = estimate_cml(covariances(traj_a)).a_hat
+    est_b = estimate_cml(covariances(traj_b)).a_hat
     same_est = bool(np.array_equal(est_a, est_b))
 
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from swingid import cli, estimators
 from swingid.cli import main
 from swingid.estimators import covariances, lasso_kill_threshold
 from swingid.io_config import (load_matrix, load_records, load_trajectory,
@@ -55,6 +56,14 @@ def test_simulate_rejects_zero_window(tmp_path, small_model_path, capsys):
                "--out", tmp_path / "o")
     assert code == 2
     assert "t_obs" in capsys.readouterr().err
+
+
+def test_simulate_rejects_unparsable_burn_in(tmp_path, small_model_path, capsys):
+    code = run("simulate", "--model", small_model_path, "--t-obs", "5",
+               "--burn-in", "abc", "--out", tmp_path / "o")
+    assert code == 2
+    assert ("validation error: --burn-in must be 'auto' or an integer, "
+            "got 'abc'") in capsys.readouterr().err
 
 
 def test_simulate_missing_model_file(tmp_path):
@@ -205,6 +214,45 @@ def test_cond_threshold_config_rejected(tmp_path, small_model_path, traj_path,
             "least 1") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [("--estimator", "UML"),
+                                   ("--estimator", "TIKHONOV", "--nu", "0")])
+def test_closed_forms_apply_config_cond_threshold(tmp_path, small_model_path,
+                                                  traj_path, capsys, flags):
+    # cond(Sigma_0) > 1 for any non-isotropic data, so a limit of 1 fails
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[model]\npath = {small_model_path}\n\n"
+                   "[estimation]\ncond_threshold = 1\n")
+    code = run("estimate", traj_path, "--config", cfg, *flags,
+               "--out", tmp_path / "e")
+    assert code == 3
+    assert "sigma0 is singular or ill-conditioned" in capsys.readouterr().err
+
+
+def count_covariance_calls(monkeypatch) -> list[int]:
+    """Count covariances() calls made through cli and through estimators."""
+    calls = [0]
+
+    def counting(fn):
+        def wrapper(traj):
+            calls[0] += 1
+            return fn(traj)
+        return wrapper
+
+    for module in (cli, estimators):
+        monkeypatch.setattr(module, "covariances", counting(module.covariances))
+    return calls
+
+
+def test_estimate_computes_covariances_once(tmp_path, small_model_path,
+                                            traj_path, monkeypatch):
+    calls = count_covariance_calls(monkeypatch)
+    assert run("estimate", traj_path, "--model", small_model_path,
+               "--estimator", "UML", "CML", "TIKHONOV", "LASSO",
+               "SPARSE_LOW_RANK", "--lambda", "1e9", "--eta", "1e9",
+               "--out", tmp_path / "e") == 0
+    assert calls[0] == 1
+
+
 # ------------------------------------------------------------------------ sweep
 
 def test_sweep_single_cell(tmp_path, small_model_path):
@@ -252,6 +300,21 @@ def test_sweep_failed_cell_marked_not_fatal(tmp_path, small_model_path):
     assert cells[100.0] == "nan"
     manifest = load_records(out / "manifest.csv")
     assert manifest["failed_cells"] == "1"
+
+
+def test_sweep_computes_covariances_once_per_window(tmp_path, small_model_path,
+                                                    monkeypatch):
+    # stride 100 leaves 6 samples: a deficit window, failed once per tag
+    # without computing its covariances
+    calls = count_covariance_calls(monkeypatch)
+    out = tmp_path / "sw"
+    assert run("sweep", "--model", small_model_path, "--axis", "stride",
+               "--values", "1", "3", "100", "--t-obs", "10", "--seed", "1",
+               "--estimator", "UML", "CML", "--out", out) == 0
+    assert calls[0] == 2
+    rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert [r[1] for r in rows if r[3] == "nan"] == ["CML", "UML"]
+    assert load_records(out / "manifest.csv")["failed_cells"] == "2"
 
 
 # ------------------------------------------------------------------------ eigen

@@ -113,15 +113,6 @@ def test_uml_singular_covariance_error_mentions_sample_rule():
         estimate_uml(covariances(make_traj(states)))
 
 
-def test_uml_pseudo_inverse_mode():
-    states = np.tile(np.array([1.0, 2.0]), (5, 1))
-    result = estimate_uml(covariances(make_traj(states)),
-                          allow_pseudo_inverse=True)
-    # the rank-1 solution still reproduces sigma1 on the data subspace
-    cov = covariances(make_traj(states))
-    assert np.allclose(result.a_hat @ cov.sigma0, cov.sigma1, atol=1e-10)
-
-
 def test_uml_defining_relation_and_gradient():
     traj = noisy_traj(seed=5)
     cov = covariances(traj)
@@ -153,7 +144,7 @@ def test_cml_vacuous_for_single_generator():
     _, disc = systems_for(single_gen_model(sigma=0.05), DT_BASE)
     traj = simulate(disc, 200, np.zeros(2), seed=11)
     uml_hat = estimate_uml(covariances(traj)).a_hat
-    cml_hat = estimate_cml(traj).a_hat
+    cml_hat = estimate_cml(covariances(traj)).a_hat
     assert np.allclose(cml_hat, uml_hat, atol=1e-12)
 
 
@@ -165,12 +156,12 @@ def test_cml_exact_recovery_on_constrained_truth():
     a[2, 2] = 0.6
     a[3, 3] = 0.7
     traj = noiseless_traj(a, rng.standard_normal(4), 60)
-    result = estimate_cml(traj)
+    result = estimate_cml(covariances(traj))
     assert np.allclose(result.a_hat, a, atol=1e-8)
 
 
 def test_cml_zero_pattern_is_exact():
-    result = estimate_cml(noisy_traj(seed=8))
+    result = estimate_cml(covariances(noisy_traj(seed=8)))
     assert result.a_hat[2, 3] == 0.0
     assert result.a_hat[3, 2] == 0.0
 
@@ -179,7 +170,7 @@ def test_cml_objective_no_better_than_uml():
     traj = noisy_traj(seed=9)
     cov = covariances(traj)
     uml_obj = estimate_uml(cov).objective
-    cml_obj = estimate_cml(traj).objective
+    cml_obj = estimate_cml(covariances(traj)).objective
     assert cml_obj >= uml_obj - 1e-10 * max(1.0, abs(uml_obj))
 
 
@@ -191,14 +182,21 @@ def test_cml_equals_uml_when_constraint_already_satisfied():
     a[2, 2], a[3, 3] = 0.5, 0.6
     traj = noiseless_traj(a, rng.standard_normal(4), 60)
     cov = covariances(traj)
-    assert estimate_cml(traj).objective == pytest.approx(
+    assert estimate_cml(covariances(traj)).objective == pytest.approx(
         estimate_uml(cov).objective, abs=1e-10)
 
 
 def test_cml_rank_deficient_restricted_regressor():
     states = np.tile(np.array([1.0, 2.0, 3.0, 4.0]), (12, 1))
     with pytest.raises(SingularCovarianceError, match="rank-deficient"):
-        estimate_cml(make_traj(states))
+        estimate_cml(covariances(make_traj(states)))
+
+
+def test_cml_rejects_odd_state_dimension():
+    cov = CovariancePair(sigma0=np.eye(3), sigma1=np.eye(3), n_samples=10,
+                         next_sq_sum=1.0)
+    with pytest.raises(ValueError, match="even state dimension"):
+        estimate_cml(cov)
 
 
 @pytest.mark.parametrize("limit", [float("nan"), float("inf")])
@@ -208,7 +206,7 @@ def test_closed_forms_reject_nonfinite_cond_threshold(limit):
     with pytest.raises(ValueError, match="cond_threshold must be finite"):
         estimate_uml(covariances(traj), cond_threshold=limit)
     with pytest.raises(ValueError, match="cond_threshold must be finite"):
-        estimate_cml(traj, cond_threshold=limit)
+        estimate_cml(covariances(traj), cond_threshold=limit)
 
 
 # --------------------------------------------------------------------- Tikhonov
@@ -295,14 +293,14 @@ def coordinate_descent_lasso(traj, lam, sweeps=20_000):
 def test_lasso_zero_penalty_equals_uml():
     traj = mixing_traj(seed=16)
     uml_hat = estimate_uml(covariances(traj)).a_hat
-    lasso_hat = estimate_lasso(traj, 0.0).a_hat
+    lasso_hat = estimate_lasso(covariances(traj), 0.0).a_hat
     assert np.linalg.norm(lasso_hat - uml_hat) < 1e-3 * np.linalg.norm(uml_hat)
 
 
 def test_lasso_kill_threshold_returns_exact_zero():
     traj = noisy_traj(seed=17, n_steps=100)
     lam = lasso_kill_threshold(covariances(traj))
-    result = estimate_lasso(traj, lam)
+    result = estimate_lasso(covariances(traj), lam)
     assert np.all(result.a_hat == 0.0)
     assert result.hyperparams["iterations"] <= 2
 
@@ -310,20 +308,20 @@ def test_lasso_kill_threshold_returns_exact_zero():
 def test_lasso_matches_coordinate_descent_oracle():
     traj = noisy_traj(seed=18, n_steps=60)
     lam = 0.3 * lasso_kill_threshold(covariances(traj))
-    result = estimate_lasso(traj, lam)
+    result = estimate_lasso(covariances(traj), lam)
     _, oracle_obj = coordinate_descent_lasso(traj, lam)
     assert result.objective == pytest.approx(oracle_obj, abs=1e-8)
 
 
 def test_lasso_rejects_negative_penalty():
     with pytest.raises(ValueError, match="nonnegative"):
-        estimate_lasso(noisy_traj(seed=19, n_steps=30), -1.0)
+        estimate_lasso(covariances(noisy_traj(seed=19, n_steps=30)), -1.0)
 
 
 def test_lasso_support_shrinks_with_penalty():
     traj = noisy_traj(seed=20, n_steps=150)
     kill = lasso_kill_threshold(covariances(traj))
-    counts = [np.count_nonzero(estimate_lasso(traj, f * kill).a_hat)
+    counts = [np.count_nonzero(estimate_lasso(covariances(traj), f * kill).a_hat)
               for f in (0.0, 0.01, 0.05, 0.2, 0.5, 1.0)]
     assert all(c2 <= c1 for c1, c2 in zip(counts, counts[1:]))
     assert counts[-1] == 0
@@ -333,7 +331,7 @@ def test_lasso_subgradient_certificate():
     traj = mixing_traj(seed=21, n_steps=120)
     cov = covariances(traj)
     lam = 0.1 * lasso_kill_threshold(cov)
-    result = estimate_lasso(traj, lam)
+    result = estimate_lasso(covariances(traj), lam)
     # the solver certifies optimality to 1e-4 of the gradient scale
     scale = max(lam, 2.0 * (cov.n_samples - 1) * np.max(np.abs(cov.sigma1)))
     assert l1_optimality_gap(cov, result.a_hat, lam) < 1e-4 * scale
@@ -342,7 +340,7 @@ def test_lasso_subgradient_certificate():
 def test_lasso_nonconvergence_carries_diagnostics():
     traj = noisy_traj(seed=22, n_steps=200)
     with pytest.raises(ConvergenceError) as excinfo:
-        estimate_lasso(traj, 1e-6, max_iter=3)
+        estimate_lasso(covariances(traj), 1e-6, max_iter=3)
     assert excinfo.value.iterations == 3
     assert np.isfinite(excinfo.value.objective)
     assert excinfo.value.gap > 0.0
@@ -350,7 +348,8 @@ def test_lasso_nonconvergence_carries_diagnostics():
 
 def test_lasso_objective_history_monotone():
     traj = noisy_traj(seed=23, n_steps=80)
-    result = estimate_lasso(traj, 0.05 * lasso_kill_threshold(covariances(traj)))
+    result = estimate_lasso(covariances(traj),
+                            0.05 * lasso_kill_threshold(covariances(traj)))
     history = np.array(result.objective_history)
     assert np.all(np.diff(history) <= 1e-9 * np.maximum(1.0, np.abs(history[:-1])))
 
@@ -360,8 +359,8 @@ def test_lasso_objective_history_monotone():
 def test_slr_huge_eta_reduces_to_lasso():
     traj = noisy_traj(seed=24, n_steps=100)
     lam = 0.2 * lasso_kill_threshold(covariances(traj))
-    slr = estimate_sparse_low_rank(traj, lam, 1e9)
-    lasso = estimate_lasso(traj, lam)
+    slr = estimate_sparse_low_rank(covariances(traj), lam, 1e9)
+    lasso = estimate_lasso(covariances(traj), lam)
     assert np.all(slr.l_hat == 0.0)
     assert slr.objective == pytest.approx(lasso.objective, abs=1e-6)
 
@@ -369,7 +368,7 @@ def test_slr_huge_eta_reduces_to_lasso():
 def test_slr_both_penalties_huge_gives_zero():
     traj = noisy_traj(seed=25, n_steps=80)
     lam = 2.0 * lasso_kill_threshold(covariances(traj))
-    result = estimate_sparse_low_rank(traj, lam, 1e9)
+    result = estimate_sparse_low_rank(covariances(traj), lam, 1e9)
     assert np.all(result.a_hat == 0.0)
     assert np.all(result.l_hat == 0.0)
 
@@ -380,7 +379,7 @@ def test_slr_beats_ground_truth_objective_on_low_rank_mix():
     l_true = 0.2 * np.outer(rng.standard_normal(4), rng.standard_normal(4))
     traj = noiseless_traj(a_true + l_true, rng.standard_normal(4), 50)
     lam, eta = 0.1, 0.1
-    result = estimate_sparse_low_rank(traj, lam, eta)
+    result = estimate_sparse_low_rank(covariances(traj), lam, eta)
     cov = covariances(traj)
     truth_obj = (ls_objective(cov, a_true + l_true)
                  + lam * np.sum(np.abs(a_true))
@@ -393,7 +392,7 @@ def test_slr_beats_ground_truth_objective_on_low_rank_mix():
 def test_slr_rejects_negative_penalties():
     traj = noisy_traj(seed=26, n_steps=30)
     with pytest.raises(ValueError, match="nonnegative"):
-        estimate_sparse_low_rank(traj, -1.0, 1.0)
+        estimate_sparse_low_rank(covariances(traj), -1.0, 1.0)
 
 
 @pytest.mark.parametrize("lam,eta", [(float("nan"), 1.0), (float("inf"), 1.0),
@@ -401,10 +400,10 @@ def test_slr_rejects_negative_penalties():
 def test_sparse_solvers_reject_nonfinite_penalties(lam, eta):
     traj = noisy_traj(seed=26, n_steps=30)
     with pytest.raises(ValueError, match="finite"):
-        estimate_sparse_low_rank(traj, lam, eta)
+        estimate_sparse_low_rank(covariances(traj), lam, eta)
     if not np.isfinite(lam):
         with pytest.raises(ValueError, match="finite"):
-            estimate_lasso(traj, lam)
+            estimate_lasso(covariances(traj), lam)
 
 
 def _low_rank_mix():
@@ -418,7 +417,7 @@ def test_slr_optimality_gap_vanishes_at_solver_output():
     traj = _low_rank_mix()
     cov = covariances(traj)
     lam = eta = 0.1
-    result = estimate_sparse_low_rank(traj, lam, eta)
+    result = estimate_sparse_low_rank(covariances(traj), lam, eta)
     assert np.linalg.matrix_rank(result.l_hat) >= 1
     scale = max(lam, lasso_kill_threshold(cov), 1.0)
     gap = slr_optimality_gap(cov, result.a_hat, result.l_hat, lam, eta)
@@ -433,7 +432,7 @@ def test_slr_optimality_gap_positive_off_optimum():
     traj = _low_rank_mix()
     cov = covariances(traj)
     lam = eta = 0.1
-    result = estimate_sparse_low_rank(traj, lam, eta)
+    result = estimate_sparse_low_rank(covariances(traj), lam, eta)
     scale = max(lam, lasso_kill_threshold(cov), 1.0)
     bumped_low = result.l_hat + 1e-2 * np.outer([1.0, 0, 0, 0], [0, 1.0, 0, 0])
     assert slr_optimality_gap(cov, result.a_hat, bumped_low, lam, eta) > 1e-3 * scale
@@ -464,7 +463,7 @@ def test_slr_optimality_gap_reduces_to_l1_gap_at_zero_low_rank():
     traj = noisy_traj(seed=30, n_steps=120)
     cov = covariances(traj)
     lam = 0.2 * lasso_kill_threshold(cov)
-    for a in (estimate_lasso(traj, lam).a_hat, np.zeros((4, 4)),
+    for a in (estimate_lasso(covariances(traj), lam).a_hat, np.zeros((4, 4)),
               np.diag([0.9, 0.0, 0.5, 0.0])):
         grad = 2.0 * (cov.n_samples - 1) * (a @ cov.sigma0 - cov.sigma1)
         eta = np.linalg.norm(grad, 2)
@@ -489,9 +488,9 @@ def test_fixture_seed3_ill_conditioned_window_is_certified(fixture_seed3_window)
     assert np.linalg.cond(cov.sigma0) > 1e4
     lam = 0.01 * lasso_kill_threshold(cov)
     scale = max(lam, lasso_kill_threshold(cov), 1.0)
-    lasso = estimate_lasso(traj, lam)
+    lasso = estimate_lasso(covariances(traj), lam)
     assert l1_optimality_gap(cov, lasso.a_hat, lam) <= SOLVER_TOL * scale
-    slr = estimate_sparse_low_rank(traj, lam, 5.0 * lam)
+    slr = estimate_sparse_low_rank(covariances(traj), lam, 5.0 * lam)
     assert slr_optimality_gap(cov, slr.a_hat, slr.l_hat, lam, 5.0 * lam) \
         <= SOLVER_TOL * scale * (1.0 + 1e-6)
 
@@ -549,10 +548,11 @@ def test_estimators_are_deterministic():
     traj = noisy_traj(seed=29, n_steps=120)
     cov = covariances(traj)
     assert np.array_equal(estimate_uml(cov).a_hat, estimate_uml(cov).a_hat)
-    assert np.array_equal(estimate_cml(traj).a_hat, estimate_cml(traj).a_hat)
+    assert np.array_equal(estimate_cml(covariances(traj)).a_hat,
+                          estimate_cml(covariances(traj)).a_hat)
     lam = 0.1 * lasso_kill_threshold(cov)
-    assert np.array_equal(estimate_lasso(traj, lam).a_hat,
-                          estimate_lasso(traj, lam).a_hat)
+    assert np.array_equal(estimate_lasso(covariances(traj), lam).a_hat,
+                          estimate_lasso(covariances(traj), lam).a_hat)
 
 
 def test_sparse_low_rank_reaches_tight_certificate(fixture_seed3_window):
@@ -561,7 +561,7 @@ def test_sparse_low_rank_reaches_tight_certificate(fixture_seed3_window):
     traj = fixture_seed3_window
     cov = covariances(traj)
     lam = 0.01 * lasso_kill_threshold(cov)
-    result = estimate_sparse_low_rank(traj, lam, 5.0 * lam, tol=1e-8,
+    result = estimate_sparse_low_rank(covariances(traj), lam, 5.0 * lam, tol=1e-8,
                                       max_iter=20_000)
     assert result.hyperparams["optimality_gap"] <= 1e-8 * max(
         lam, lasso_kill_threshold(cov), 1.0)
