@@ -286,6 +286,9 @@ def cmd_sweep(args) -> int:
         "burn_in": burn_in,
         "stride": cfg.stride,
         "estimators": " ".join(cfg.estimators),
+        "nu": cfg.nu,
+        "lam": cfg.lam,
+        "eta": cfg.eta,
         "seeds": " ".join(str(s) for s in cfg.seeds),
         "failed_cells": failures,
     })
@@ -395,6 +398,13 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--seed", type=int, nargs="+",
                             help="override config seeds")
 
+    def add_penalties(sp):
+        sp.add_argument("--nu", type=float, help="quadratic-prior weight")
+        sp.add_argument("--lambda", dest="lam", type=float,
+                        help="l1 penalty weight")
+        sp.add_argument("--eta", type=float,
+                        help="nuclear-norm penalty weight")
+
     p_sim = sub.add_parser("simulate", help="generate trajectories per seed")
     add_common(p_sim)
     p_sim.add_argument("--t-obs", dest="t_obs", type=float,
@@ -415,10 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--threshold", action=argparse.BooleanOptionalAction,
                        default=None,
                        help="zero the known-zero damping-block entries")
-    p_est.add_argument("--nu", type=float, help="quadratic-prior weight")
-    p_est.add_argument("--lambda", dest="lam", type=float,
-                       help="l1 penalty weight")
-    p_est.add_argument("--eta", type=float, help="nuclear-norm penalty weight")
+    add_penalties(p_est)
     p_est.add_argument("--a-prev", dest="a_prev",
                        help="matrix file with the quadratic-prior center")
     p_est.set_defaults(func=cmd_estimate)
@@ -437,6 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=list(io_config.VALID_ESTIMATORS))
     p_sweep.add_argument("--threshold", action=argparse.BooleanOptionalAction,
                          default=None)
+    add_penalties(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_eig = sub.add_parser("eigen", help="eigenvalue table and spectral distance")

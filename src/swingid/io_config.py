@@ -11,8 +11,15 @@ Formats:
                   `#` starts a comment.
   trajectory      header `t,delta_1..delta_N,omega_1..omega_N`, one row per
                   sample, `t` in seconds; dt is inferred from the t column,
-                  which must be uniformly spaced.  This is also the ingestion
-                  path for externally produced PMU-derived state extracts.
+                  which must be uniformly spaced.  Rows are formatted and
+                  written a block at a time, never the whole file at once.
+                  Numbers are read by numpy's text parser, which rounds
+                  correctly like float(): decimal or exponent notation with
+                  optional sign and surrounding blanks, and nan/inf (both
+                  then rejected).  There are no comments, so `#` is an error,
+                  as are `_` digit separators and non-ASCII digits.  Blank
+                  lines are skipped.  This is also the ingestion path for
+                  externally produced PMU-derived state extracts.
   matrix          comma-separated rows, `#` comments allowed.
   key-value       `key,value` lines for metadata sidecars and bound reports.
   experiment      INI file with sections [model], [generation], [estimation],
@@ -151,15 +158,40 @@ def load_model(path) -> GridModel:
 
 # ----------------------------------------------------------- trajectory files
 
+# save_trajectory formats and writes this many rows at a time, which bounds
+# the text it holds in memory
+_ROWS_PER_WRITE = 1024
+
+
+def _bad_row(path: Path, width: int) -> ValidationError:
+    """The error naming the first data line that is ragged or does not parse."""
+    lines = path.read_text().splitlines()
+    data_lines = [(no, ln) for no, ln in enumerate(lines, start=1) if ln.strip()]
+    for lineno, raw in data_lines[1:]:
+        n_cols = raw.count(",") + 1
+        if n_cols != width:
+            return ValidationError(
+                f"{path}:{lineno}: expected {width} columns, got {n_cols}",
+                field="row")
+        try:
+            np.loadtxt([raw], delimiter=",", comments=None)
+        except ValueError:
+            return ValidationError(f"{path}:{lineno}: non-numeric value",
+                                   field="row")
+    return ValidationError(f"{path}: unreadable data rows", field="row")
+
+
 def save_trajectory(path, traj: Trajectory) -> None:
     n = traj.n_gen
     header = ["t"] + [f"delta_{i}" for i in range(1, n + 1)] \
         + [f"omega_{i}" for i in range(1, n + 1)]
-    rows = [",".join(header)]
-    for t in range(traj.n_samples):
-        rows.append(",".join([_fmt(t * traj.dt)]
-                             + [_fmt(v) for v in traj.states[t]]))
-    Path(path).write_text("\n".join(rows) + "\n")
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, traj.n_samples, _ROWS_PER_WRITE):
+            block = traj.states[start:start + _ROWS_PER_WRITE]
+            t = np.arange(start, start + len(block)) * traj.dt
+            rows = np.column_stack([t, block]).tolist()
+            fh.write("\n".join([",".join(map(repr, row)) for row in rows]) + "\n")
 
 
 def load_trajectory(path) -> Trajectory:
@@ -183,18 +215,12 @@ def load_trajectory(path) -> Trajectory:
     if len(raw_lines) < 3:
         raise ValidationError(
             f"{path}: need at least 2 samples to infer dt", field="t")
-    data = np.empty((len(raw_lines) - 1, len(header)))
-    for r, raw in enumerate(raw_lines[1:], start=2):
-        parts = raw.split(",")
-        if len(parts) != len(header):
-            raise ValidationError(
-                f"{path}:{r}: expected {len(header)} columns, got {len(parts)}",
-                field="row")
-        try:
-            data[r - 2] = [float(p) for p in parts]
-        except ValueError:
-            raise ValidationError(f"{path}:{r}: non-numeric value",
-                                  field="row") from None
+    try:
+        data = np.loadtxt(raw_lines[1:], delimiter=",", comments=None, ndmin=2)
+        if data.shape[1] != len(header):
+            raise ValueError("wrong column count")
+    except ValueError:
+        raise _bad_row(path, len(header)) from None
     if not np.all(np.isfinite(data)):
         raise ValidationError(f"{path}: NaN or infinite values", field="row")
     t = data[:, 0]

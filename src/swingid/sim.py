@@ -85,13 +85,15 @@ def simulate(sys: DiscreteSystem, n_steps: int, x0: np.ndarray,
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n2,):
         raise ValueError(f"x0 must have shape ({n2},), got {x0.shape}")
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((n_steps, n2)) * sys.b_diag
     states = np.empty((n_steps + 1, n2))
     states[0] = x0
-    a = sys.a
-    for t in range(n_steps):
-        states[t + 1] = a @ states[t] + noise[t]
+    # draw the noise in place, then add A X_t to each noise row
+    np.random.default_rng(seed).standard_normal(out=states[1:])
+    states[1:] *= sys.b_diag
+    a, step = sys.a, np.empty(n2)
+    for x, nxt in zip(states[:-1], states[1:]):
+        np.dot(a, x, out=step)
+        np.add(nxt, step, out=nxt)
     return Trajectory(dt=sys.dt, states=states, n_gen=sys.n_gen, seed=seed)
 
 

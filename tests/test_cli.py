@@ -317,6 +317,38 @@ def test_sweep_computes_covariances_once_per_window(tmp_path, small_model_path,
     assert load_records(out / "manifest.csv")["failed_cells"] == "2"
 
 
+@pytest.mark.parametrize("tag,flags,recorded", [
+    ("LASSO", ["--lambda", "0.5"], {"lam": "0.5"}),
+    ("SPARSE_LOW_RANK", ["--lambda", "0.5", "--eta", "2.5"],
+     {"lam": "0.5", "eta": "2.5"}),
+    ("TIKHONOV", ["--nu", "100"], {"nu": "100.0"}),
+])
+def test_sweep_applies_and_records_penalties(tmp_path, small_model_path, tag,
+                                             flags, recorded):
+    def sweep(out, *extra):
+        assert run("sweep", "--model", small_model_path, "--axis", "stride",
+                   "--values", "1", "3", "--t-obs", "20", "--seed", "1",
+                   "--estimator", tag, "--out", out, *extra) == 0
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        return [float(r.split(",")[3]) for r in rows], load_records(
+            out / "manifest.csv")
+
+    base, base_manifest = sweep(tmp_path / "zero")
+    cells, manifest = sweep(tmp_path / "pen", *flags)
+    assert all(np.isfinite(base)) and all(np.isfinite(cells))
+    assert all(c != b for c, b in zip(cells, base))
+    assert {k: base_manifest[k] for k in ("nu", "lam", "eta")} == \
+        {"nu": "0.0", "lam": "0.0", "eta": "0.0"}
+    assert {k: manifest[k] for k in recorded} == recorded
+
+
+def test_sweep_rejects_negative_penalty(tmp_path, small_model_path, capsys):
+    assert run("sweep", "--model", small_model_path, "--axis", "stride",
+               "--values", "3", "--t-obs", "20", "--estimator", "LASSO",
+               "--lambda", "-1", "--out", tmp_path / "sw") == 2
+    assert "lambda must be finite and nonnegative" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------------ eigen
 
 def test_eigen_against_itself(tmp_path, small_model_path, traj_path, capsys):

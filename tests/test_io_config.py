@@ -2,16 +2,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swingid.estimators import COND_THRESHOLD, SOLVER_MAX_ITER, SOLVER_TOL
-from swingid.io_config import (ExperimentConfig, load_config, load_matrix,
-                               load_model, load_records, load_trajectory,
-                               save_config, save_matrix, save_model,
-                               save_records, save_trajectory)
+from swingid.io_config import (_ROWS_PER_WRITE, ExperimentConfig, load_config,
+                               load_matrix, load_model, load_records,
+                               load_trajectory, save_config, save_matrix,
+                               save_model, save_records, save_trajectory)
 from swingid.model import ValidationError
-from swingid.sim import DT_BASE, simulate
+from swingid.sim import DT_BASE, Trajectory, simulate, steady_trajectory
 
-from conftest import REPO_ROOT, systems_for, two_gen_model
+from conftest import REPO_ROOT, path3_model, systems_for, two_gen_model
 
 
 # ------------------------------------------------------------------ model files
@@ -100,6 +102,115 @@ def test_trajectory_roundtrip_bit_exact(tmp_path):
     assert back.dt == traj.dt
     assert back.n_gen == traj.n_gen
     assert np.array_equal(back.states, traj.states)
+
+
+def reference_trajectory_text(traj: Trajectory) -> str:
+    """The trajectory file as the row-at-a-time writer produced it."""
+    n = traj.n_gen
+    rows = [",".join(["t"] + [f"delta_{i}" for i in range(1, n + 1)]
+                     + [f"omega_{i}" for i in range(1, n + 1)])]
+    for t in range(traj.n_samples):
+        rows.append(",".join([repr(float(t * traj.dt))]
+                             + [repr(float(v)) for v in traj.states[t]]))
+    return "\n".join(rows) + "\n"
+
+
+def reference_trajectory_rows(text: str) -> np.ndarray:
+    """Parse data rows one float() at a time, as the row-at-a-time reader did."""
+    return np.array([[float(p) for p in line.split(",")]
+                     for line in text.splitlines()[1:]])
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+@pytest.mark.parametrize("model", ["fixture", "path3"])
+@pytest.mark.parametrize("n_samples", [
+    2, _ROWS_PER_WRITE - 1, _ROWS_PER_WRITE, _ROWS_PER_WRITE + 1,
+    2 * _ROWS_PER_WRITE + 1])
+def test_trajectory_bytes_match_row_at_a_time_writer(tmp_path, fixture_systems,
+                                                     model, n_samples):
+    disc = (fixture_systems[1] if model == "fixture"
+            else systems_for(path3_model(), 3 * DT_BASE)[1])
+    traj = steady_trajectory(disc, n_samples, 50, seed=n_samples)
+    path = tmp_path / "traj.csv"
+    save_trajectory(path, traj)
+    text = reference_trajectory_text(traj)
+    assert path.read_bytes() == text.encode()
+    back = load_trajectory(path)
+    expected = reference_trajectory_rows(text)
+    assert same_bits(back.states, expected[:, 1:])
+    assert same_bits(back.dt, expected[1, 0] - expected[0, 0])
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+            2.225073858507201e-308, 1.7e308, -1.7e308,
+            1.7976931348623157e308, -1.7976931348623157e308, 1.0, -3.0,
+            2.0 ** 53, 1e16, 0.1, 1 / 3]
+_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from(_SPECIAL),
+                    st.integers(-2 ** 53, 2 ** 53).map(float))
+
+
+@st.composite
+def trajectories(draw):
+    n_gen = draw(st.integers(1, 3))
+    n_samples = draw(st.integers(2, 6))
+    values = draw(st.lists(_FINITE, min_size=2 * n_gen * n_samples,
+                           max_size=2 * n_gen * n_samples))
+    dt = draw(st.one_of(st.sampled_from([DT_BASE, 3 * DT_BASE, 0.05, 1.0]),
+                        st.floats(min_value=1e-6, max_value=1e3)))
+    states = np.array(values).reshape(n_samples, 2 * n_gen)
+    return Trajectory(dt=dt, states=states, n_gen=n_gen)
+
+
+@given(trajectories())
+@settings(max_examples=200, deadline=None)
+def test_trajectory_roundtrip_keeps_every_bit(tmp_path_factory, traj):
+    # compared as integers, since array_equal treats -0.0 and 0.0 as equal
+    path = tmp_path_factory.mktemp("traj") / "traj.csv"
+    save_trajectory(path, traj)
+    back = load_trajectory(path)
+    assert same_bits(back.states, traj.states)
+    assert back.dt == traj.dt
+    assert back.n_gen == traj.n_gen
+
+
+def write_lines(tmp_path, *lines):
+    path = tmp_path / "traj.csv"
+    path.write_text("\n".join(("t,delta_1,omega_1",) + lines) + "\n")
+    return path
+
+
+def test_trajectory_whitespace_only_line_skipped(tmp_path):
+    path = write_lines(tmp_path, "0.0,0.1,0.2", " \t ", "0.05,0.3,0.4",
+                       "0.1,0.5,0.6")
+    traj = load_trajectory(path)
+    assert same_bits(traj.states, [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+
+
+@pytest.mark.parametrize("lines,lineno,message", [
+    (["0.0,0.1,0.2", "0.05,0.3,0.4", "0.1,0.5,0.6", "0.15,0.7"], 5,
+     "expected 3 columns, got 2"),
+    (["0.0,0.1,0.2", "", "0.05,0.3,0.4", "0.1,0.5,0.6", "0.15,0.7,0.8,0.9"], 6,
+     "expected 3 columns, got 4"),
+    (["0.0,0.1,0.2", "0.05,abc,0.4", "0.1,0.5,0.6"], 3, "non-numeric value"),
+    (["0.0,0.1,0.2", "0.05,0.3,0.4 # note", "0.1,0.5,0.6"], 3,
+     "non-numeric value"),
+    (["0.0,0.1,0.2", "# a comment line", "0.1,0.5,0.6"], 3,
+     "expected 3 columns, got 1"),
+    (["0.0,0.1,0.2", "0.05,0.3,0.4", "0.1,1_0,0.6"], 4, "non-numeric value"),
+    (["0.0,0.1,0.2", "0.05,0.3,", "0.1,0.5,0.6"], 3, "non-numeric value"),
+])
+def test_trajectory_bad_row_names_its_line(tmp_path, lines, lineno, message):
+    path = write_lines(tmp_path, *lines)
+    with pytest.raises(ValidationError) as exc:
+        load_trajectory(path)
+    assert exc.value.field == "row"
+    assert f"{path}:{lineno}: {message}" in str(exc.value)
 
 
 def test_trajectory_missing_columns(tmp_path):

@@ -38,3 +38,36 @@ def test_smoke_binding_sites_exist():
     assert analysis.covariances is estimators.covariances
     systems = cli._build_systems(str(FIXTURE_MODEL), sim.DT_BASE)
     assert isinstance(systems[2], model.DiscreteSystem)
+
+
+# the layers the text I/O and Euler-step timings are read from
+HOT_LAYERS = {
+    "sim.simulate": lambda: cli.sim.simulate,
+    "io_config.save_trajectory": lambda: cli.io_config.save_trajectory,
+    "io_config.load_trajectory": lambda: cli.io_config.load_trajectory,
+}
+
+
+def test_tracer_wraps_cli_bindings_of_the_hot_layers(tmp_path):
+    tracer = load_tracer().Tracer(swingid)
+    originals = {name: binding() for name, binding in HOT_LAYERS.items()}
+    for name, fn in originals.items():
+        assert tracer.wrapped[name] is fn
+    tracer.install()
+    try:
+        for name, binding in HOT_LAYERS.items():
+            assert binding().__wrapped__ is originals[name], name
+        tracer.op = 0
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--model", str(FIXTURE_MODEL), "--t-obs",
+                         "2", "--burn-in", "3", "--out", str(out)]) == 0
+        assert cli.main(["estimate", str(out / "traj_seed1.csv"), "--stride",
+                         "1", "--estimator", "UML", "--out", str(out)]) == 0
+    finally:
+        tracer.uninstall()
+    assert all(binding() is originals[name]
+               for name, binding in HOT_LAYERS.items())
+    calls = {name: count for name, (_, count) in tracer.self_times([0]).items()}
+    assert {name: calls[name] for name in HOT_LAYERS} == {
+        "sim.simulate": 2, "io_config.save_trajectory": 1,
+        "io_config.load_trajectory": 1}
