@@ -12,7 +12,7 @@ from .analysis import (BoundReport, SpectralReport, corollary2_bound,
 from .estimators import (CovariancePair, EstimationResult, covariances,
                          estimate_b, estimate_cml, estimate_lasso,
                          estimate_sparse_low_rank, estimate_tikhonov,
-                         estimate_uml, threshold_structure)
+                         estimate_uml, fold_covariances, threshold_structure)
 from .model import (ContinuousSystem, DiscreteSystem, GridModel, Line,
                     ValidationError, build_continuous, build_discrete,
                     build_laplacian, kron_reduce)
@@ -27,7 +27,8 @@ __all__ = [
     "Trajectory", "ValidationError", "build_continuous", "build_discrete",
     "build_laplacian", "corollary2_bound", "covariances", "default_burn_in",
     "estimate_b", "estimate_cml", "estimate_lasso", "estimate_sparse_low_rank",
-    "estimate_tikhonov", "estimate_uml", "kron_reduce", "relative_error",
+    "estimate_tikhonov", "estimate_uml", "fold_covariances", "kron_reduce",
+    "relative_error",
     "simulate", "spawn_seeds", "spectral_distance", "spectrum", "steady_sigma0",
     "steady_start", "steady_trajectory", "subsample", "theorem1_bound",
     "threshold_structure", "to_continuous",

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import math
 import sys
 from dataclasses import replace
@@ -31,7 +32,8 @@ from .estimators import (CML, LASSO, SPARSE_LOW_RANK, TIKHONOV, UML,
                          ConvergenceError, CovariancePair,
                          SingularCovarianceError, covariances, estimate_b,
                          estimate_cml, estimate_lasso, estimate_sparse_low_rank,
-                         estimate_tikhonov, estimate_uml, threshold_structure)
+                         estimate_tikhonov, estimate_uml, fold_covariances,
+                         threshold_structure)
 from .model import (KronReductionError, ValidationError, build_continuous,
                     build_discrete, build_laplacian, kron_reduce)
 
@@ -149,24 +151,24 @@ _ESTIMATORS = {
 }
 
 
-def _fit(tag: str, cov: CovariancePair, strided: sim.Trajectory,
+def _fit(tag: str, cov: CovariancePair, dt: float,
          cfg: io_config.ExperimentConfig, a_prev: np.ndarray):
-    """Run one estimator; returns (result, A_hat, continuous A_hat_d).
+    """Run one estimator on data sampled every dt seconds.
 
-    A_hat has its known-zero damping entries cleared when cfg.threshold is set.
+    Returns (result, A_hat, continuous A_hat_d); A_hat has its known-zero
+    damping entries cleared when cfg.threshold is set.
     """
     result = _ESTIMATORS[tag](cov, cfg, a_prev)
-    a_hat = (threshold_structure(result.a_hat, strided.n_gen)
+    a_hat = (threshold_structure(result.a_hat, cov.sigma0.shape[0] // 2)
              if cfg.threshold else result.a_hat)
-    return result, a_hat, analysis.to_continuous(a_hat, strided.dt)
+    return result, a_hat, analysis.to_continuous(a_hat, dt)
 
 
-def _check_sample_count(traj: sim.Trajectory) -> None:
-    n2 = 2 * traj.n_gen
-    if traj.n_samples <= n2 + 2:
+def _check_sample_count(n_samples: int, n_gen: int) -> None:
+    if n_samples <= 2 * n_gen + 2:
         raise ValidationError(
-            f"sample deficit: {traj.n_samples} samples after striding, but "
-            f"the covariance is only invertible for T > 2N+2 = {n2 + 2}",
+            f"sample deficit: {n_samples} samples after striding, but "
+            f"the covariance is only invertible for T > 2N+2 = {2 * n_gen + 2}",
             field="stride")
 
 
@@ -174,7 +176,7 @@ def cmd_estimate(args) -> int:
     cfg = _config_from_args(args)
     traj = io_config.load_trajectory(args.trajectory)
     strided = sim.subsample(traj, cfg.stride)
-    _check_sample_count(strided)
+    _check_sample_count(strided.n_samples, strided.n_gen)
     a_d_true = (_build_systems(cfg.model_path, n_gen=strided.n_gen)[1].a_d
                 if cfg.model_path else None)
     a_prev = (io_config.load_matrix(args.a_prev) if getattr(args, "a_prev", None)
@@ -183,7 +185,7 @@ def cmd_estimate(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     cov = covariances(strided)
     for tag in cfg.estimators:
-        result, a_hat, a_hat_d = _fit(tag, cov, strided, cfg, a_prev)
+        result, a_hat, a_hat_d = _fit(tag, cov, strided.dt, cfg, a_prev)
         b_hat = estimate_b(strided, a_hat)
         stem = f"ahat_d_{tag.lower()}"
         io_config.save_matrix(outdir / f"{stem}.csv", a_hat_d,
@@ -220,45 +222,46 @@ def cmd_sweep(args) -> int:
     a_d_true = cont.a_d
     burn_in = _resolve_burn_in(cfg, cont)
     values = sorted(cfg.sweep_values)
+    # one (n_keep, stride) window per axis value, all cut from the first
+    # n_keep base-step states of one steady run per seed
     if cfg.sweep_variable == "t_obs":
-        base_t_obs = max(values)
-        strides = [cfg.stride] * len(values)
+        if values[0] <= 0.0:
+            raise ValidationError("t_obs values must be positive",
+                                  field="sweep_values")
+        windows = [(round(v / cfg.dt_base), cfg.stride) for v in values]
     else:
-        base_t_obs = cfg.t_obs
-        strides = [int(v) for v in values]
-        if any(s < 1 for s in strides):
+        windows = [(round(cfg.t_obs / cfg.dt_base), int(v)) for v in values]
+        if any(stride < 1 for _, stride in windows):
             raise ValidationError("stride values must be >= 1",
                                   field="sweep_values")
-    base_samples = round(base_t_obs / cfg.dt_base)
+    n_kept = [-(-n_keep // stride) for n_keep, stride in windows]
+    folded = [w for w, n in enumerate(n_kept) if n > 2 * disc.n_gen + 2]
+    # deficit windows fail without covariances, so only the others are run
+    base_samples = max((windows[w][0] for w in folded), default=1)
+    zeros = np.zeros_like(a_d_true)
     rows: list[tuple[float, str, int, float]] = []
     failures = 0
-    for seed in cfg.seeds:
-        base = sim.steady_trajectory(disc, base_samples, burn_in, seed)
-        for value, stride in zip(values, strides):
-            if cfg.sweep_variable == "t_obs":
-                n_keep = round(value / cfg.dt_base)
-                window = sim.Trajectory(dt=base.dt,
-                                        states=base.states[:n_keep],
-                                        n_gen=base.n_gen, seed=base.seed)
-            else:
-                window = base
-            strided = sim.subsample(window, stride)
-            cov = None  # one pair per window, built by its first estimator
-            for tag in cfg.estimators:
-                try:
-                    _check_sample_count(strided)
-                    if cov is None:
-                        cov = covariances(strided)
-                    a_hat_d = _fit(tag, cov, strided, cfg,
-                                   np.zeros_like(a_d_true))[2]
-                    eps = analysis.relative_error(a_hat_d, a_d_true)
-                except (ValidationError, SingularCovarianceError,
-                        ConvergenceError) as exc:
-                    print(f"cell failed (value={value}, {tag}, seed={seed}): {exc}",
-                          file=sys.stderr)
-                    eps = float("nan")
-                    failures += 1
-                rows.append((float(value), tag, seed, eps))
+    for first, x0, blocks in sim.steady_blocks(disc, cfg.seeds, burn_in,
+                                               base_samples - 1):
+        # every state passes once, folded into the pairs of every window
+        pairs = dict(zip(folded, fold_covariances(
+            itertools.chain([x0[:, None]], blocks),
+            [windows[w] for w in folded])))
+        for k, seed in enumerate(cfg.seeds[first:first + len(x0)]):
+            for w, (value, (_, stride)) in enumerate(zip(values, windows)):
+                for tag in cfg.estimators:
+                    try:
+                        _check_sample_count(n_kept[w], disc.n_gen)
+                        a_hat_d = _fit(tag, pairs[w][k], disc.dt * stride,
+                                       cfg, zeros)[2]
+                        eps = analysis.relative_error(a_hat_d, a_d_true)
+                    except (ValidationError, SingularCovarianceError,
+                            ConvergenceError) as exc:
+                        print(f"cell failed (value={value}, {tag}, "
+                              f"seed={seed}): {exc}", file=sys.stderr)
+                        eps = float("nan")
+                        failures += 1
+                    rows.append((float(value), tag, seed, eps))
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     outdir = Path(cfg.outputs)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -12,9 +12,10 @@ a support constraint (CML), a quadratic prior (Tikhonov), an entrywise l1
 penalty (LASSO) or an l1 + nuclear-norm split (sparse plus low rank).
 
 Every estimator except estimate_b therefore takes a CovariancePair, which
-a caller builds once per data window with `covariances(traj)` and shares
-across estimators; estimate_b needs the per-row residuals and takes the
-trajectory.
+a caller builds once per data window and shares across estimators:
+`covariances(traj)` for a trajectory in memory, or `fold_covariances` for
+states that arrive in chunks, several strided windows at once.  estimate_b
+needs the per-row residuals and takes the trajectory.
 
 Penalties multiply the raw sum-over-t objective, so hyperparameters must
 be re-tuned when T changes.
@@ -52,6 +53,11 @@ SOLVER_TOL = 1e-6
 SOLVER_MAX_ITER = 100_000
 # largest certificate gap, relative to the gradient scale, a solver may return
 CERTIFICATE_BOUND = 1e-4
+# smallest tolerance both solvers reach: on the fixture's 10-minute windows
+# (seeds 1-20, stride 3, lambda 1% of the kill threshold, eta = 5 lambda)
+# both certify at 1e-8, while at 3e-9 LASSO and sparse + low rank stall
+# after 100k steps on some seeds
+SOLVER_TOL_MIN = 1e-8
 
 
 class SingularCovarianceError(ValueError):
@@ -105,15 +111,59 @@ def covariances(traj: Trajectory) -> CovariancePair:
     """Sigma_1, Sigma_0 and the residual-objective constant, divisor T-1."""
     if traj.n_samples < 2:
         raise ValueError("trajectory must have at least 2 samples")
-    x0 = traj.states[:-1]
-    x1 = traj.states[1:]
-    tm1 = traj.n_samples - 1
-    sigma0 = x0.T @ x0 / tm1
-    sigma0 = (sigma0 + sigma0.T) / 2.0
-    sigma1 = x1.T @ x0 / tm1
-    return CovariancePair(sigma0=sigma0, sigma1=sigma1,
-                          n_samples=traj.n_samples,
-                          next_sq_sum=float(np.sum(x1 * x1)))
+    return fold_covariances([traj.states], [(traj.n_samples, 1)])[0][0]
+
+
+def fold_covariances(chunks, windows) -> list[list[CovariancePair]]:
+    """Covariance pairs of strided windows, folded one chunk at a time.
+
+    chunks yields (..., m, 2N) arrays that continue one another along the
+    m axis: together they hold the states X_0, X_1, ... of every sequence
+    on the leading axes.  Window (n_keep, stride) keeps X_0, X_stride,
+    X_2stride, ... below X_{n_keep}, as `subsample` of the first n_keep
+    states does.  Returns result[w][k], the pair of window w for the k-th
+    sequence in C order of the leading axes; every window must keep at
+    least 2 states.  Each chunk is folded and dropped, and a window's last
+    kept state carries into the next chunk, so memory does not grow with
+    the windows.  One chunk with stride 1 gives `covariances` bit for bit.
+    """
+    windows = list(windows)
+    # per window: the running sums of X_t X_t^T, X_{t+1} X_t^T and
+    # ||X_{t+1}||^2, the last state kept so far and the number kept
+    sums: list[list | None] = [None] * len(windows)
+    last: list[np.ndarray | None] = [None] * len(windows)
+    n_kept = [0] * len(windows)
+    offset = 0
+    for chunk in chunks:
+        for w, (n_keep, stride) in enumerate(windows):
+            kept = chunk[..., -offset % stride:max(n_keep - offset, 0):stride, :]
+            if kept.shape[-2] == 0:
+                continue
+            n_kept[w] += kept.shape[-2]
+            if last[w] is not None:
+                kept = np.concatenate([last[w][..., None, :], kept], axis=-2)
+            x0, x1 = kept[..., :-1, :], kept[..., 1:, :]
+            part = [np.matmul(x0.swapaxes(-1, -2), x0),
+                    np.matmul(x1.swapaxes(-1, -2), x0),
+                    np.sum(x1 * x1, axis=(-2, -1))]
+            sums[w] = part if sums[w] is None else [
+                total + new for total, new in zip(sums[w], part)]
+            last[w] = kept[..., -1, :].copy()
+        offset += chunk.shape[-2]
+    pairs = []
+    for w, count in enumerate(n_kept):
+        if count < 2:
+            raise ValueError(f"window {windows[w]} keeps {count} states, "
+                             "need at least 2")
+        gram0, gram1, sq = sums[w]
+        tm1 = count - 1
+        sigma0 = gram0 / tm1
+        sigma0 = (sigma0 + sigma0.swapaxes(-1, -2)) / 2.0
+        sigma1 = gram1 / tm1
+        pairs.append([CovariancePair(sigma0=sigma0[k], sigma1=sigma1[k],
+                                     n_samples=count, next_sq_sum=float(sq[k]))
+                      for k in np.ndindex(sq.shape)])
+    return pairs
 
 
 def ls_objective(cov: CovariancePair, a: np.ndarray) -> float:

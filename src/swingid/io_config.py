@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import (CERTIFICATE_BOUND, CML, COND_THRESHOLD, ESTIMATORS,
-                         SOLVER_MAX_ITER, SOLVER_TOL, UML)
+                         SOLVER_MAX_ITER, SOLVER_TOL, SOLVER_TOL_MIN, UML)
 from .model import GridModel, Line, ValidationError
 from .sim import DT_BASE, Trajectory
 
@@ -354,10 +354,11 @@ class ExperimentConfig:
             raise ValidationError(
                 f"cond_threshold must be finite and at least 1, "
                 f"got {self.cond_threshold!r}", field="cond_threshold")
-        if not 0.0 < self.solver_tol <= CERTIFICATE_BOUND:
+        if not SOLVER_TOL_MIN <= self.solver_tol <= CERTIFICATE_BOUND:
             raise ValidationError(
-                f"solver_tol must be in (0, {CERTIFICATE_BOUND!r}], "
-                f"got {self.solver_tol!r}", field="solver_tol")
+                f"solver_tol must be in [{SOLVER_TOL_MIN!r}, "
+                f"{CERTIFICATE_BOUND!r}], got {self.solver_tol!r}",
+                field="solver_tol")
         if self.solver_max_iter < 1:
             raise ValidationError(
                 f"solver_max_iter must be at least 1, got {self.solver_max_iter}",

@@ -16,12 +16,15 @@ Determinism contract:
   * `simulate`, `steady_start` and `steady_trajectory` advance one
     trajectory with one matrix-vector product per step, so a seed's
     trajectory (and every file written from it) is bit-identical on rerun.
-  * `steady_sigma0` advances a group of trials together, one matrix
-    product per step, and reports only per-trial covariances.  It draws
-    the same noise as the serial path, but the batched product rounds
-    differently from the matrix-vector one, so its results agree with
-    `covariances(steady_trajectory(...)).sigma0` to about 1e-14 relative,
-    not bitwise.  They are bit-identical on rerun for the same seeds.
+  * `steady_blocks` advances a group of seeds together, one matrix product
+    per step, and feeds `steady_sigma0` and the `sweep` command, which keep
+    only per-seed covariances.  It draws the same noise as the serial path,
+    but the batched product rounds differently from the matrix-vector one,
+    so a seed's covariances agree with those of `steady_trajectory` to about
+    1e-14 relative (about 1e-10 in a sweep's `eps`), not bitwise.  A lone
+    seed is stepped beside an idle zero row, so every product has at least
+    two rows and a seed's bits do not depend on which seeds share its
+    group.  Results are bit-identical on rerun.
 """
 
 from __future__ import annotations
@@ -36,10 +39,10 @@ from .model import ContinuousSystem, DiscreteSystem
 # one AC cycle at 60 Hz; generation always runs at this step
 DT_BASE = 1.0 / 60.0
 
-# steady_sigma0 steps at most this many trials together and draws their
+# steady_blocks steps at most this many seeds together and draws their
 # noise this many steps at a time, which bounds its working memory
-SIGMA0_GROUP = 64
-SIGMA0_CHUNK = 128
+STEP_GROUP = 64
+STEP_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,6 @@ class Trajectory:
     dt: float
     states: np.ndarray
     n_gen: int
-    seed: int | None = None
 
     def __post_init__(self):
         if self.dt <= 0.0:
@@ -94,7 +96,7 @@ def simulate(sys: DiscreteSystem, n_steps: int, x0: np.ndarray,
     for x, nxt in zip(states[:-1], states[1:]):
         np.dot(a, x, out=step)
         np.add(nxt, step, out=nxt)
-    return Trajectory(dt=sys.dt, states=states, n_gen=sys.n_gen, seed=seed)
+    return Trajectory(dt=sys.dt, states=states, n_gen=sys.n_gen)
 
 
 def subsample(traj: Trajectory, stride: int) -> Trajectory:
@@ -104,7 +106,7 @@ def subsample(traj: Trajectory, stride: int) -> Trajectory:
     if stride == 1:
         return traj
     return Trajectory(dt=traj.dt * stride, states=traj.states[::stride].copy(),
-                      n_gen=traj.n_gen, seed=traj.seed)
+                      n_gen=traj.n_gen)
 
 
 def steady_start(sys: DiscreteSystem, burn_in: int, seed: int) -> np.ndarray:
@@ -143,11 +145,12 @@ def steady_trajectory(sys: DiscreteSystem, n_samples: int, burn_in: int,
 
 def _advance(sys: DiscreteSystem, x: np.ndarray, rngs, n_steps: int,
              buf: np.ndarray):
-    """Step every trial of the group n_steps times, SIGMA0_CHUNK steps at a time.
+    """Step every row of the group n_steps times, STEP_CHUNK steps at a time.
 
-    x holds one current state per row and rngs one generator per row.
-    Yields the (k, m, 2N) block of the next m states of every trial; the
-    block is a view of `buf`, overwritten by the next chunk.
+    x holds one current state per row and rngs one generator per row; rows
+    past len(rngs) get no noise.  Yields the (k, m, 2N) block of the next m
+    states of every row; the block is a view of `buf`, overwritten by the
+    next chunk.
     """
     a_t = sys.a.T
     step = np.empty_like(x)
@@ -166,6 +169,37 @@ def _advance(sys: DiscreteSystem, x: np.ndarray, rngs, n_steps: int,
         x = block[:, -1].copy()
 
 
+def steady_blocks(sys: DiscreteSystem, seeds, burn_in: int, n_steps: int):
+    """Steady-state runs of many seeds, stepped together a group at a time.
+
+    Seed k covers the same states as `steady_trajectory(sys, n_steps + 1,
+    burn_in, seeds[k])`, from the same noise streams.  Yields one
+    (first, x0, blocks) triple per group seeds[first:first + k] of at most
+    STEP_GROUP seeds: x0 is the (k, 2N) array of their states X_0, and
+    blocks yields (k, m, 2N) arrays holding X_1..X_{n_steps} in order,
+    STEP_CHUNK states at a time.  Each block is overwritten by the next, and
+    a group's blocks must be used up before the next group is asked for.
+    """
+    if burn_in < 0:
+        raise ValueError("burn_in must be nonnegative")
+    n2 = 2 * sys.n_gen
+    seeds = list(seeds)
+    for first in range(0, len(seeds), STEP_GROUP):
+        streams = [_split_streams(s) for s in seeds[first:first + STEP_GROUP]]
+        k = len(streams)
+        # a one-row product takes the matrix-vector path, which rounds
+        # differently: a lone seed is stepped beside a zero row without noise
+        rows = max(k, 2)
+        buf = np.zeros((rows, STEP_CHUNK, n2))
+        x = np.zeros((rows, n2))
+        burn = [np.random.default_rng(b) for b, _ in streams]
+        for block in _advance(sys, x, burn, burn_in, buf):
+            x = block[:, -1].copy()
+        run = _advance(sys, x, [np.random.default_rng(r) for _, r in streams],
+                       n_steps, buf)
+        yield first, x[:k], (block[:k] for block in run)
+
+
 def steady_sigma0(sys: DiscreteSystem, n_samples: int, trial_seeds,
                   burn_in: int) -> np.ndarray:
     """Per-trial Sigma_0 of steady-state windows, without any trajectory.
@@ -173,32 +207,22 @@ def steady_sigma0(sys: DiscreteSystem, n_samples: int, trial_seeds,
     Trial k covers the same window as `steady_trajectory(sys, n_samples,
     burn_in, trial_seeds[k])` from the same noise streams, and returns the
     symmetrised Gram matrix of its states X_0..X_{T-2} over T-1, shape
-    (len(trial_seeds), 2N, 2N).  Trials advance SIGMA0_GROUP at a time with
-    one matrix product per step; each chunk of states is folded into the
-    Gram matrices and dropped, so memory does not grow with n_samples.
+    (len(trial_seeds), 2N, 2N).  Trials advance together through
+    `steady_blocks`; each chunk of states is folded into the Gram matrices
+    and dropped, so memory does not grow with n_samples.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
-    if burn_in < 0:
-        raise ValueError("burn_in must be nonnegative")
     n2 = 2 * sys.n_gen
     seeds = list(trial_seeds)
     out = np.empty((len(seeds), n2, n2))
-    for first in range(0, len(seeds), SIGMA0_GROUP):
-        streams = [_split_streams(s) for s in seeds[first:first + SIGMA0_GROUP]]
-        k = len(streams)
-        buf = np.empty((k, SIGMA0_CHUNK, n2))
-        x = np.zeros((k, n2))
-        burn = [np.random.default_rng(b) for b, _ in streams]
-        for block in _advance(sys, x, burn, burn_in, buf):
-            x = block[:, -1].copy()
+    # X_{T-1} enters only Sigma_1, so the run stops one step short
+    for first, x, blocks in steady_blocks(sys, seeds, burn_in, n_samples - 2):
         gram = x[:, :, None] * x[:, None, :]
-        run = [np.random.default_rng(r) for _, r in streams]
-        # X_{T-1} enters only Sigma_1, so the run stops one step short
-        for block in _advance(sys, x, run, n_samples - 2, buf):
+        for block in blocks:
             gram += np.matmul(block.transpose(0, 2, 1), block)
         gram /= n_samples - 1
-        out[first:first + k] = (gram + gram.transpose(0, 2, 1)) / 2.0
+        out[first:first + len(x)] = (gram + gram.transpose(0, 2, 1)) / 2.0
     return out
 
 

@@ -13,7 +13,7 @@ from swingid.analysis import (CONTINUOUS, DISCRETE, BoundReport,
                               to_continuous)
 from swingid.estimators import covariances
 from swingid.model import build_continuous, build_discrete
-from swingid.sim import DT_BASE, SIGMA0_GROUP, spawn_seeds, steady_trajectory
+from swingid.sim import DT_BASE, STEP_GROUP, spawn_seeds, steady_trajectory
 
 from conftest import (grid_models, path3_model, single_gen_model,
                       systems_for, two_gen_model)
@@ -133,7 +133,7 @@ def test_bound_discards_match_a_serial_recount():
 
 def test_bound_bit_identical_on_rerun():
     _, disc = systems_for(path3_model(), 3 * DT_BASE)
-    n_trials = SIGMA0_GROUP + 5
+    n_trials = STEP_GROUP + 5
     first = theorem1_bound(disc, 400, 0.1, n_trials, seed=9)
     assert theorem1_bound(disc, 400, 0.1, n_trials, seed=9) == first
 

@@ -175,7 +175,8 @@ def test_estimate_rejects_bad_penalty(tmp_path, small_model_path, traj_path,
 
 
 @pytest.mark.parametrize("line,name", [
-    ("solver_tol = 0", "solver_tol"), ("solver_tol = 1e-3", "solver_tol"),
+    ("solver_tol = 0", "solver_tol"), ("solver_tol = 1e-9", "solver_tol"),
+    ("solver_tol = 1e-3", "solver_tol"),
     ("solver_tol = nan", "solver_tol"), ("solver_max_iter = 0", "solver_max_iter"),
     ("lambda = nan", "lambda")])
 def test_estimate_rejects_bad_solver_config(tmp_path, small_model_path, traj_path,
@@ -305,16 +306,88 @@ def test_sweep_failed_cell_marked_not_fatal(tmp_path, small_model_path):
 def test_sweep_computes_covariances_once_per_window(tmp_path, small_model_path,
                                                     monkeypatch):
     # stride 100 leaves 6 samples: a deficit window, failed once per tag
-    # without computing its covariances
+    # without computing its covariances.  The sweep never builds a
+    # trajectory: one fold per group of seeds yields every other window's pair
     calls = count_covariance_calls(monkeypatch)
+    folds = []
+
+    def counting_fold(chunks, windows):
+        folds.append(list(windows))
+        return estimators.fold_covariances(chunks, windows)
+
+    monkeypatch.setattr(cli, "fold_covariances", counting_fold)
     out = tmp_path / "sw"
     assert run("sweep", "--model", small_model_path, "--axis", "stride",
                "--values", "1", "3", "100", "--t-obs", "10", "--seed", "1",
                "--estimator", "UML", "CML", "--out", out) == 0
-    assert calls[0] == 2
+    assert calls[0] == 0
+    assert folds == [[(600, 1), (600, 3)]]
     rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]
     assert [r[1] for r in rows if r[3] == "nan"] == ["CML", "UML"]
     assert load_records(out / "manifest.csv")["failed_cells"] == "2"
+
+
+def _sweep_files(out) -> dict[str, bytes]:
+    return {name: (out / name).read_bytes()
+            for name in ("sweep.csv", "sweep_mean.csv", "manifest.csv")}
+
+
+@pytest.mark.parametrize("axis,values,fixed", [
+    ("stride", ["1", "3", "7"], ["--t-obs", "40"]),
+    ("t_obs", ["10", "25", "40"], ["--stride", "2"]),
+])
+def test_sweep_rerun_is_byte_identical(tmp_path, fixture_model_path, axis,
+                                       values, fixed):
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert run("sweep", "--model", fixture_model_path, "--axis", axis,
+                   "--values", *values, *fixed, "--seed", "3", "1", "2",
+                   "--estimator", "UML", "CML", "--out", out) == 0
+    assert _sweep_files(outs[0]) == _sweep_files(outs[1])
+
+
+def test_sweep_seed_rows_do_not_depend_on_other_seeds(tmp_path,
+                                                      fixture_model_path):
+    # alone, a seed is stepped beside an idle row; together, beside the other
+    def seed_rows(seeds):
+        out = tmp_path / "-".join(seeds)
+        assert run("sweep", "--model", fixture_model_path, "--axis", "stride",
+                   "--values", "1", "3", "--t-obs", "40", "--seed", *seeds,
+                   "--estimator", "UML", "CML", "--out", out) == 0
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        return {seed: [r for r in rows if r.split(",")[2] == seed]
+                for seed in seeds}
+
+    together = seed_rows(["1", "2"])
+    for seed in ("1", "2"):
+        assert len(together[seed]) == 4
+        assert seed_rows([seed])[seed] == together[seed]
+
+
+def test_sweep_cells_match_simulate_then_estimate(tmp_path, fixture_model_path):
+    # the streamed fold agrees with the file pipeline up to the rounding of
+    # the batched Euler step
+    model = ["--model", fixture_model_path]
+    assert run("simulate", *model, "--t-obs", "40", "--seed", "4",
+               "--out", tmp_path / "sim") == 0
+    assert run("sweep", *model, "--axis", "stride", "--values", "2",
+               "--t-obs", "40", "--seed", "4", "--estimator", "UML", "CML",
+               "--out", tmp_path / "sw") == 0
+    assert run("estimate", tmp_path / "sim" / "traj_seed4.csv", *model,
+               "--stride", "2", "--estimator", "UML", "CML",
+               "--out", tmp_path / "est") == 0
+    for row in (tmp_path / "sw" / "sweep.csv").read_text().splitlines()[1:]:
+        tag, eps = row.split(",")[1], float(row.split(",")[3])
+        ref = float(load_records(tmp_path / "est" / f"ahat_d_{tag.lower()}.meta")
+                    ["eps"])
+        assert eps == pytest.approx(ref, rel=1e-9)
+
+
+def test_sweep_rejects_nonpositive_t_obs_value(tmp_path, small_model_path,
+                                               capsys):
+    assert run("sweep", "--model", small_model_path, "--axis", "t_obs",
+               "--values", "0", "10", "--out", tmp_path / "sw") == 2
+    assert "t_obs values must be positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tag,flags,recorded", [

@@ -10,7 +10,8 @@ from swingid.estimators import (CML, LASSO, SOLVER_TOL, UML,
                                 SingularCovarianceError, covariances,
                                 estimate_b, estimate_cml, estimate_lasso,
                                 estimate_sparse_low_rank, estimate_tikhonov,
-                                estimate_uml, l1_optimality_gap,
+                                estimate_uml, fold_covariances,
+                                l1_optimality_gap,
                                 lasso_kill_threshold, ls_objective,
                                 singular_value_threshold, slr_optimality_gap,
                                 soft_threshold, threshold_structure)
@@ -88,6 +89,93 @@ def test_covariance_rank_bound(seed):
     evals = np.linalg.eigvalsh(cov.sigma0)
     assert np.min(evals) > -1e-10
 
+
+
+def test_covariances_match_reference_formula_bitwise():
+    # the one-chunk fold must keep the bits of the direct products
+    rng = np.random.default_rng(3)
+    for n_samples, dim in [(2, 2), (23, 4), (1000, 20), (4097, 6)]:
+        states = rng.standard_normal((n_samples, dim))
+        x0, x1 = states[:-1], states[1:]
+        sigma0 = x0.T @ x0 / (n_samples - 1)
+        cov = covariances(make_traj(states))
+        assert np.array_equal(cov.sigma0, (sigma0 + sigma0.T) / 2.0)
+        assert np.array_equal(cov.sigma1, x1.T @ x0 / (n_samples - 1))
+        assert cov.next_sq_sum == float(np.sum(x1 * x1))
+        assert cov.n_samples == n_samples
+
+
+def _chunked(states: np.ndarray, sizes) -> list[np.ndarray]:
+    """Split (..., T, 2N) states along T into consecutive chunk copies."""
+    bounds = np.cumsum([0, *sizes])
+    assert bounds[-1] == states.shape[-2]
+    return [states[..., a:b, :].copy() for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _assert_fold_matches_strided_prefixes(states, chunks, windows):
+    folded = fold_covariances(iter(chunks), windows)
+    seqs = states.reshape(-1, *states.shape[-2:])
+    assert len(folded) == len(windows)
+    for (n_keep, stride), pairs in zip(windows, folded):
+        assert len(pairs) == len(seqs)
+        for seq, got in zip(seqs, pairs):
+            ref = covariances(subsample(make_traj(seq[:n_keep]), stride))
+            assert got.n_samples == ref.n_samples
+            for name in ("sigma0", "sigma1"):
+                a, b = getattr(got, name), getattr(ref, name)
+                assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+            assert got.next_sq_sum == pytest.approx(ref.next_sq_sum, rel=1e-12)
+            assert np.array_equal(got.sigma0, got.sigma0.T)
+
+
+def test_fold_matches_covariances_of_strided_prefixes():
+    rng = np.random.default_rng(11)
+    n2, n_samples = 4, 1000
+    states = rng.standard_normal((3, n_samples, n2))
+    # X_0 alone, then 128-state chunks and a short tail, as the sweep feeds it
+    sizes = [1] + [128] * 7 + [n_samples - 1 - 7 * 128]
+    windows = [
+        (n_samples, 1), (n_samples, 3),   # stride 3 does not divide T
+        (n_samples, 200),                 # stride above the chunk length
+        (777, 2),                         # window not a chunk multiple
+        (129, 1),                         # window ends on a chunk boundary
+        ((2 * n2 + 3 - 1) * 7 + 1, 7),    # exactly 2N+3 states
+        (120, 3), (300, 3), (600, 3),     # t_obs-axis prefixes of one stride
+    ]
+    _assert_fold_matches_strided_prefixes(states, _chunked(states, sizes),
+                                          windows)
+    assert fold_covariances(_chunked(states, sizes), windows[5:6])[0][0] \
+        .n_samples == 2 * n2 + 3
+
+
+def test_fold_accepts_states_without_a_leading_axis():
+    rng = np.random.default_rng(12)
+    states = rng.standard_normal((300, 6))
+    _assert_fold_matches_strided_prefixes(
+        states, _chunked(states, [100, 1, 150, 49]), [(300, 4), (251, 1)])
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_fold_is_independent_of_chunk_boundaries(seed):
+    rng = np.random.default_rng(seed)
+    n_samples = int(rng.integers(10, 200))
+    states = rng.standard_normal((2, n_samples, 2))
+    cuts = np.sort(rng.choice(np.arange(1, n_samples), size=int(
+        rng.integers(0, min(12, n_samples - 1))), replace=False))
+    sizes = np.diff([0, *cuts, n_samples])
+    stride = int(rng.integers(1, n_samples // 2 + 1))
+    n_keep = int(rng.integers(stride + 1, n_samples + 1))
+    _assert_fold_matches_strided_prefixes(
+        states, _chunked(states, sizes), [(n_keep, stride), (n_samples, 1)])
+
+
+def test_fold_rejects_window_with_fewer_than_two_states():
+    states = np.random.default_rng(0).standard_normal((10, 2))
+    with pytest.raises(ValueError, match="keeps 1 states"):
+        fold_covariances([states], [(10, 1), (5, 10)])
+    with pytest.raises(ValueError, match="keeps 0 states"):
+        fold_covariances([states], [(0, 1)])
 
 # -------------------------------------------------------------------------- UML
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swingid.estimators import COND_THRESHOLD, SOLVER_MAX_ITER, SOLVER_TOL
+from swingid.estimators import (CERTIFICATE_BOUND, COND_THRESHOLD, SOLVER_MAX_ITER,
+                                SOLVER_TOL, SOLVER_TOL_MIN)
 from swingid.io_config import (_ROWS_PER_WRITE, ExperimentConfig, load_config,
                                load_matrix, load_model, load_records,
                                load_trajectory, save_config, save_matrix,
@@ -380,11 +381,19 @@ def test_config_validation():
     ({"cond_threshold": float("nan")}, "cond_threshold"),
     ({"cond_threshold": float("inf")}, "cond_threshold"),
     ({"cond_threshold": 0.5}, "cond_threshold"),
-    ({"cond_threshold": -1.0}, "cond_threshold")])
+    ({"cond_threshold": -1.0}, "cond_threshold"),
+    # below what both solvers certify on fixture windows
+    ({"solver_tol": 1e-9}, "solver_tol")])
 def test_config_rejects_bad_solver_settings(kwargs, field):
     with pytest.raises(ValidationError) as excinfo:
         ExperimentConfig(model_path="m", **kwargs)
     assert excinfo.value.field == field
+
+
+def test_config_accepts_solver_tol_range_both_solvers_certify():
+    assert SOLVER_TOL_MIN == 1e-8
+    for tol in (SOLVER_TOL_MIN, SOLVER_TOL, CERTIFICATE_BOUND):
+        assert ExperimentConfig(model_path="m", solver_tol=tol).solver_tol == tol
 
 
 def test_shipped_config_uses_default_solver_settings():

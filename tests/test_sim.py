@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from swingid.estimators import covariances
 from swingid.model import DiscreteSystem, build_continuous
-from swingid.sim import (DT_BASE, SIGMA0_CHUNK, SIGMA0_GROUP, Trajectory,
-                         default_burn_in, simulate, spawn_seeds, steady_sigma0,
-                         steady_start, steady_trajectory, subsample)
+from swingid.sim import (DT_BASE, STEP_CHUNK, STEP_GROUP, Trajectory,
+                         default_burn_in, simulate, spawn_seeds, steady_blocks,
+                         steady_sigma0, steady_start, steady_trajectory,
+                         subsample)
 
 from conftest import path3_model, single_gen_model, systems_for, two_gen_model
 
@@ -235,9 +236,9 @@ def _assert_sigma0_matches_serial(disc, n_samples, burn_in, seeds):
 
 @pytest.mark.parametrize("n_samples,burn_in,n_trials", [
     (300, 300, 3),                        # n_samples - 1 not a chunk multiple
-    (2 * SIGMA0_CHUNK + 2, 0, 2),         # run steps exactly two chunks
-    (2 * SIGMA0_CHUNK + 1, 5, 1),         # burn-in shorter than one chunk
-    (40, SIGMA0_CHUNK, 1),                # burn-in exactly one chunk
+    (2 * STEP_CHUNK + 2, 0, 2),         # run steps exactly two chunks
+    (2 * STEP_CHUNK + 1, 5, 1),         # burn-in shorter than one chunk
+    (40, STEP_CHUNK, 1),                # burn-in exactly one chunk
     (2, 7, 2),                            # one state, no run steps
 ])
 def test_steady_sigma0_matches_serial_windows_on_fixture(
@@ -249,7 +250,7 @@ def test_steady_sigma0_matches_serial_windows_on_fixture(
 
 def test_steady_sigma0_matches_serial_across_several_groups():
     _, disc = systems_for(path3_model(), 3 * DT_BASE)
-    seeds = spawn_seeds(8, 2 * SIGMA0_GROUP + 3)
+    seeds = spawn_seeds(8, 2 * STEP_GROUP + 3)
     _assert_sigma0_matches_serial(disc, 150, 200, seeds)
 
 
@@ -259,3 +260,57 @@ def test_steady_sigma0_rejects_bad_input():
         steady_sigma0(disc, 1, [1], 0)
     with pytest.raises(ValueError, match="burn_in"):
         steady_sigma0(disc, 10, [1], -1)
+
+
+def _stepped_states(disc, seeds, burn_in, n_steps) -> np.ndarray:
+    """Every seed's X_0..X_{n_steps} from steady_blocks, shape (K, T, 2N)."""
+    groups = []
+    for first, x0, blocks in steady_blocks(disc, seeds, burn_in, n_steps):
+        assert first == sum(len(g) for g in groups)
+        groups.append(np.concatenate([x0[:, None]] + [b.copy() for b in blocks],
+                                     axis=1))
+    return np.concatenate(groups)
+
+
+@pytest.mark.parametrize("n_steps,burn_in,n_seeds", [
+    (2 * STEP_CHUNK + 5, 40, 3),          # run not a chunk multiple
+    (STEP_CHUNK, 0, 1),                   # lone seed, one whole chunk
+    (1, 10, 2),                           # one step after X_0
+])
+def test_steady_blocks_match_steady_trajectory(fixture_systems, n_steps,
+                                               burn_in, n_seeds):
+    _, disc = fixture_systems
+    seeds = spawn_seeds(n_steps + 1, n_seeds)
+    got = _stepped_states(disc, seeds, burn_in, n_steps)
+    assert got.shape == (n_seeds, n_steps + 1, 2 * disc.n_gen)
+    for states, seed in zip(got, seeds):
+        ref = steady_trajectory(disc, n_steps + 1, burn_in, seed).states
+        # the batched product rounds differently from the serial one
+        assert np.linalg.norm(states - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_steady_blocks_rows_do_not_depend_on_their_group(fixture_systems):
+    _, disc = fixture_systems
+    seeds = spawn_seeds(4, 5)
+    together = _stepped_states(disc, seeds, 30, 300)
+    for k in (0, 2, 4):
+        alone = _stepped_states(disc, seeds[k:k + 1], 30, 300)[0]
+        assert np.array_equal(alone, together[k])
+    assert np.array_equal(_stepped_states(disc, seeds[3:], 30, 300),
+                          together[3:])
+
+
+def test_steady_sigma0_lone_last_trial_is_batch_invariant(fixture_systems):
+    # 65 trials leave trial 64 alone in the second group; it must get the
+    # same bits as beside trial 65
+    _, disc = fixture_systems
+    seeds = spawn_seeds(65, STEP_GROUP + 2)
+    lone = steady_sigma0(disc, 200, seeds[:STEP_GROUP + 1], 50)[STEP_GROUP]
+    paired = steady_sigma0(disc, 200, seeds, 50)[STEP_GROUP]
+    assert np.array_equal(lone, paired)
+
+
+def test_steady_blocks_rejects_negative_burn_in(fixture_systems):
+    _, disc = fixture_systems
+    with pytest.raises(ValueError, match="burn_in"):
+        next(steady_blocks(disc, [1], -1, 10))
