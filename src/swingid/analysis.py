@@ -190,6 +190,10 @@ def spectrum(a_d: np.ndarray, zero_mode_tol: float | None = None) -> SpectralRep
     """
     if not np.all(np.isfinite(a_d)):
         raise ValueError("matrix has non-finite entries")
+    if zero_mode_tol is not None and not (math.isfinite(zero_mode_tol)
+                                          and zero_mode_tol >= 0.0):
+        raise ValueError("zero_mode_tol must be finite and nonnegative, "
+                         f"got {zero_mode_tol!r}")
     try:
         eigs = np.linalg.eigvals(a_d)
     except np.linalg.LinAlgError as exc:

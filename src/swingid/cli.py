@@ -230,10 +230,11 @@ def cmd_sweep(args) -> int:
                                   field="sweep_values")
         windows = [(round(v / cfg.dt_base), cfg.stride) for v in values]
     else:
-        windows = [(round(cfg.t_obs / cfg.dt_base), int(v)) for v in values]
-        if any(stride < 1 for _, stride in windows):
-            raise ValidationError("stride values must be >= 1",
+        # int(2.5) would run stride 2 under the label 2.5
+        if not all(v >= 1 and float(v).is_integer() for v in values):
+            raise ValidationError("stride values must be integers >= 1",
                                   field="sweep_values")
+        windows = [(round(cfg.t_obs / cfg.dt_base), int(v)) for v in values]
     n_kept = [-(-n_keep // stride) for n_keep, stride in windows]
     folded = [w for w, n in enumerate(n_kept) if n > 2 * disc.n_gen + 2]
     # deficit windows fail without covariances, so only the others are run
@@ -343,7 +344,8 @@ def cmd_bound(args) -> int:
     cfg = _config_from_args(args)
     dt = cfg.dt_base * cfg.stride
     grid, _, disc = _build_systems(cfg.model_path, dt)
-    n_samples = args.n_samples if args.n_samples else round(cfg.t_obs / dt)
+    n_samples = (args.n_samples if args.n_samples is not None
+                 else round(cfg.t_obs / dt))
     seed = cfg.seeds[0]
     discrete = analysis.theorem1_bound(disc, n_samples, args.epsilon,
                                        args.trials, seed,

@@ -21,9 +21,9 @@ Penalties multiply the raw sum-over-t objective, so hyperparameters must
 be re-tuned when T changes.
 
 Everything here is a deterministic, thread-safe function of its inputs.
-The row-separable solvers (CML, LASSO) are written as whole-matrix
-operations; each matrix row only ever interacts with its own data so the
-result is independent of evaluation order.
+The row-separable solvers are written as whole-matrix operations: the
+closed forms take one solve per distinct row support and LASSO steps all
+rows at once, so the result is independent of evaluation order.
 """
 
 from __future__ import annotations
@@ -174,17 +174,6 @@ def ls_objective(cov: CovariancePair, a: np.ndarray) -> float:
                  + tm1 * np.sum((a @ cov.sigma0) * a))
 
 
-def _check_invertible(sigma0: np.ndarray, n_samples: int,
-                      cond_threshold: float) -> None:
-    n2 = sigma0.shape[0]
-    cond = np.linalg.cond(sigma0)
-    if not np.isfinite(cond) or cond > cond_threshold:
-        raise SingularCovarianceError(
-            f"sigma0 is singular or ill-conditioned (cond={cond:.3e}); "
-            f"need T >= 2N+2 = {n2 + 2} samples for invertibility with "
-            f"probability one (have T={n_samples})")
-
-
 def check_cond_threshold(value: float) -> None:
     """Reject a Sigma_0 condition limit that would switch the check off.
 
@@ -199,13 +188,59 @@ def _check_penalty(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
+def _support(n2: int) -> np.ndarray:
+    """Free entries of A in the swing model, as a boolean mask.
+
+    The state is (angles, speeds) with n2 = 2N; an odd n2 raises ValueError.
+    The lower-right N x N block of the true one-step matrix is the diagonal
+    I - dt M^-1 D, so its off-diagonal entries are known zeros.
+    """
+    if n2 % 2:
+        raise ValueError(f"the swing model needs an even state dimension 2N, got {n2}")
+    mask = np.ones((n2, n2), dtype=bool)
+    mask[n2 // 2:, n2 // 2:] = np.eye(n2 // 2, dtype=bool)
+    return mask
+
+
+def _closed_form(cov: CovariancePair, support: np.ndarray, cond_threshold: float,
+                 nu: float = 0.0, a_prev: np.ndarray | None = None) -> np.ndarray:
+    """Exact minimizer of J(A) + nu ||A - A_prev||_F^2 with A zero off `support`.
+
+    Rows with equal support S share one solve of A[rows, S] lhs[S, S] =
+    rhs[rows, S], lhs = Sigma_0 + (nu/(T-1)) I, rhs = Sigma_1 + (nu/(T-1)) A_prev.
+    A block failing cond_threshold, or a restricted gradient above
+    1e-8 max(1, max|rhs|), raises SingularCovarianceError.
+    """
+    check_cond_threshold(cond_threshold)
+    n2 = cov.sigma0.shape[0]
+    tm1 = cov.n_samples - 1
+    lhs = cov.sigma0 + (nu / tm1) * np.eye(n2)
+    rhs = cov.sigma1 if a_prev is None else cov.sigma1 + (nu / tm1) * a_prev
+    a_hat = np.zeros((n2, n2))
+    # one solve per distinct row support (np.unique(axis=0) is slower than UML)
+    for cols in {row.tobytes(): row for row in support}.values():
+        block = lhs[np.ix_(cols, cols)]
+        cond = np.linalg.cond(block)
+        if not np.isfinite(cond) or cond > cond_threshold:
+            raise SingularCovarianceError(
+                f"sigma0 is singular or ill-conditioned (cond={cond:.3e}), restricted "
+                f"regressor rank-deficient; need T >= 2N+2 = {n2 + 2} samples "
+                f"(have T={cov.n_samples})")
+        # A lhs = rhs transposed into a standard left-hand solve
+        cells = np.ix_(np.all(support == cols, axis=1), cols)
+        a_hat[cells] = np.linalg.solve(block.T, rhs[cells].T).T
+    gap = float(np.max(np.abs(a_hat @ lhs - rhs), where=support, initial=0.0))
+    if not gap <= 1e-8 * max(1.0, float(np.max(np.abs(rhs)))):
+        raise SingularCovarianceError(
+            f"normal equations left a residual gradient {gap:.3e}; "
+            "restricted regressor is numerically rank-deficient")
+    return a_hat
+
+
 def estimate_uml(cov: CovariancePair, *,
                  cond_threshold: float = COND_THRESHOLD) -> EstimationResult:
     """Unrestricted maximum likelihood: A_hat = Sigma_1 Sigma_0^{-1}."""
-    check_cond_threshold(cond_threshold)
-    _check_invertible(cov.sigma0, cov.n_samples, cond_threshold)
-    # A Sigma_0 = Sigma_1 transposed into a standard left-hand solve
-    a_hat = np.linalg.solve(cov.sigma0.T, cov.sigma1.T).T
+    a_hat = _closed_form(cov, np.ones(cov.sigma0.shape, dtype=bool), cond_threshold)
     return EstimationResult(a_hat=a_hat, estimator=UML,
                             objective=ls_objective(cov, a_hat))
 
@@ -214,39 +249,9 @@ def estimate_cml(cov: CovariancePair, *,
                  cond_threshold: float = COND_THRESHOLD) -> EstimationResult:
     """Least squares restricted to a diagonal lower-right N x N block.
 
-    The state is (angles, speeds), so N is half the dimension of Sigma_0;
-    an odd dimension raises ValueError.  The objective is row-separable, so
-    each row solves its own restricted normal equations: rows 0..N-1 keep
-    every column, row N+i keeps columns 0..N-1 plus its own diagonal
-    column.  Closed form, no iterative solver.
+    N is half the dimension of Sigma_0; an odd dimension raises ValueError.
     """
-    check_cond_threshold(cond_threshold)
-    n2 = cov.sigma0.shape[0]
-    if n2 % 2:
-        raise ValueError(f"CML needs an even state dimension 2N, got {n2}")
-    n = n2 // 2
-    tm1 = cov.n_samples - 1
-    a_hat = np.zeros((n2, n2))
-    all_cols = list(range(n2))
-    for i in range(n2):
-        cols = all_cols if i < n else list(range(n)) + [i]
-        block = cov.sigma0[np.ix_(cols, cols)]
-        cond = np.linalg.cond(block)
-        if not np.isfinite(cond) or cond > cond_threshold:
-            raise SingularCovarianceError(
-                f"restricted regressor for row {i} is rank-deficient "
-                f"(cond={cond:.3e})")
-        a_hat[i, cols] = np.linalg.solve(block, cov.sigma1[i, cols])
-    # stationarity on the permitted support: restricted gradient must vanish
-    grad = 2.0 * tm1 * (a_hat @ cov.sigma0 - cov.sigma1)
-    scale = 2.0 * tm1 * max(1.0, float(np.max(np.abs(cov.sigma1))))
-    for i in range(n2):
-        cols = all_cols if i < n else list(range(n)) + [i]
-        gap = float(np.max(np.abs(grad[i, cols])))
-        if gap > 1e-8 * scale:
-            raise SingularCovarianceError(
-                f"row {i} normal equations left a residual gradient {gap:.3e}; "
-                "restricted regressor is numerically rank-deficient")
+    a_hat = _closed_form(cov, _support(cov.sigma0.shape[0]), cond_threshold)
     return EstimationResult(a_hat=a_hat, estimator=CML,
                             objective=ls_objective(cov, a_hat))
 
@@ -256,19 +261,16 @@ def estimate_tikhonov(cov: CovariancePair, a_prev: np.ndarray, nu: float, *,
     """Exact minimizer of J(A) + nu ||A - A_prev||_F^2.
 
     Closed form (Sigma_1 + (nu/(T-1)) A_prev)(Sigma_0 + (nu/(T-1)) I)^{-1}.
-    At nu = 0 this is UML, and Sigma_0 must pass the same cond_threshold.
+    At nu = 0 this is UML.  cond_threshold applies to the regularised
+    matrix Sigma_0 + (nu/(T-1)) I, so a ridge rescues a short window.
     """
     _check_penalty("nu", nu)
-    check_cond_threshold(cond_threshold)
     n2 = cov.sigma0.shape[0]
     if a_prev.shape != (n2, n2):
         raise ValueError(f"a_prev must be {n2}x{n2}, got {a_prev.shape}")
-    tm1 = cov.n_samples - 1
-    lhs = cov.sigma0 + (nu / tm1) * np.eye(n2)
-    rhs = cov.sigma1 + (nu / tm1) * a_prev
-    if nu == 0:
-        _check_invertible(cov.sigma0, cov.n_samples, cond_threshold)
-    a_hat = np.linalg.solve(lhs.T, rhs.T).T
+    if not np.all(np.isfinite(a_prev)):
+        raise ValueError("a_prev has non-finite entries")
+    a_hat = _closed_form(cov, np.ones((n2, n2), dtype=bool), cond_threshold, nu, a_prev)
     obj = ls_objective(cov, a_hat) + nu * float(np.sum((a_hat - a_prev) ** 2))
     return EstimationResult(a_hat=a_hat, estimator=TIKHONOV,
                             hyperparams={"nu": nu}, objective=obj)
@@ -518,15 +520,9 @@ def estimate_b(traj: Trajectory, a_hat: np.ndarray) -> np.ndarray:
 
 
 def threshold_structure(a_hat: np.ndarray, n_gen: int) -> np.ndarray:
-    """Zero the lower-right off-diagonal entries; everything else untouched.
-
-    The lower-right N x N block of the true one-step matrix is the diagonal
-    I - dt M^-1 D, so its N(N-1) off-diagonal entries are known zeros.
-    """
+    """Zero the swing model's known zeros, the lower-right off-diagonal entries."""
     n2 = 2 * n_gen
     if a_hat.shape != (n2, n2):
         raise ValueError(f"a_hat must be {n2}x{n2}, got {a_hat.shape}")
-    out = a_hat.copy()
-    block = out[n_gen:, n_gen:]
-    out[n_gen:, n_gen:] = np.diag(np.diag(block))
-    return out
+    # np.where writes +0.0; multiplying by the mask would leave -0.0
+    return np.where(_support(n2), a_hat, 0.0)

@@ -207,6 +207,14 @@ def test_spectrum_rejects_non_finite():
         spectrum(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -0.01])
+def test_spectrum_rejects_bad_zero_mode_tol(tol):
+    with pytest.raises(ValueError, match="zero_mode_tol"):
+        spectrum(np.diag([-1.0, 0.0]), tol)
+    # the cutoff perfbench and the spectral-check script pass stays valid
+    assert spectrum(np.diag([-1.0, 0.0]), 0.01).critical == (-1.0,)
+
+
 @given(grid_models())
 @settings(max_examples=40)
 def test_spectrum_contains_zero_mode_and_conjugate_pairs(model):

@@ -7,7 +7,8 @@ from swingid import cli, estimators
 from swingid.cli import main
 from swingid.estimators import covariances, lasso_kill_threshold
 from swingid.io_config import (load_matrix, load_records, load_trajectory,
-                               save_model, save_trajectory)
+                               save_matrix, save_model, save_trajectory)
+from swingid.model import ValidationError
 from swingid.sim import DT_BASE, simulate, subsample
 
 from conftest import path3_model, systems_for, two_gen_model
@@ -146,6 +147,18 @@ def test_estimate_tikhonov_and_lasso_paths(tmp_path, small_model_path, traj_path
     # the pure -I/dt of the inverse Euler map
     a_hat_d = load_matrix(out / "ahat_d_lasso.csv")
     assert np.allclose(a_hat_d, -np.eye(6) / (3 * DT_BASE))
+
+
+def test_estimate_rejects_non_finite_prior(tmp_path, traj_path, capsys):
+    prior = np.zeros((6, 6))
+    prior[2, 4] = np.nan
+    save_matrix(tmp_path / "prior.csv", prior)
+    out = tmp_path / "est"
+    assert run("estimate", traj_path, "--stride", "3", "--estimator",
+               "TIKHONOV", "--nu", "10", "--a-prev", tmp_path / "prior.csv",
+               "--out", out) == 2
+    assert "a_prev" in capsys.readouterr().err
+    assert not (out / "ahat_d_tikhonov.csv").exists()
 
 
 def test_estimate_sparse_low_rank_records_certificate(tmp_path, small_model_path,
@@ -390,6 +403,23 @@ def test_sweep_rejects_nonpositive_t_obs_value(tmp_path, small_model_path,
     assert "t_obs values must be positive" in capsys.readouterr().err
 
 
+def test_sweep_rejects_non_integer_stride_value(tmp_path, small_model_path,
+                                                capsys):
+    argv = ["sweep", "--model", str(small_model_path), "--axis", "stride",
+            "--values", "2.5", "3", "--t-obs", "20", "--seed", "1",
+            "--out", str(tmp_path / "sw")]
+    assert main(argv) == 2
+    assert "stride values must be integers" in capsys.readouterr().err
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(ValidationError) as info:
+        args.func(args)
+    assert info.value.field == "sweep_values"
+    # 3 parses as 3.0 and stays a valid stride
+    assert run("sweep", "--model", small_model_path, "--axis", "stride",
+               "--values", "3", "--t-obs", "20", "--seed", "1",
+               "--out", tmp_path / "ok") == 0
+
+
 @pytest.mark.parametrize("tag,flags,recorded", [
     ("LASSO", ["--lambda", "0.5"], {"lam": "0.5"}),
     ("SPARSE_LOW_RANK", ["--lambda", "0.5", "--eta", "2.5"],
@@ -449,6 +479,14 @@ def test_eigen_truth_model_comparison(tmp_path, small_model_path, traj_path, cap
     assert 0.0 < distance < 1.0
 
 
+@pytest.mark.parametrize("tol", ["nan", "-0.01"])
+def test_eigen_rejects_bad_zero_mode_tol(tmp_path, tol, capsys):
+    matrix = tmp_path / "a.csv"
+    save_matrix(matrix, np.diag([-1.0, 0.0]))
+    assert run("eigen", matrix, "--zero-mode-tol", tol) == 2
+    assert "zero_mode_tol" in capsys.readouterr().err
+
+
 def test_eigen_dimension_mismatch(tmp_path, small_model_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1.0,0.0\n0.0,1.0\n")
@@ -468,6 +506,16 @@ def test_bound_reports_both_envelopes(tmp_path, small_model_path, capsys):
     assert float(records["rhs_continuous"]) > 0.0
     printed = capsys.readouterr().out
     assert "rhs_discrete" in printed and "rhs_continuous" in printed
+
+
+@pytest.mark.parametrize("n_samples", ["0", "-5"])
+def test_bound_rejects_nonpositive_n_samples(tmp_path, small_model_path,
+                                             n_samples, capsys):
+    # 0 once fell back to t_obs as if the flag were absent
+    assert run("bound", "--model", small_model_path, "--n-samples", n_samples,
+               "--trials", "3", "--out", tmp_path / "b.csv") == 2
+    assert "2N+2" in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
 
 
 def test_bound_applies_config_cond_threshold(tmp_path, small_model_path,

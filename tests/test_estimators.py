@@ -16,7 +16,8 @@ from swingid.estimators import (CML, LASSO, SOLVER_TOL, UML,
                                 singular_value_threshold, slr_optimality_gap,
                                 soft_threshold, threshold_structure)
 from swingid.sim import (DT_BASE, Trajectory, default_burn_in, simulate,
-                         spawn_seeds, steady_start, subsample)
+                         spawn_seeds, steady_start, steady_trajectory,
+                         subsample)
 
 from conftest import single_gen_model, systems_for, two_gen_model
 
@@ -354,6 +355,93 @@ def test_tikhonov_shrinks_toward_prior_monotonically():
     assert all(d2 <= d1 + 1e-12 for d1, d2 in zip(dists, dists[1:]))
 
 
+# ---------------------------------------------------- one restricted closed form
+
+@pytest.fixture(scope="module")
+def fixture_pairs(fixture_systems):
+    # 10-minute fixture windows of seeds 1 and 2 at strides 1, 3 and 10
+    cont, disc = fixture_systems
+    burn_in = default_burn_in(cont, DT_BASE)
+    trajs = [steady_trajectory(disc, round(600 / DT_BASE), burn_in, seed)
+             for seed in (1, 2)]
+    return [covariances(subsample(t, s)) for t in trajs for s in (1, 3, 10)]
+
+
+def ridge_reference(cov, a_prev, nu):
+    """(Sigma_1 + nu' A_prev)(Sigma_0 + nu' I)^-1, nu' = nu/(T-1), one solve."""
+    ridge = nu / (cov.n_samples - 1)
+    lhs = cov.sigma0 + ridge * np.eye(cov.sigma0.shape[0])
+    rhs = cov.sigma1 + ridge * a_prev
+    return np.linalg.solve(lhs.T, rhs.T).T
+
+
+def test_uml_and_tikhonov_equal_one_plain_solve_bitwise(fixture_pairs):
+    rng = np.random.default_rng(40)
+    for cov in fixture_pairs:
+        ref = np.linalg.solve(cov.sigma0.T, cov.sigma1.T).T
+        assert np.array_equal(estimate_uml(cov).a_hat, ref)
+        a_prev = 0.1 * rng.standard_normal(cov.sigma0.shape)
+        for nu in (0.0, 10.0):
+            assert np.array_equal(estimate_tikhonov(cov, a_prev, nu).a_hat,
+                                  ridge_reference(cov, a_prev, nu))
+
+
+def test_cml_matches_a_per_row_restricted_solve(fixture_pairs):
+    n = 10
+    support = np.ones((2 * n, 2 * n), dtype=bool)
+    support[n:, n:] = np.eye(n, dtype=bool)
+    for cov in fixture_pairs:
+        # reference: each row solves its own restricted normal equations
+        ref = np.zeros((2 * n, 2 * n))
+        for i, cols in enumerate(support):
+            ref[i, cols] = np.linalg.solve(cov.sigma0[np.ix_(cols, cols)],
+                                           cov.sigma1[i, cols])
+        a_hat = estimate_cml(cov).a_hat
+        assert np.linalg.norm(a_hat - ref) <= 1e-13 * np.linalg.norm(ref)
+        off = a_hat[~support]
+        assert np.all(off == 0.0) and not np.any(np.signbit(off))
+
+
+def test_tikhonov_ridge_solves_a_window_too_short_for_uml():
+    # T = 4 <= 2N+2 = 6: Sigma_0 is singular, the regularised block is not,
+    # and the condition check applies to the regularised block
+    cov = covariances(noisy_traj(seed=16, n_steps=3))
+    with pytest.raises(SingularCovarianceError, match="2N\\+2"):
+        estimate_uml(cov)
+    with pytest.raises(SingularCovarianceError, match="2N\\+2"):
+        estimate_tikhonov(cov, np.eye(4), 0.0)
+    a_prev = 0.5 * np.eye(4)
+    assert np.array_equal(estimate_tikhonov(cov, a_prev, 1.0).a_hat,
+                          ridge_reference(cov, a_prev, 1.0))
+
+
+def test_every_closed_form_runs_the_gradient_certificate():
+    # cond(Sigma_0) ~ 1e11 passes the default cond_threshold, but against an
+    # unrelated Sigma_1 the solve leaves normal-equation residuals far above
+    # 1e-8 of the scale
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    sigma0 = q @ np.diag([1.0, 1.0, 1.0, 1e-11]) @ q.T
+    cov = CovariancePair(sigma0=(sigma0 + sigma0.T) / 2,
+                         sigma1=rng.standard_normal((4, 4)), n_samples=100,
+                         next_sq_sum=10.0)
+    assert np.linalg.cond(cov.sigma0) < 1e12
+    for fit in (estimate_uml, estimate_cml,
+                lambda c: estimate_tikhonov(c, np.zeros((4, 4)), 0.0)):
+        with pytest.raises(SingularCovarianceError, match="residual gradient"):
+            fit(cov)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_tikhonov_rejects_non_finite_prior(bad):
+    cov = covariances(noisy_traj(seed=17))
+    a_prev = np.zeros((4, 4))
+    a_prev[1, 2] = bad
+    for nu in (0.0, 1.0):
+        with pytest.raises(ValueError, match="a_prev"):
+            estimate_tikhonov(cov, a_prev, nu)
+
+
 # ------------------------------------------------------------------------ LASSO
 
 def coordinate_descent_lasso(traj, lam, sweeps=20_000):
@@ -619,6 +707,15 @@ def test_threshold_structure_counts_and_idempotence():
     mask = np.ones((8, 8), dtype=bool)
     mask[4:, 4:] = np.eye(4, dtype=bool)
     assert np.array_equal(once[mask], dense[mask])
+
+
+def test_threshold_structure_writes_positive_zeros():
+    # negative entries cleared by a mask product would come back as -0.0
+    dense = -1.0 - np.abs(np.random.default_rng(7).standard_normal((6, 6)))
+    out = threshold_structure(dense, 3)
+    zeroed = out == 0.0
+    assert np.count_nonzero(zeroed) == 3 * 2
+    assert not np.any(np.signbit(out[zeroed]))
 
 
 def test_soft_threshold():

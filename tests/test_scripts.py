@@ -42,3 +42,17 @@ def test_run_error_sweeps_writes_both_mean_tables(tmp_path, capsys):
     assert t_obs[60.0, "CML"][0] < t_obs[60.0, "UML"][0]
     printed = capsys.readouterr().out
     assert "t_obs [s]" in printed and "stride" in printed
+
+
+def test_run_spectral_check_writes_both_spectra(tmp_path, capsys):
+    script = _load_script("run_spectral_check")
+    assert script.main(["--t-obs", "60", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "spectra.csv").read_text().splitlines()
+    assert lines[0] == "re,im,source"
+    sources = [line.split(",")[2] for line in lines[1:]]
+    assert sources == ["estimate"] * 20 + ["truth"] * 20
+    printed = capsys.readouterr().out
+    critical = printed.split("critical:")[1].splitlines()[0].split()
+    assert len(critical) == 2
+    distance = float(printed.split("spectral_distance,")[1].split()[0])
+    assert 0.0 < distance < 1.0
