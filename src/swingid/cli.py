@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, io_config, sim
-from .estimators import (CML, LASSO, SPARSE_LOW_RANK, TIKHONOV, UML,
-                         ConvergenceError, CovariancePair,
+from .estimators import (CML, ESTIMATORS, LASSO, SPARSE_LOW_RANK, TIKHONOV,
+                         UML, ConvergenceError, CovariancePair,
                          SingularCovarianceError, covariances, estimate_b,
                          estimate_cml, estimate_lasso, estimate_sparse_low_rank,
                          estimate_tikhonov, estimate_uml, fold_covariances,
@@ -43,35 +43,22 @@ EXIT_NUMERICAL = 3
 
 
 def _config_from_args(args) -> io_config.ExperimentConfig:
-    if getattr(args, "config", None):
-        cfg = io_config.load_config(args.config)
-    else:
-        cfg = io_config.ExperimentConfig(model_path=getattr(args, "model", "") or "")
+    """The --config file, or the defaults, with every given flag on top.
+
+    Each config flag's argparse dest is its field name; a flag given as text
+    parses like the INI value.
+    """
+    cfg = (io_config.load_config(args.config) if getattr(args, "config", None)
+           else io_config.ExperimentConfig(model_path=""))
     overrides = {}
-    for flag, key in [("model", "model_path"), ("t_obs", "t_obs"),
-                      ("dt_base", "dt_base"), ("stride", "stride"),
-                      ("nu", "nu"), ("lam", "lam"), ("eta", "eta"),
-                      ("out", "outputs"), ("threshold", "threshold")]:
-        value = getattr(args, flag, None)
+    for setting in io_config.SETTINGS:
+        value = getattr(args, setting.field, None)
+        if isinstance(value, str):
+            value = setting.read(value, setting.field)
         if value is not None:
-            overrides[key] = value
-    if getattr(args, "seed", None):
-        overrides["seeds"] = tuple(args.seed)
-    if getattr(args, "estimator", None):
-        overrides["estimators"] = tuple(args.estimator)
-    if getattr(args, "burn_in", None) is not None:
-        try:
-            overrides["burn_in"] = (None if args.burn_in == "auto"
-                                    else int(args.burn_in))
-        except ValueError:
-            raise ValidationError(
-                f"--burn-in must be 'auto' or an integer, got {args.burn_in!r}",
-                field="burn_in") from None
-    if getattr(args, "axis", None) is not None:
-        overrides["sweep_variable"] = args.axis
-    if getattr(args, "values", None):
-        overrides["sweep_values"] = tuple(float(v) for v in args.values)
-    return replace(cfg, **overrides) if overrides else cfg
+            overrides[setting.field] = (tuple(value) if isinstance(value, list)
+                                        else value)
+    return replace(cfg, **overrides)
 
 
 def _build_systems(model_path: str, dt: float | None = None, *,
@@ -164,8 +151,13 @@ def _fit(tag: str, cov: CovariancePair, dt: float,
     return result, a_hat, analysis.to_continuous(a_hat, dt)
 
 
+def _enough_samples(n_samples: int, n_gen: int) -> bool:
+    """T > 2N+2, the fewest samples whose covariance can be invertible."""
+    return n_samples > 2 * n_gen + 2
+
+
 def _check_sample_count(n_samples: int, n_gen: int) -> None:
-    if n_samples <= 2 * n_gen + 2:
+    if not _enough_samples(n_samples, n_gen):
         raise ValidationError(
             f"sample deficit: {n_samples} samples after striding, but "
             f"the covariance is only invertible for T > 2N+2 = {2 * n_gen + 2}",
@@ -225,9 +217,6 @@ def cmd_sweep(args) -> int:
     # one (n_keep, stride) window per axis value, all cut from the first
     # n_keep base-step states of one steady run per seed
     if cfg.sweep_variable == "t_obs":
-        if values[0] <= 0.0:
-            raise ValidationError("t_obs values must be positive",
-                                  field="sweep_values")
         windows = [(round(v / cfg.dt_base), cfg.stride) for v in values]
     else:
         # int(2.5) would run stride 2 under the label 2.5
@@ -236,7 +225,7 @@ def cmd_sweep(args) -> int:
                                   field="sweep_values")
         windows = [(round(cfg.t_obs / cfg.dt_base), int(v)) for v in values]
     n_kept = [-(-n_keep // stride) for n_keep, stride in windows]
-    folded = [w for w, n in enumerate(n_kept) if n > 2 * disc.n_gen + 2]
+    folded = [w for w, n in enumerate(n_kept) if _enough_samples(n, disc.n_gen)]
     # deficit windows fail without covariances, so only the others are run
     base_samples = max((windows[w][0] for w in folded), default=1)
     zeros = np.zeros_like(a_d_true)
@@ -280,20 +269,17 @@ def cmd_sweep(args) -> int:
                     f"{repr(float(value))},{tag},"
                     f"{repr(math.fsum(cell) / len(cell))},{len(cell)}")
     (outdir / "sweep_mean.csv").write_text("\n".join(mean_table) + "\n")
+    # every setting but the output directory, so reruns elsewhere match
+    settings = cfg.records()
+    del settings["outputs"]
     io_config.save_records(outdir / "manifest.csv", {
         "command": "sweep",
         "model": cfg.model_path,
         "model_sha256": _model_sha256(cfg.model_path),
         "axis": cfg.sweep_variable,
         "values": " ".join(repr(float(v)) for v in values),
-        "dt_base": cfg.dt_base,
+        **settings,
         "burn_in": burn_in,
-        "stride": cfg.stride,
-        "estimators": " ".join(cfg.estimators),
-        "nu": cfg.nu,
-        "lam": cfg.lam,
-        "eta": cfg.eta,
-        "seeds": " ".join(str(s) for s in cfg.seeds),
         "failed_cells": failures,
     })
     print(f"sweep over {cfg.sweep_variable}: {len(rows)} cells "
@@ -366,8 +352,8 @@ def cmd_bound(args) -> int:
         "rhs_discrete": discrete.rhs,
         "rhs_continuous": continuous.rhs,
     }
-    if args.out:
-        io_config.save_records(args.out, records)
+    if args.outputs:
+        io_config.save_records(args.outputs, records)
     for key in ("rhs_discrete", "rhs_continuous"):
         print(f"{key},{repr(records[key])}")
     return EXIT_OK
@@ -397,11 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp, *, seeds=True):
         sp.add_argument("--config", help="experiment config (INI)")
-        sp.add_argument("--model", help="grid model file")
-        sp.add_argument("--out", help="output directory or file")
+        sp.add_argument("--model", dest="model_path", metavar="MODEL",
+                        help="grid model file")
+        sp.add_argument("--out", dest="outputs", metavar="OUT",
+                        help="output directory or file")
         if seeds:
-            sp.add_argument("--seed", type=int, nargs="+",
-                            help="override config seeds")
+            sp.add_argument("--seed", dest="seeds", metavar="SEED", type=int,
+                            nargs="+", help="override config seeds")
 
     def add_penalties(sp):
         sp.add_argument("--nu", type=float, help="quadratic-prior weight")
@@ -424,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_est, seeds=False)
     p_est.add_argument("trajectory", help="trajectory file")
     p_est.add_argument("--stride", type=int, help="subsampling stride in cycles")
-    p_est.add_argument("--estimator", nargs="+",
-                       choices=list(io_config.VALID_ESTIMATORS),
+    p_est.add_argument("--estimator", dest="estimators", nargs="+",
+                       choices=list(ESTIMATORS),
                        help="estimators to run")
     p_est.add_argument("--threshold", action=argparse.BooleanOptionalAction,
                        default=None,
@@ -437,16 +425,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="error tables over an axis")
     add_common(p_sweep)
-    p_sweep.add_argument("--axis", choices=list(io_config.VALID_SWEEP_VARIABLES),
+    p_sweep.add_argument("--axis", dest="sweep_variable",
+                         choices=list(io_config.VALID_SWEEP_VARIABLES),
                          help="sweep variable")
-    p_sweep.add_argument("--values", nargs="+", type=float,
+    p_sweep.add_argument("--values", dest="sweep_values", metavar="VALUES",
+                         nargs="+", type=float,
                          help="axis values (seconds or cycles)")
     p_sweep.add_argument("--stride", type=int,
                          help="fixed stride for t_obs sweeps")
     p_sweep.add_argument("--t-obs", dest="t_obs", type=float,
                          help="fixed window for stride sweeps")
-    p_sweep.add_argument("--estimator", nargs="+",
-                         choices=list(io_config.VALID_ESTIMATORS))
+    p_sweep.add_argument("--estimator", dest="estimators", nargs="+",
+                         choices=list(ESTIMATORS))
     p_sweep.add_argument("--threshold", action=argparse.BooleanOptionalAction,
                          default=None)
     add_penalties(p_sweep)

@@ -224,7 +224,7 @@ def _closed_form(cov: CovariancePair, support: np.ndarray, cond_threshold: float
         if not np.isfinite(cond) or cond > cond_threshold:
             raise SingularCovarianceError(
                 f"sigma0 is singular or ill-conditioned (cond={cond:.3e}), restricted "
-                f"regressor rank-deficient; need T >= 2N+2 = {n2 + 2} samples "
+                f"regressor rank-deficient; need T > 2N+2 = {n2 + 2} samples "
                 f"(have T={cov.n_samples})")
         # A lhs = rhs transposed into a standard left-hand solve
         cells = np.ix_(np.all(support == cols, axis=1), cols)

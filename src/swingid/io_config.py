@@ -23,15 +23,17 @@ Formats:
   matrix          comma-separated rows, `#` comments allowed.
   key-value       `key,value` lines for metadata sidecars and bound reports.
   experiment      INI file with sections [model], [generation], [estimation],
-                  [outputs] and optional [sweep].
+                  [outputs] and optional [sweep]; SETTINGS lists every key,
+                  and any other section or key is an error.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -68,20 +70,13 @@ def save_model(path, model: GridModel) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _parse_float(token: str, where: str, fieldname: str) -> float:
+def _parse(parse, token: str, where: str, fieldname: str):
     try:
-        return float(token)
+        return parse(token)
     except ValueError:
-        raise ValidationError(f"{where}: {fieldname} is not a number: {token!r}",
-                              field=fieldname) from None
-
-
-def _parse_int(token: str, where: str, fieldname: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ValidationError(f"{where}: {fieldname} is not an integer: {token!r}",
-                              field=fieldname) from None
+        raise ValidationError(
+            f"{where}: {fieldname} is not {_KINDS[parse]}: {token!r}",
+            field=fieldname) from None
 
 
 def load_model(path) -> GridModel:
@@ -111,8 +106,8 @@ def load_model(path) -> GridModel:
                 raise ValidationError(
                     f"{where}: node row must be id,is_generator,M,D,sigma_P "
                     "(loads may leave the last three empty)", field="nodes")
-            node = _parse_int(parts[0], where, "id")
-            is_gen = _parse_int(parts[1], where, "is_generator")
+            node = _parse(int, parts[0], where, "id")
+            is_gen = _parse(int, parts[1], where, "is_generator")
             if node in node_ids:
                 raise ValidationError(f"{where}: duplicate node id {node}",
                                       field="id")
@@ -126,9 +121,9 @@ def load_model(path) -> GridModel:
                         f"{where}: generator row needs M, D and sigma_P",
                         field="nodes")
                 generator_ids.append(node)
-                inertia[node] = _parse_float(parts[2], where, "M")
-                damping[node] = _parse_float(parts[3], where, "D")
-                noise_sigma[node] = _parse_float(parts[4], where, "sigma_P")
+                inertia[node] = _parse(float, parts[2], where, "M")
+                damping[node] = _parse(float, parts[3], where, "D")
+                noise_sigma[node] = _parse(float, parts[4], where, "sigma_P")
             elif any(p != "" for p in parts[2:]):
                 raise ValidationError(
                     f"{where}: load row must leave M, D, sigma_P empty",
@@ -137,10 +132,10 @@ def load_model(path) -> GridModel:
             if len(parts) not in (3, 4):
                 raise ValidationError(f"{where}: line row needs `i,j,beta[,gamma]`",
                                       field="lines")
-            i = _parse_int(parts[0], where, "i")
-            j = _parse_int(parts[1], where, "j")
-            beta = _parse_float(parts[2], where, "beta")
-            gamma = _parse_float(parts[3], where, "gamma") if len(parts) == 4 else 0.0
+            i = _parse(int, parts[0], where, "i")
+            j = _parse(int, parts[1], where, "j")
+            beta = _parse(float, parts[2], where, "beta")
+            gamma = _parse(float, parts[3], where, "gamma") if len(parts) == 4 else 0.0
             lines.append(Line(i=i, j=j, beta=beta, gamma=gamma))
         else:
             raise ValidationError(f"{where}: data before any section header",
@@ -296,8 +291,115 @@ def load_records(path) -> dict[str, str]:
 
 # ----------------------------------------------------------- experiment config
 
-VALID_ESTIMATORS = ESTIMATORS
 VALID_SWEEP_VARIABLES = ("stride", "t_obs")
+
+
+def _words(text: str) -> tuple[str, ...]:
+    return tuple(text.replace(",", " ").split())
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(w) for w in _words(text))
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(w) for w in _words(text))
+
+
+def _auto_or_int(text: str) -> int | None:
+    return None if text == "auto" else int(text)
+
+
+def _boolean(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(text) from None
+
+
+# what each parser reads, for the message when it fails
+_KINDS = {float: "a number", int: "an integer", _ints: "a list of integers",
+          _floats: "a list of numbers", _auto_or_int: "'auto' or an integer",
+          _boolean: "a boolean (1/yes/true/on or 0/no/false/off)"}
+
+
+def _positive(value) -> bool:
+    return math.isfinite(value) and value > 0.0
+
+
+def _nonnegative(value) -> bool:
+    return math.isfinite(value) and value >= 0.0
+
+
+class Setting(NamedTuple):
+    """One ExperimentConfig field: where it sits in the INI file, how its
+    text parses, and the rule its value must meet (None: any value)."""
+
+    section: str
+    key: str
+    field: str
+    parse: Callable[[str], object]
+    rule: Callable[[object], bool] | None
+    message: str | None  # the rule in words, raised when it fails
+
+    def read(self, text: str, where: str):
+        """parse(text); a failure names `where` and the field."""
+        try:
+            return self.parse(text)
+        except ValueError:
+            raise ValidationError(f"{where} is not {_KINDS[self.parse]}: {text!r}",
+                                  field=self.field) from None
+
+
+# one row per ExperimentConfig field, in field order
+SETTINGS = (
+    Setting("model", "path", "model_path", str, None, None),
+    Setting("generation", "dt_base", "dt_base", float, _positive,
+            "dt_base must be finite and positive"),
+    Setting("generation", "t_obs", "t_obs", float, _positive,
+            "t_obs must be finite and positive"),
+    Setting("generation", "burn_in", "burn_in", _auto_or_int,
+            lambda v: v is None or v >= 0,
+            "burn_in must be 'auto' or a nonnegative integer"),
+    Setting("generation", "seeds", "seeds", _ints, bool,
+            "seeds must be non-empty"),
+    Setting("estimation", "stride", "stride", int, lambda v: v >= 1,
+            "stride must be at least 1"),
+    Setting("estimation", "estimators", "estimators", _words,
+            lambda v: bool(v) and set(v) <= set(ESTIMATORS),
+            f"estimators must be a non-empty list from {' '.join(ESTIMATORS)}"),
+    Setting("estimation", "threshold", "threshold", _boolean, None, None),
+    Setting("estimation", "nu", "nu", float, _nonnegative,
+            "nu must be finite and nonnegative"),
+    Setting("estimation", "lambda", "lam", float, _nonnegative,
+            "lambda must be finite and nonnegative"),
+    Setting("estimation", "eta", "eta", float, _nonnegative,
+            "eta must be finite and nonnegative"),
+    # cond(Sigma_0) >= 1 always; a NaN limit would pass every matrix
+    Setting("estimation", "cond_threshold", "cond_threshold", float,
+            lambda v: math.isfinite(v) and v >= 1.0,
+            "cond_threshold must be finite and at least 1"),
+    Setting("estimation", "solver_tol", "solver_tol", float,
+            lambda v: SOLVER_TOL_MIN <= v <= CERTIFICATE_BOUND,
+            f"solver_tol must be in [{SOLVER_TOL_MIN!r}, {CERTIFICATE_BOUND!r}]"),
+    Setting("estimation", "solver_max_iter", "solver_max_iter", int,
+            lambda v: v >= 1, "solver_max_iter must be at least 1"),
+    Setting("outputs", "dir", "outputs", str, None, None),
+    Setting("sweep", "variable", "sweep_variable", str,
+            lambda v: v is None or v in VALID_SWEEP_VARIABLES,
+            f"sweep_variable must be one of {' '.join(VALID_SWEEP_VARIABLES)}"),
+    Setting("sweep", "values", "sweep_values", _floats,
+            lambda v: all(map(_positive, v)),
+            "sweep_values must be finite and positive"),
+)
+
+
+def _ini_text(value) -> str:
+    if isinstance(value, tuple):
+        return " ".join(map(_ini_text, value))
+    if isinstance(value, bool):
+        return str(value).lower()
+    return _fmt(value) if isinstance(value, float) else str(value)
 
 
 @dataclass(frozen=True)
@@ -325,68 +427,28 @@ class ExperimentConfig:
     sweep_values: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.dt_base <= 0.0:
-            raise ValidationError("dt_base must be positive", field="dt_base")
-        if self.t_obs <= 0.0:
-            raise ValidationError("t_obs must be positive", field="t_obs")
-        if self.burn_in is not None and self.burn_in < 0:
-            raise ValidationError("burn_in must be nonnegative", field="burn_in")
-        if not self.seeds:
-            raise ValidationError("seeds must be non-empty", field="seeds")
-        if self.stride < 1:
-            raise ValidationError("stride must be at least 1", field="stride")
-        for est in self.estimators:
-            if est not in VALID_ESTIMATORS:
-                raise ValidationError(f"unknown estimator {est!r}",
-                                      field="estimators")
-        if not self.estimators:
-            raise ValidationError("estimators must be non-empty",
-                                  field="estimators")
-        for name, key, value in (("nu", "nu", self.nu),
-                                 ("lambda", "lam", self.lam),
-                                 ("eta", "eta", self.eta)):
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValidationError(
-                    f"{name} must be finite and nonnegative, got {value!r}",
-                    field=key)
-        # cond(Sigma_0) >= 1 always; a NaN limit would pass every matrix
-        if not (math.isfinite(self.cond_threshold) and self.cond_threshold >= 1.0):
-            raise ValidationError(
-                f"cond_threshold must be finite and at least 1, "
-                f"got {self.cond_threshold!r}", field="cond_threshold")
-        if not SOLVER_TOL_MIN <= self.solver_tol <= CERTIFICATE_BOUND:
-            raise ValidationError(
-                f"solver_tol must be in [{SOLVER_TOL_MIN!r}, "
-                f"{CERTIFICATE_BOUND!r}], got {self.solver_tol!r}",
-                field="solver_tol")
-        if self.solver_max_iter < 1:
-            raise ValidationError(
-                f"solver_max_iter must be at least 1, got {self.solver_max_iter}",
-                field="solver_max_iter")
-        if self.sweep_variable is not None:
-            if self.sweep_variable not in VALID_SWEEP_VARIABLES:
-                raise ValidationError(
-                    f"sweep variable must be one of {VALID_SWEEP_VARIABLES}",
-                    field="sweep_variable")
-            if not self.sweep_values:
-                raise ValidationError("sweep values must be non-empty",
-                                      field="sweep_values")
+        for setting in SETTINGS:
+            value = getattr(self, setting.field)
+            if setting.rule is not None and not setting.rule(value):
+                raise ValidationError(f"{setting.message}, got {value!r}",
+                                      field=setting.field)
+        if self.sweep_variable is not None and not self.sweep_values:
+            raise ValidationError("sweep values must be non-empty",
+                                  field="sweep_values")
+
+    def records(self) -> dict[str, str]:
+        """Every setting by field name, written as in the INI file."""
+        return {s.field: _ini_text(getattr(self, s.field)) for s in SETTINGS}
 
 
-def _setting(path: Path, section: str, key: str, raw: str, parse,
-             fieldname: str | None = None):
-    """parse(raw) for one config value; a bad value names file, key and field."""
-    try:
-        return parse(raw.strip())
-    except ValueError:
-        kind = "an integer" if parse is int else "a number"
-        raise ValidationError(f"{path}: [{section}] {key} is not {kind}: {raw!r}",
-                              field=fieldname or key) from None
+# fields without a default, which every config file must set
+_REQUIRED = {f.name for f in fields(ExperimentConfig) if f.default is MISSING}
 
 
 def load_config(path) -> ExperimentConfig:
+    """Parse an INI experiment config; every section and key must be known."""
     path = Path(path)
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path)
     except configparser.Error as exc:
@@ -394,60 +456,21 @@ def load_config(path) -> ExperimentConfig:
         raise ValidationError(f"{path}: {exc}", field="config") from None
     if not read:
         raise ValidationError(f"{path}: cannot read config file", field="config")
-    try:
-        model_path = parser.get("model", "path")
-    except (configparser.NoSectionError, configparser.NoOptionError):
-        raise ValidationError(f"{path}: missing [model] path",
-                              field="model_path") from None
-    kwargs: dict[str, object] = {"model_path": model_path}
-    gen = parser["generation"] if parser.has_section("generation") else {}
-    if "dt_base" in gen:
-        kwargs["dt_base"] = _setting(path, "generation", "dt_base",
-                                     gen["dt_base"], float)
-    if "t_obs" in gen:
-        kwargs["t_obs"] = _setting(path, "generation", "t_obs", gen["t_obs"],
-                                   float)
-    if "burn_in" in gen:
-        raw = gen["burn_in"]
-        kwargs["burn_in"] = (None if raw.strip() == "auto" else
-                             _setting(path, "generation", "burn_in", raw, int))
-    if "seeds" in gen:
-        kwargs["seeds"] = tuple(_setting(path, "generation", "seeds", s, int)
-                                for s in gen["seeds"].replace(",", " ").split())
-    est = parser["estimation"] if parser.has_section("estimation") else {}
-    if "stride" in est:
-        kwargs["stride"] = _setting(path, "estimation", "stride", est["stride"],
-                                    int)
-    if "estimators" in est:
-        kwargs["estimators"] = tuple(est["estimators"].replace(",", " ").split())
-    if "threshold" in est:
-        kwargs["threshold"] = est["threshold"].strip().lower() in ("1", "true", "yes")
-    if "nu" in est:
-        kwargs["nu"] = _setting(path, "estimation", "nu", est["nu"], float)
-    if "lambda" in est:
-        kwargs["lam"] = _setting(path, "estimation", "lambda", est["lambda"],
-                                 float, "lam")
-    if "eta" in est:
-        kwargs["eta"] = _setting(path, "estimation", "eta", est["eta"], float)
-    if "cond_threshold" in est:
-        kwargs["cond_threshold"] = _setting(path, "estimation", "cond_threshold",
-                                            est["cond_threshold"], float)
-    if "solver_tol" in est:
-        kwargs["solver_tol"] = _setting(path, "estimation", "solver_tol",
-                                        est["solver_tol"], float)
-    if "solver_max_iter" in est:
-        kwargs["solver_max_iter"] = _setting(path, "estimation", "solver_max_iter",
-                                             est["solver_max_iter"], int)
-    if parser.has_section("outputs") and "dir" in parser["outputs"]:
-        kwargs["outputs"] = parser["outputs"]["dir"]
-    if parser.has_section("sweep"):
-        sweep = parser["sweep"]
-        if "variable" in sweep:
-            kwargs["sweep_variable"] = sweep["variable"].strip()
-        if "values" in sweep:
-            kwargs["sweep_values"] = tuple(
-                _setting(path, "sweep", "values", v, float, "sweep_values")
-                for v in sweep["values"].replace(",", " ").split())
+    settings = {(s.section, s.key): s for s in SETTINGS}
+    kwargs: dict[str, object] = {}
+    # DEFAULT comes first, so a key there fails before a section inherits it
+    for section in parser:
+        for key, text in parser[section].items():
+            where = f"{path}: [{section}] {key}"
+            if (section, key) not in settings:
+                raise ValidationError(f"{where} is not a known setting",
+                                      field="config")
+            setting = settings[section, key]
+            kwargs[setting.field] = setting.read(text, where)
+    for s in SETTINGS:
+        if s.field in _REQUIRED and s.field not in kwargs:
+            raise ValidationError(f"{path}: missing [{s.section}] {s.key}",
+                                  field=s.field)
     try:
         return ExperimentConfig(**kwargs)  # type: ignore[arg-type]
     except ValidationError as exc:
@@ -455,30 +478,11 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(path, config: ExperimentConfig) -> None:
-    parser = configparser.ConfigParser()
-    parser["model"] = {"path": config.model_path}
-    parser["generation"] = {
-        "dt_base": _fmt(config.dt_base),
-        "t_obs": _fmt(config.t_obs),
-        "burn_in": "auto" if config.burn_in is None else str(config.burn_in),
-        "seeds": " ".join(str(s) for s in config.seeds),
-    }
-    parser["estimation"] = {
-        "stride": str(config.stride),
-        "estimators": " ".join(config.estimators),
-        "threshold": "true" if config.threshold else "false",
-        "nu": _fmt(config.nu),
-        "lambda": _fmt(config.lam),
-        "eta": _fmt(config.eta),
-        "cond_threshold": _fmt(config.cond_threshold),
-        "solver_tol": _fmt(config.solver_tol),
-        "solver_max_iter": str(config.solver_max_iter),
-    }
-    parser["outputs"] = {"dir": config.outputs}
-    if config.sweep_variable is not None:
-        parser["sweep"] = {
-            "variable": config.sweep_variable,
-            "values": " ".join(_fmt(v) for v in config.sweep_values),
-        }
+    """Write every set value; None and () are left out and load as defaults."""
+    parser = configparser.ConfigParser(interpolation=None)
+    for s in SETTINGS:
+        value = getattr(config, s.field)
+        if value is not None and value != ():
+            parser.read_dict({s.section: {s.key: _ini_text(value)}})
     with open(path, "w") as fh:
         parser.write(fh)

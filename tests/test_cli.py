@@ -63,8 +63,8 @@ def test_simulate_rejects_unparsable_burn_in(tmp_path, small_model_path, capsys)
     code = run("simulate", "--model", small_model_path, "--t-obs", "5",
                "--burn-in", "abc", "--out", tmp_path / "o")
     assert code == 2
-    assert ("validation error: --burn-in must be 'auto' or an integer, "
-            "got 'abc'") in capsys.readouterr().err
+    assert ("validation error: burn_in is not 'auto' or an integer: "
+            "'abc'") in capsys.readouterr().err
 
 
 def test_simulate_missing_model_file(tmp_path):
@@ -400,7 +400,8 @@ def test_sweep_rejects_nonpositive_t_obs_value(tmp_path, small_model_path,
                                                capsys):
     assert run("sweep", "--model", small_model_path, "--axis", "t_obs",
                "--values", "0", "10", "--out", tmp_path / "sw") == 2
-    assert "t_obs values must be positive" in capsys.readouterr().err
+    assert ("sweep_values must be finite and positive"
+            in capsys.readouterr().err)
 
 
 def test_sweep_rejects_non_integer_stride_value(tmp_path, small_model_path,
@@ -450,6 +451,51 @@ def test_sweep_rejects_negative_penalty(tmp_path, small_model_path, capsys):
                "--values", "3", "--t-obs", "20", "--estimator", "LASSO",
                "--lambda", "-1", "--out", tmp_path / "sw") == 2
     assert "lambda must be finite and nonnegative" in capsys.readouterr().err
+
+
+def test_sweep_manifest_records_every_setting_it_reads(tmp_path,
+                                                       small_model_path):
+    out = tmp_path / "sw"
+    assert run("sweep", "--model", small_model_path, "--axis", "stride",
+               "--values", "1", "3", "--t-obs", "20", "--seed", "1",
+               "--no-threshold", "--out", out) == 0
+    manifest = load_records(out / "manifest.csv")
+    assert manifest["t_obs"] == "20.0"
+    assert manifest["threshold"] == "false"
+    assert float(manifest["cond_threshold"]) == estimators.COND_THRESHOLD
+    assert float(manifest["solver_tol"]) == estimators.SOLVER_TOL
+    assert int(manifest["solver_max_iter"]) == estimators.SOLVER_MAX_ITER
+    assert (manifest["model"], manifest["axis"], manifest["values"]) == \
+        (str(small_model_path), "stride", "1.0 3.0")
+    # where the tables went does not change them, so reruns elsewhere match
+    assert "outputs" not in manifest
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["simulate", "--t-obs", "inf"], "t_obs"),
+    (["simulate", "--t-obs", "nan"], "t_obs"),
+    (["bound", "--t-obs", "inf", "--trials", "2"], "t_obs"),
+    (["sweep", "--axis", "t_obs", "--values", "inf"], "sweep_values"),
+    (["sweep", "--axis", "t_obs", "--values", "10", "nan"], "sweep_values"),
+])
+def test_non_finite_times_exit_2_naming_the_field(tmp_path, small_model_path,
+                                                  capsys, argv, field):
+    code = run(*argv, "--model", small_model_path, "--out", tmp_path / "o")
+    assert code == 2
+    assert (f"validation error: {field} must be finite and positive"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("section,line,message", [
+    ("generation", "dt_base = nan", "dt_base must be finite and positive"),
+    ("estimation", "lamda = 5", "[estimation] lamda is not a known setting"),
+])
+def test_bad_config_setting_exits_2(tmp_path, small_model_path, capsys,
+                                    section, line, message):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[model]\npath = {small_model_path}\n\n[{section}]\n{line}\n")
+    assert run("simulate", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert f"validation error: {cfg}: {message}" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------------ eigen

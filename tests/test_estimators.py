@@ -277,7 +277,8 @@ def test_cml_equals_uml_when_constraint_already_satisfied():
 
 def test_cml_rank_deficient_restricted_regressor():
     states = np.tile(np.array([1.0, 2.0, 3.0, 4.0]), (12, 1))
-    with pytest.raises(SingularCovarianceError, match="rank-deficient"):
+    with pytest.raises(SingularCovarianceError,
+                       match=r"rank-deficient; need T > 2N\+2 = 6 samples"):
         estimate_cml(covariances(make_traj(states)))
 
 

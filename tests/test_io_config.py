@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import configparser
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +10,11 @@ from hypothesis import strategies as st
 
 from swingid.estimators import (CERTIFICATE_BOUND, COND_THRESHOLD, SOLVER_MAX_ITER,
                                 SOLVER_TOL, SOLVER_TOL_MIN)
-from swingid.io_config import (_ROWS_PER_WRITE, ExperimentConfig, load_config,
-                               load_matrix, load_model, load_records,
-                               load_trajectory, save_config, save_matrix,
-                               save_model, save_records, save_trajectory)
+from swingid.io_config import (_ROWS_PER_WRITE, SETTINGS, ExperimentConfig,
+                               load_config, load_matrix, load_model,
+                               load_records, load_trajectory, save_config,
+                               save_matrix, save_model, save_records,
+                               save_trajectory)
 from swingid.model import ValidationError
 from swingid.sim import DT_BASE, Trajectory, simulate, steady_trajectory
 
@@ -327,13 +331,56 @@ def test_load_config(tmp_path):
 
 
 def test_config_roundtrip(tmp_path):
-    cfg = ExperimentConfig(model_path="m.grid", t_obs=120.0, burn_in=500,
-                           seeds=(4, 5), stride=6, estimators=("CML",),
-                           threshold=False, nu=2.5, outputs="results",
-                           sweep_variable="stride", sweep_values=(1.0, 3.0))
+    cfg = ExperimentConfig(model_path="m.grid", dt_base=0.01, t_obs=120.0,
+                           burn_in=500, seeds=(4, 5), stride=6,
+                           estimators=("CML",), threshold=False, nu=2.5,
+                           lam=0.1, eta=0.7, cond_threshold=1e10,
+                           solver_tol=1e-7, solver_max_iter=500,
+                           outputs="results", sweep_variable="stride",
+                           sweep_values=(1.0, 3.0))
+    default = ExperimentConfig(model_path="")
+    assert all(getattr(cfg, f.name) != getattr(default, f.name)
+               for f in fields(ExperimentConfig))
     path = tmp_path / "exp.ini"
     save_config(path, cfg)
     assert load_config(path) == cfg
+
+
+def test_settings_table_names_every_field_once():
+    assert [s.field for s in SETTINGS] == \
+        [f.name for f in fields(ExperimentConfig)]
+    assert len({(s.section, s.key) for s in SETTINGS}) == len(SETTINGS)
+
+
+def test_shipped_config_sets_every_setting():
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(REPO_ROOT / "configs" / "fixture10.ini")
+    assert {(section, key) for section in parser.sections()
+            for key in parser[section]} == \
+        {(s.section, s.key) for s in SETTINGS}
+
+
+@pytest.mark.parametrize("text,named", [
+    ("[estimation]\nlamda = 5\n", "[estimation] lamda"),
+    ("[outptus]\ndir = out\n", "[outptus] dir"),
+    ("[DEFAULT]\nstride = 3\n", "[DEFAULT] stride"),
+])
+def test_config_unknown_section_or_key_is_validation_error(tmp_path, text,
+                                                           named):
+    path = tmp_path / "exp.ini"
+    path.write_text(f"[model]\npath = m.grid\n\n{text}")
+    with pytest.raises(ValidationError) as excinfo:
+        load_config(path)
+    assert excinfo.value.field == "config"
+    assert str(excinfo.value) == f"{path}: {named} is not a known setting"
+
+
+@pytest.mark.parametrize("word,value", [
+    ("on", True), ("Yes", True), ("off", False), ("0", False)])
+def test_config_threshold_reads_boolean_words(tmp_path, word, value):
+    path = tmp_path / "exp.ini"
+    path.write_text(f"[model]\npath = m.grid\n[estimation]\nthreshold = {word}\n")
+    assert load_config(path).threshold is value
 
 
 def test_config_missing_model(tmp_path):
@@ -383,7 +430,11 @@ def test_config_validation():
     ({"cond_threshold": 0.5}, "cond_threshold"),
     ({"cond_threshold": -1.0}, "cond_threshold"),
     # below what both solvers certify on fixture windows
-    ({"solver_tol": 1e-9}, "solver_tol")])
+    ({"solver_tol": 1e-9}, "solver_tol"),
+    ({"dt_base": float("nan")}, "dt_base"), ({"dt_base": float("inf")}, "dt_base"),
+    ({"t_obs": float("inf")}, "t_obs"), ({"t_obs": float("nan")}, "t_obs"),
+    ({"sweep_values": (60.0, float("inf"))}, "sweep_values"),
+    ({"sweep_values": (float("nan"),)}, "sweep_values")])
 def test_config_rejects_bad_solver_settings(kwargs, field):
     with pytest.raises(ValidationError) as excinfo:
         ExperimentConfig(model_path="m", **kwargs)
@@ -416,6 +467,7 @@ def test_shipped_config_uses_default_solver_settings():
     ("estimation", "solver_tol = tight", "solver_tol", "solver_tol"),
     ("estimation", "solver_max_iter = abc", "solver_max_iter", "solver_max_iter"),
     ("sweep", "values = 60 x 600", "values", "sweep_values"),
+    ("estimation", "threshold = ture", "threshold", "threshold"),
 ])
 def test_config_unparsable_value_names_file_key_and_field(tmp_path, section, line,
                                                           key, field):
