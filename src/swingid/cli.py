@@ -166,8 +166,7 @@ def _check_sample_count(n_samples: int, n_gen: int) -> None:
 
 def cmd_estimate(args) -> int:
     cfg = _config_from_args(args)
-    traj = io_config.load_trajectory(args.trajectory)
-    strided = sim.subsample(traj, cfg.stride)
+    strided = io_config.load_trajectory(args.trajectory, cfg.stride)
     _check_sample_count(strided.n_samples, strided.n_gen)
     a_d_true = (_build_systems(cfg.model_path, n_gen=strided.n_gen)[1].a_d
                 if cfg.model_path else None)

@@ -125,37 +125,48 @@ def fold_covariances(chunks, windows) -> list[list[CovariancePair]]:
     sequence in C order of the leading axes; every window must keep at
     least 2 states.  Each chunk is folded and dropped, and a window's last
     kept state carries into the next chunk, so memory does not grow with
-    the windows.  One chunk with stride 1 gives `covariances` bit for bit.
+    the windows.  Each stride is folded once: a shorter window of that
+    stride takes the running sums at the start of the chunk where it ends
+    and adds its own part of that chunk, which gives the bits of a fold of
+    that window alone.  One chunk with stride 1 gives `covariances` bit
+    for bit.
     """
     windows = list(windows)
-    # per window: the running sums of X_t X_t^T, X_{t+1} X_t^T and
+    # windows of one stride keep the same states until the shorter one ends,
+    # so each stride is folded once, up to its longest window
+    longest = {stride: max(n for n, s in windows if s == stride)
+               for _, stride in windows}
+    # per stride: the running sums of X_t X_t^T, X_{t+1} X_t^T and
     # ||X_{t+1}||^2, the last state kept so far and the number kept
-    sums: list[list | None] = [None] * len(windows)
-    last: list[np.ndarray | None] = [None] * len(windows)
-    n_kept = [0] * len(windows)
+    folds: dict[int, tuple] = {stride: (None, None, 0) for stride in longest}
+    # per window: its sums and count once it has ended
+    ended: list[tuple | None] = [None] * len(windows)
     offset = 0
     for chunk in chunks:
+        kept = {stride: chunk[..., -offset % stride:max(n - offset, 0):stride, :]
+                for stride, n in longest.items()}
         for w, (n_keep, stride) in enumerate(windows):
-            kept = chunk[..., -offset % stride:max(n_keep - offset, 0):stride, :]
-            if kept.shape[-2] == 0:
-                continue
-            n_kept[w] += kept.shape[-2]
-            if last[w] is not None:
-                kept = np.concatenate([last[w][..., None, :], kept], axis=-2)
-            x0, x1 = kept[..., :-1, :], kept[..., 1:, :]
-            part = [np.matmul(x0.swapaxes(-1, -2), x0),
-                    np.matmul(x1.swapaxes(-1, -2), x0),
-                    np.sum(x1 * x1, axis=(-2, -1))]
-            sums[w] = part if sums[w] is None else [
-                total + new for total, new in zip(sums[w], part)]
-            last[w] = kept[..., -1, :].copy()
+            own = chunk[..., -offset % stride:max(n_keep - offset, 0):stride, :]
+            if ended[w] is None and own.shape[-2] < kept[stride].shape[-2]:
+                # the window ends in this chunk: the stride's sums so far
+                # plus its own part of the chunk, added in the same order
+                sums, last, count = folds[stride]
+                ended[w] = (_fold(sums, last, own) if own.shape[-2] else sums,
+                            count + own.shape[-2])
+        for stride, states in kept.items():
+            sums, last, count = folds[stride]
+            if states.shape[-2]:
+                folds[stride] = (_fold(sums, last, states),
+                                 states[..., -1, :].copy(),
+                                 count + states.shape[-2])
         offset += chunk.shape[-2]
     pairs = []
-    for w, count in enumerate(n_kept):
+    for w, (n_keep, stride) in enumerate(windows):
+        sums, count = ended[w] or (folds[stride][0], folds[stride][2])
         if count < 2:
             raise ValueError(f"window {windows[w]} keeps {count} states, "
                              "need at least 2")
-        gram0, gram1, sq = sums[w]
+        gram0, gram1, sq = sums
         tm1 = count - 1
         sigma0 = gram0 / tm1
         sigma0 = (sigma0 + sigma0.swapaxes(-1, -2)) / 2.0
@@ -164,6 +175,17 @@ def fold_covariances(chunks, windows) -> list[list[CovariancePair]]:
                                      n_samples=count, next_sq_sum=float(sq[k]))
                       for k in np.ndindex(sq.shape)])
     return pairs
+
+
+def _fold(sums: list | None, last: np.ndarray | None, kept: np.ndarray) -> list:
+    """sums plus the products of consecutive kept states, `last` before them."""
+    if last is not None:
+        kept = np.concatenate([last[..., None, :], kept], axis=-2)
+    x0, x1 = kept[..., :-1, :], kept[..., 1:, :]
+    part = [np.matmul(x0.swapaxes(-1, -2), x0),
+            np.matmul(x1.swapaxes(-1, -2), x0),
+            np.sum(x1 * x1, axis=(-2, -1))]
+    return part if sums is None else [a + b for a, b in zip(sums, part)]
 
 
 def ls_objective(cov: CovariancePair, a: np.ndarray) -> float:

@@ -12,7 +12,11 @@ Formats:
   trajectory      header `t,delta_1..delta_N,omega_1..omega_N`, one row per
                   sample, `t` in seconds; dt is inferred from the t column,
                   which must be uniformly spaced.  Rows are formatted and
-                  written a block at a time, never the whole file at once.
+                  written, and read back, a block of _ROWS_PER_BLOCK rows at
+                  a time, never the whole file at once.  A read with stride
+                  k keeps rows 0, k, 2k, ... and the t column, so it holds
+                  the kept states, 8 bytes a row for t, one block and, at
+                  the end, one copy of the kept states.
                   Numbers are read by numpy's text parser, which rounds
                   correctly like float(): decimal or exponent notation with
                   optional sign and surrounding blanks, and nan/inf (both
@@ -32,6 +36,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import MISSING, dataclass, fields
+from itertools import islice
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -153,26 +158,28 @@ def load_model(path) -> GridModel:
 
 # ----------------------------------------------------------- trajectory files
 
-# save_trajectory formats and writes this many rows at a time, which bounds
-# the text it holds in memory
-_ROWS_PER_WRITE = 1024
+# save_trajectory formats and writes, and load_trajectory parses, this many
+# rows at a time, which bounds the text either holds in memory
+_ROWS_PER_BLOCK = 1024
 
 
-def _bad_row(path: Path, width: int) -> ValidationError:
-    """The error naming the first data line that is ragged or does not parse."""
-    lines = path.read_text().splitlines()
-    data_lines = [(no, ln) for no, ln in enumerate(lines, start=1) if ln.strip()]
-    for lineno, raw in data_lines[1:]:
-        n_cols = raw.count(",") + 1
-        if n_cols != width:
-            return ValidationError(
-                f"{path}:{lineno}: expected {width} columns, got {n_cols}",
-                field="row")
-        try:
-            np.loadtxt([raw], delimiter=",", comments=None)
-        except ValueError:
-            return ValidationError(f"{path}:{lineno}: non-numeric value",
-                                   field="row")
+def _bad_row(path: Path, width: int, start: int) -> ValidationError:
+    """The error naming the first data line, from data row `start` on, that
+    is ragged or does not parse."""
+    with open(path) as fh:
+        data_lines = ((no, ln) for no, ln in enumerate(fh, start=1)
+                      if ln.strip())
+        for lineno, raw in islice(data_lines, 1 + start, None):
+            n_cols = raw.count(",") + 1
+            if n_cols != width:
+                return ValidationError(
+                    f"{path}:{lineno}: expected {width} columns, got {n_cols}",
+                    field="row")
+            try:
+                np.loadtxt([raw], delimiter=",", comments=None)
+            except ValueError:
+                return ValidationError(f"{path}:{lineno}: non-numeric value",
+                                       field="row")
     return ValidationError(f"{path}: unreadable data rows", field="row")
 
 
@@ -182,51 +189,76 @@ def save_trajectory(path, traj: Trajectory) -> None:
         + [f"omega_{i}" for i in range(1, n + 1)]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, traj.n_samples, _ROWS_PER_WRITE):
-            block = traj.states[start:start + _ROWS_PER_WRITE]
+        for start in range(0, traj.n_samples, _ROWS_PER_BLOCK):
+            block = traj.states[start:start + _ROWS_PER_BLOCK]
             t = np.arange(start, start + len(block)) * traj.dt
             rows = np.column_stack([t, block]).tolist()
             fh.write("\n".join([",".join(map(repr, row)) for row in rows]) + "\n")
 
 
-def load_trajectory(path) -> Trajectory:
-    """Read a trajectory file; dt comes from the uniformly spaced t column."""
+def load_trajectory(path, stride: int = 1) -> Trajectory:
+    """Read a trajectory file, keeping samples 0, stride, 2*stride, ...
+
+    dt comes from the uniformly spaced t column.  The result equals
+    `subsample(load_trajectory(path), stride)` bit for bit, but only the kept
+    states, the t column and one block of rows are ever held.
+    """
+    if stride < 1:
+        raise ValueError("stride must be at least 1")
     path = Path(path)
-    raw_lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    if not raw_lines:
-        raise ValidationError(f"{path}: empty file", field="trajectory")
-    header = [h.strip() for h in raw_lines[0].split(",")]
-    if len(header) < 3 or header[0] != "t" or (len(header) - 1) % 2 != 0:
-        raise ValidationError(
-            f"{path}:1: header must be t,delta_1..delta_N,omega_1..omega_N",
-            field="header")
-    n = (len(header) - 1) // 2
-    expected = ["t"] + [f"delta_{i}" for i in range(1, n + 1)] \
-        + [f"omega_{i}" for i in range(1, n + 1)]
-    if header != expected:
-        raise ValidationError(
-            f"{path}:1: header must be t,delta_1..delta_N,omega_1..omega_N, "
-            f"got {','.join(header)}", field="header")
-    if len(raw_lines) < 3:
-        raise ValidationError(
-            f"{path}: need at least 2 samples to infer dt", field="t")
-    try:
-        data = np.loadtxt(raw_lines[1:], delimiter=",", comments=None, ndmin=2)
-        if data.shape[1] != len(header):
-            raise ValueError("wrong column count")
-    except ValueError:
-        raise _bad_row(path, len(header)) from None
-    if not np.all(np.isfinite(data)):
+    times: list[np.ndarray] = []
+    kept: list[np.ndarray] = []
+    n_rows, finite = 0, True
+    with open(path) as fh:
+        lines = filter(str.strip, fh)  # blank lines are skipped
+        header = [h.strip() for h in next(lines, "").split(",")]
+        if header == [""]:
+            raise ValidationError(f"{path}: empty file", field="trajectory")
+        if len(header) < 3 or header[0] != "t" or (len(header) - 1) % 2 != 0:
+            raise ValidationError(
+                f"{path}:1: header must be t,delta_1..delta_N,omega_1..omega_N",
+                field="header")
+        n = (len(header) - 1) // 2
+        expected = ["t"] + [f"delta_{i}" for i in range(1, n + 1)] \
+            + [f"omega_{i}" for i in range(1, n + 1)]
+        if header != expected:
+            raise ValidationError(
+                f"{path}:1: header must be t,delta_1..delta_N,omega_1..omega_N, "
+                f"got {','.join(header)}", field="header")
+        block = list(islice(lines, _ROWS_PER_BLOCK))
+        if len(block) < 2:
+            raise ValidationError(
+                f"{path}: need at least 2 samples to infer dt", field="t")
+        while block:
+            try:
+                data = np.loadtxt(block, delimiter=",", comments=None, ndmin=2)
+                if data.shape[1] != len(header):
+                    raise ValueError("wrong column count")
+            except ValueError:
+                raise _bad_row(path, len(header), n_rows) from None
+            # reported once every row has parsed, as a bad row comes first
+            finite = finite and bool(np.all(np.isfinite(data)))
+            # copies, so that no view keeps the block alive
+            times.append(data[:, 0].copy())
+            kept.append(data[-n_rows % stride::stride, 1:].copy())
+            n_rows += len(data)
+            block = list(islice(lines, _ROWS_PER_BLOCK))
+    if not finite:
         raise ValidationError(f"{path}: NaN or infinite values", field="row")
-    t = data[:, 0]
+    t = np.concatenate(times)
     dt = t[1] - t[0]
     if dt <= 0.0:
         raise ValidationError(f"{path}: t column must be increasing", field="t")
-    gaps = np.diff(t)
-    if np.max(np.abs(gaps - dt)) > 1e-9 * max(dt, np.max(np.abs(t))):
+    # a t read back from repr lies within half a unit in the last place of
+    # max|t| of its grid point, so a gap misses dt by at most two units; the
+    # dt term admits t rounded to a millionth of dt
+    tol = 4.0 * np.spacing(np.max(np.abs(t))) + 1e-6 * dt
+    if np.max(np.abs(np.diff(t) - dt)) > tol:
         raise ValidationError(f"{path}: t column is not uniformly spaced",
                               field="t")
-    return Trajectory(dt=float(dt), states=data[:, 1:].copy(), n_gen=n)
+    # dt scales with the stride as in subsample
+    return Trajectory(dt=float(dt) * stride, states=np.concatenate(kept),
+                      n_gen=n)
 
 
 # --------------------------------------------------------- matrices / records

@@ -359,6 +359,21 @@ def test_sweep_rerun_is_byte_identical(tmp_path, fixture_model_path, axis,
     assert _sweep_files(outs[0]) == _sweep_files(outs[1])
 
 
+def test_sweep_t_obs_cells_match_one_window_sweeps(tmp_path,
+                                                   fixture_model_path):
+    # the windows of one stride share one fold, with the bits of a fold of
+    # each window alone
+    def sweep(out, *values):
+        assert run("sweep", "--model", fixture_model_path, "--axis", "t_obs",
+                   "--values", *values, "--stride", "2", "--seed", "1", "2",
+                   "--estimator", "UML", "CML", "--out", out) == 0
+        return (out / "sweep.csv").read_text().splitlines()[1:]
+
+    rows = sweep(tmp_path / "all", "10", "25", "40")
+    for value in ("10", "25", "40"):
+        alone = sweep(tmp_path / value, value)
+        assert alone == [r for r in rows if r.startswith(f"{float(value)!r},")]
+
 def test_sweep_seed_rows_do_not_depend_on_other_seeds(tmp_path,
                                                       fixture_model_path):
     # alone, a seed is stepped beside an idle row; together, beside the other

@@ -171,6 +171,23 @@ def test_fold_is_independent_of_chunk_boundaries(seed):
         states, _chunked(states, sizes), [(n_keep, stride), (n_samples, 1)])
 
 
+def test_fold_shares_each_stride_with_the_bits_of_separate_folds():
+    # windows of one stride ending inside a chunk, on its last state, one
+    # state past it, twice over, and among the longest window's last states
+    rng = np.random.default_rng(13)
+    states = rng.standard_normal((2, 1000, 4))
+    chunks = _chunked(states, [1] + [128] * 7 + [1000 - 1 - 7 * 128])
+    windows = [(1000, 3), (130, 3), (129, 3), (128, 3), (600, 3), (600, 3),
+               (998, 3), (777, 2), (300, 2), (1000, 2), (257, 1)]
+    together = fold_covariances(iter(chunks), windows)
+    for window, pairs in zip(windows, together):
+        alone = fold_covariances(iter(chunks), [window])[0]
+        for got, ref in zip(pairs, alone, strict=True):
+            assert np.array_equal(got.sigma0, ref.sigma0)
+            assert np.array_equal(got.sigma1, ref.sigma1)
+            assert got.next_sq_sum == ref.next_sq_sum
+            assert got.n_samples == ref.n_samples
+
 def test_fold_rejects_window_with_fewer_than_two_states():
     states = np.random.default_rng(0).standard_normal((10, 2))
     with pytest.raises(ValueError, match="keeps 1 states"):

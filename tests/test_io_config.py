@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import configparser
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -10,13 +11,14 @@ from hypothesis import strategies as st
 
 from swingid.estimators import (CERTIFICATE_BOUND, COND_THRESHOLD, SOLVER_MAX_ITER,
                                 SOLVER_TOL, SOLVER_TOL_MIN)
-from swingid.io_config import (_ROWS_PER_WRITE, SETTINGS, ExperimentConfig,
+from swingid.io_config import (_ROWS_PER_BLOCK, SETTINGS, ExperimentConfig,
                                load_config, load_matrix, load_model,
                                load_records, load_trajectory, save_config,
                                save_matrix, save_model, save_records,
                                save_trajectory)
 from swingid.model import ValidationError
-from swingid.sim import DT_BASE, Trajectory, simulate, steady_trajectory
+from swingid.sim import (DT_BASE, Trajectory, simulate, steady_trajectory,
+                         subsample)
 
 from conftest import REPO_ROOT, path3_model, systems_for, two_gen_model
 
@@ -134,8 +136,8 @@ def same_bits(a, b) -> bool:
 
 @pytest.mark.parametrize("model", ["fixture", "path3"])
 @pytest.mark.parametrize("n_samples", [
-    2, _ROWS_PER_WRITE - 1, _ROWS_PER_WRITE, _ROWS_PER_WRITE + 1,
-    2 * _ROWS_PER_WRITE + 1])
+    2, _ROWS_PER_BLOCK - 1, _ROWS_PER_BLOCK, _ROWS_PER_BLOCK + 1,
+    2 * _ROWS_PER_BLOCK + 1])
 def test_trajectory_bytes_match_row_at_a_time_writer(tmp_path, fixture_systems,
                                                      model, n_samples):
     disc = (fixture_systems[1] if model == "fixture"
@@ -260,6 +262,117 @@ def test_trajectory_nonuniform_spacing_rejected(tmp_path):
     path.write_text("t,delta_1,omega_1\n0.0,0.1,0.2\n0.05,0.3,0.4\n0.2,0.5,0.6\n")
     with pytest.raises(ValidationError, match="uniformly spaced"):
         load_trajectory(path)
+
+
+
+@pytest.mark.parametrize("t0", [0.0, 1e4, 1e6, 1.7e9])
+def test_trajectory_spacing_check_sees_a_dropped_sample(tmp_path, t0):
+    # at epoch times a tolerance relative to max|t| (1.7 s) exceeded dt
+    times = [t0 + k / 30 for k in range(201)]
+
+    def load(rows):
+        path = tmp_path / "pmu.csv"
+        path.write_text("t,delta_1,omega_1\n"
+                        + "".join(f"{t!r},0.1,0.2\n" for t in rows))
+        return load_trajectory(path)
+
+    assert load(times[:200]).dt == times[1] - times[0]
+    with pytest.raises(ValidationError, match="uniformly spaced"):
+        load(times[:100] + times[101:])
+
+
+def states_file(path, n_samples, n_gen=3, blank_around=()):
+    """A trajectory file of random states; blank and whitespace-only lines
+    go before and after each data row index in `blank_around`."""
+    rng = np.random.default_rng(n_samples)
+    save_trajectory(path, Trajectory(dt=DT_BASE, n_gen=n_gen, states=rng.
+                                     standard_normal((n_samples, 2 * n_gen))))
+    lines = path.read_text().splitlines(keepends=True)
+    for row in sorted(blank_around, reverse=True):
+        lines[row + 2:row + 2] = [" \t \n"]
+        lines[row + 1:row + 1] = ["\n", "  \n"]
+    path.write_text("".join(lines))
+    return path
+
+
+_B = _ROWS_PER_BLOCK
+
+
+@pytest.mark.parametrize("n_samples", [2, _B - 1, _B, _B + 1, 2 * _B,
+                                       2 * _B + 1, 3 * _B + 2])
+def test_strided_read_equals_subsample_of_full_read(tmp_path, n_samples):
+    path = states_file(tmp_path / "traj.csv", n_samples)
+    full = load_trajectory(path)
+    for stride in (1, 2, 3, 7, _B - 1, _B + 1):
+        ref = subsample(full, stride)
+        got = load_trajectory(path, stride)
+        assert same_bits(got.states, ref.states)
+        assert same_bits(got.dt, ref.dt)
+        assert got.n_gen == ref.n_gen
+        assert got.states.flags.c_contiguous
+
+
+def test_strided_read_skips_blank_lines_across_block_boundaries(tmp_path):
+    n_samples = 3 * _B + 2
+    clean = states_file(tmp_path / "clean.csv", n_samples)
+    blanks = states_file(tmp_path / "blanks.csv", n_samples, blank_around=(
+        0, _B - 2, _B - 1, _B, 2 * _B - 1, 2 * _B, n_samples - 1))
+    for stride in (1, 3, _B + 1):
+        ref = load_trajectory(clean, stride)
+        got = load_trajectory(blanks, stride)
+        assert same_bits(got.states, ref.states)
+        assert same_bits(got.dt, ref.dt)
+
+
+@pytest.mark.parametrize("row,bad,message", [
+    (_B + 3, "0.1,0,abc,0,0,0,0", "non-numeric value"),
+    (2 * _B, "0.1,0", "expected 7 columns, got 2"),
+    (3 * _B + 1, "0.1,0,0,0,0,0,", "non-numeric value"),
+])
+def test_bad_row_after_the_first_block_names_its_line(tmp_path, row, bad,
+                                                      message):
+    # three blank lines go in around data row 10, and a NaN in the first
+    # block waits until every row has parsed, as it did for a whole-file read
+    path = states_file(tmp_path / "traj.csv", 3 * _B + 2, blank_around=(10,))
+    lines = path.read_text().splitlines(keepends=True)
+    lineno = row + 2 + 3
+    lines[lineno - 1] = bad + "\n"
+    lines[20] = "nan," + lines[20].split(",", 1)[1]
+    path.write_text("".join(lines))
+    for stride in (1, 3):
+        with pytest.raises(ValidationError) as exc:
+            load_trajectory(path, stride)
+        assert exc.value.field == "row"
+        assert str(exc.value) == f"{path}:{lineno}: {message}"
+
+
+def test_strided_read_rejects_bad_stride(tmp_path):
+    path = states_file(tmp_path / "traj.csv", 10)
+    with pytest.raises(ValueError, match="stride must be at least 1"):
+        load_trajectory(path, 0)
+
+
+@pytest.fixture(scope="module")
+def long_fixture_file(tmp_path_factory, fixture_systems):
+    """A 10-minute fixture trajectory: a header and 36,000 rows."""
+    path = tmp_path_factory.mktemp("long") / "traj.csv"
+    save_trajectory(path, steady_trajectory(fixture_systems[1], 36_000, 50,
+                                            seed=1))
+    return path
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_trajectory_read_memory_is_bounded_by_the_kept_states(
+        long_fixture_file, stride):
+    # a whole-file read peaked at 32 MiB: the text, its lines and the table
+    tracemalloc.start()
+    try:
+        traj = load_trajectory(long_fixture_file, stride)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.n_samples == -(-36_000 // stride)
+    assert peak <= 2 * traj.states.nbytes + 2 * 2 ** 20
 
 
 # ---------------------------------------------------------- matrices and records
