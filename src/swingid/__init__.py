@@ -6,9 +6,9 @@ reconstruct the one-step matrix from samples (estimators) and map it back
 to continuous time with error and spectral diagnostics (analysis).
 """
 
-from .analysis import (BoundReport, SpectralReport, corollary2_bound,
-                       relative_error, spectral_distance, spectrum,
-                       theorem1_bound, to_continuous)
+from .analysis import (BoundReport, SpectralReport, relative_error,
+                       spectral_distance, spectrum, theorem1_bound,
+                       to_continuous)
 from .estimators import (CovariancePair, EstimationResult, covariances,
                          estimate_b, estimate_cml, estimate_lasso,
                          estimate_sparse_low_rank, estimate_tikhonov,
@@ -25,11 +25,10 @@ __all__ = [
     "BoundReport", "ContinuousSystem", "CovariancePair", "DiscreteSystem",
     "DT_BASE", "EstimationResult", "GridModel", "Line", "SpectralReport",
     "Trajectory", "ValidationError", "build_continuous", "build_discrete",
-    "build_laplacian", "corollary2_bound", "covariances", "default_burn_in",
-    "estimate_b", "estimate_cml", "estimate_lasso", "estimate_sparse_low_rank",
+    "build_laplacian", "covariances", "default_burn_in", "estimate_b",
+    "estimate_cml", "estimate_lasso", "estimate_sparse_low_rank",
     "estimate_tikhonov", "estimate_uml", "fold_covariances", "kron_reduce",
-    "relative_error",
-    "simulate", "spawn_seeds", "spectral_distance", "spectrum", "steady_sigma0",
-    "steady_start", "steady_trajectory", "subsample", "theorem1_bound",
-    "threshold_structure", "to_continuous",
+    "relative_error", "simulate", "spawn_seeds", "spectral_distance",
+    "spectrum", "steady_sigma0", "steady_start", "steady_trajectory",
+    "subsample", "theorem1_bound", "threshold_structure", "to_continuous",
 ]

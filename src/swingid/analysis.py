@@ -24,34 +24,35 @@ from .sim import (default_burn_in, simulate, spawn_seeds, steady_sigma0,
 # simulate, steady_start and covariances are no longer called here but stay
 # bound: perfbench/smoke.py checks that the tracer patches these sites
 
-DISCRETE = "DISCRETE"
-CONTINUOUS = "CONTINUOUS"
+# trials have diverged once the Euler step's growth passes 1/sqrt(eps), whose
+# square leaves the stationary part of Sigma_0 below rounding (log scale)
+_DIVERGED_LOG = -0.5 * math.log(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Monte Carlo evaluation of an error bound right-hand side.
+    """Monte Carlo evaluation of both error envelopes from one set of trials.
 
-    n_discarded counts trials dropped because Sigma_0 came out singular.
+    `rhs` bounds the discrete matrix (Theorem 1) and `rhs_continuous` the
+    continuous one (Corollary 2).  n_discarded counts trials dropped because
+    Sigma_0 came out singular or non-finite.
     """
 
     epsilon: float
     rhs: float
+    rhs_continuous: float
     trace_sigma0_mean: float
     inv_norm_mean: float
     n_trials: int
-    which: str
     n_discarded: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
-        if self.rhs < 0.0:
+        if self.rhs < 0.0 or self.rhs_continuous < 0.0:
             raise ValueError("rhs must be nonnegative")
         if self.n_trials < 1:
             raise ValueError("n_trials must be at least 1")
-        if self.which not in (DISCRETE, CONTINUOUS):
-            raise ValueError(f"unknown bound tag {self.which!r}")
 
 
 @dataclass(frozen=True)
@@ -93,36 +94,51 @@ def _sigma0_moments(sys: DiscreteSystem, n_samples: int, n_trials: int,
     """Monte Carlo means of Tr Sigma_0 and ||Sigma_0^{-1}||_F^2.
 
     Each trial is a fresh steady-state window; the trials are stepped
-    together by `steady_sigma0`.  Singular trials are discarded and
-    counted.  Means use exact (fsum) aggregation so the result does not
-    depend on accumulation order.
+    together by `steady_sigma0`.  Diverged (non-finite) and singular trials
+    are discarded and counted.  Means use exact (fsum) aggregation so the
+    result does not depend on accumulation order.
     """
     traces: list[float] = []
     inv_norms: list[float] = []
-    discarded = 0
-    for sigma0 in steady_sigma0(sys, n_samples, spawn_seeds(seed, n_trials),
-                                burn_in):
+    diverged = 0
+    # an overflowing trial is counted below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma0s = steady_sigma0(sys, n_samples, spawn_seeds(seed, n_trials),
+                                burn_in)
+    for sigma0 in sigma0s:
+        if not np.all(np.isfinite(sigma0)):
+            diverged += 1
+            continue
         cond = np.linalg.cond(sigma0)
         if not np.isfinite(cond) or cond > cond_threshold:
-            discarded += 1
             continue
         traces.append(float(np.trace(sigma0)))
         inv_norms.append(float(np.sum(np.linalg.inv(sigma0) ** 2)))
     if not traces:
+        radius = float(np.max(np.abs(np.linalg.eigvals(sys.a))))
+        steps = burn_in + n_samples - 1
+        if diverged or steps * math.log(max(radius, 1.0)) > _DIVERGED_LOG:
+            raise ValueError(
+                f"all Monte Carlo trials diverged: the forward-Euler step at dt="
+                f"{sys.dt!r} s has spectral radius {radius:.6g} over {steps} "
+                f"steps ({diverged} of {n_trials} with non-finite sigma0)")
         raise ValueError("all Monte Carlo trials produced singular sigma0")
     kept = len(traces)
-    return math.fsum(traces) / kept, math.fsum(inv_norms) / kept, discarded
+    return math.fsum(traces) / kept, math.fsum(inv_norms) / kept, n_trials - kept
 
 
 def theorem1_bound(sys: DiscreteSystem, n_samples: int, epsilon: float,
                    n_trials: int, seed: int, *,
                    burn_in: int | None = None,
                    cond_threshold: float = COND_THRESHOLD) -> BoundReport:
-    """Envelope on ||A_hat - A||_F holding with probability at least 1 - epsilon.
+    """Envelopes on ||A_hat - A||_F (rhs, Theorem 1) and ||A_hat_d - A_d||_F
+    (rhs_continuous, Corollary 2), each holding with probability >= 1 - epsilon.
 
-    rhs = (||B||_2 / (epsilon sqrt(T-1))) sqrt(E[Tr Sigma_0] E[||Sigma_0^{-1}||_F^2])
-    with the expectations replaced by seeded Monte Carlo means over
-    `n_trials` fresh steady-state trajectories of length T = n_samples.
+    With S = sqrt(E[Tr Sigma_0] E[||Sigma_0^{-1}||_F^2]) / (epsilon sqrt(T-1)),
+    rhs = ||B||_2 S and rhs_continuous = ||B||_F / dt S, as sum_i sigma_P_i^2 /
+    M_i^2 = ||B||_F^2 / dt.  The expectations are seeded Monte Carlo means over
+    `n_trials` steady-state windows of T = n_samples states after burn_in
+    steps of sys.dt (None: `default_burn_in`).
     """
     n2 = 2 * sys.n_gen
     if n_samples <= n2 + 2:
@@ -138,47 +154,19 @@ def theorem1_bound(sys: DiscreteSystem, n_samples: int, epsilon: float,
             noise_scale=sys.b_diag / math.sqrt(sys.dt)), sys.dt)
     b_norm = float(np.max(np.abs(sys.b_diag)))
     if b_norm == 0.0:
-        # noiseless system: the bound collapses to zero with no data needed
-        return BoundReport(epsilon=epsilon, rhs=0.0, trace_sigma0_mean=0.0,
-                           inv_norm_mean=0.0, n_trials=n_trials, which=DISCRETE)
+        # noiseless system: both bounds collapse to zero with no data needed
+        return BoundReport(epsilon=epsilon, rhs=0.0, rhs_continuous=0.0,
+                           trace_sigma0_mean=0.0, inv_norm_mean=0.0,
+                           n_trials=n_trials)
     trace_mean, inv_mean, discarded = _sigma0_moments(
         sys, n_samples, n_trials, seed, burn_in, cond_threshold)
     rhs = b_norm / (epsilon * math.sqrt(n_samples - 1)) * math.sqrt(
         trace_mean * inv_mean)
-    return BoundReport(epsilon=epsilon, rhs=rhs, trace_sigma0_mean=trace_mean,
-                       inv_norm_mean=inv_mean, n_trials=n_trials,
-                       which=DISCRETE, n_discarded=discarded)
-
-
-def corollary2_bound(noise_sigma: np.ndarray, inertia: np.ndarray, dt: float,
-                     n_samples: int, epsilon: float,
-                     expectations: BoundReport) -> BoundReport:
-    """Envelope on ||A_hat_d - A_d||_F for the continuous-time matrix.
-
-    rhs = (1/epsilon) sqrt( (sum_i sigma_P_i^2 / M_i^2) / (dt (T-1))
-                            * E[Tr Sigma_0] * E[||Sigma_0^{-1}||_F^2] ),
-    reusing the Monte Carlo expectations of a theorem1_bound report.
-    Depends on the sampling only through t_obs = T dt.
-    """
-    noise_sigma = np.asarray(noise_sigma, dtype=float)
-    inertia = np.asarray(inertia, dtype=float)
-    if noise_sigma.shape != inertia.shape:
-        raise ValueError("noise and inertia lists must have equal length")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    power = float(np.sum((noise_sigma / inertia) ** 2))
-    rhs = (1.0 / epsilon) * math.sqrt(
-        power / (dt * (n_samples - 1))
-        * expectations.trace_sigma0_mean * expectations.inv_norm_mean)
-    return BoundReport(epsilon=epsilon, rhs=rhs,
-                       trace_sigma0_mean=expectations.trace_sigma0_mean,
-                       inv_norm_mean=expectations.inv_norm_mean,
-                       n_trials=expectations.n_trials, which=CONTINUOUS,
-                       n_discarded=expectations.n_discarded)
+    rhs_continuous = float(np.linalg.norm(sys.b_diag)) / sys.dt / (
+        epsilon * math.sqrt(n_samples - 1)) * math.sqrt(trace_mean * inv_mean)
+    return BoundReport(epsilon=epsilon, rhs=rhs, rhs_continuous=rhs_continuous,
+                       trace_sigma0_mean=trace_mean, inv_norm_mean=inv_mean,
+                       n_trials=n_trials, n_discarded=discarded)
 
 
 def spectrum(a_d: np.ndarray, zero_mode_tol: float | None = None) -> SpectralReport:

@@ -328,28 +328,27 @@ def cmd_eigen(args) -> int:
 def cmd_bound(args) -> int:
     cfg = _config_from_args(args)
     dt = cfg.dt_base * cfg.stride
-    grid, _, disc = _build_systems(cfg.model_path, dt)
+    disc = _build_systems(cfg.model_path, dt)[2]
     n_samples = (args.n_samples if args.n_samples is not None
                  else round(cfg.t_obs / dt))
     seed = cfg.seeds[0]
-    discrete = analysis.theorem1_bound(disc, n_samples, args.epsilon,
-                                       args.trials, seed,
-                                       cond_threshold=cfg.cond_threshold)
-    continuous = analysis.corollary2_bound(grid.gen_noise_sigma(),
-                                           grid.gen_inertia(), dt, n_samples,
-                                           args.epsilon, discrete)
+    # burn_in counts base steps; the bound steps at dt_base * stride
+    burn_in = None if cfg.burn_in is None else -(-cfg.burn_in // cfg.stride)
+    report = analysis.theorem1_bound(disc, n_samples, args.epsilon,
+                                     args.trials, seed, burn_in=burn_in,
+                                     cond_threshold=cfg.cond_threshold)
     records = {
         "model": cfg.model_path,
         "dt": dt,
         "n_samples": n_samples,
         "epsilon": args.epsilon,
         "n_trials": args.trials,
-        "n_discarded": discrete.n_discarded,
+        "n_discarded": report.n_discarded,
         "seed": seed,
-        "trace_sigma0_mean": discrete.trace_sigma0_mean,
-        "inv_norm_mean": discrete.inv_norm_mean,
-        "rhs_discrete": discrete.rhs,
-        "rhs_continuous": continuous.rhs,
+        "trace_sigma0_mean": report.trace_sigma0_mean,
+        "inv_norm_mean": report.inv_norm_mean,
+        "rhs_discrete": report.rhs,
+        "rhs_continuous": report.rhs_continuous,
     }
     if args.outputs:
         io_config.save_records(args.outputs, records)

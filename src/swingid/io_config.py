@@ -21,9 +21,9 @@ Formats:
                   correctly like float(): decimal or exponent notation with
                   optional sign and surrounding blanks, and nan/inf (both
                   then rejected).  There are no comments, so `#` is an error,
-                  as are `_` digit separators and non-ASCII digits.  Blank
-                  lines are skipped.  This is also the ingestion path for
-                  externally produced PMU-derived state extracts.
+                  as are `_` digit separators, non-ASCII digits and bytes
+                  that are not UTF-8.  Blank lines are skipped.  This is also
+                  the ingestion path for PMU-derived state extracts.
   matrix          comma-separated rows, `#` comments allowed.
   key-value       `key,value` lines for metadata sidecars and bound reports.
   experiment      INI file with sections [model], [generation], [estimation],
@@ -166,7 +166,7 @@ _ROWS_PER_BLOCK = 1024
 def _bad_row(path: Path, width: int, start: int) -> ValidationError:
     """The error naming the first data line, from data row `start` on, that
     is ragged or does not parse."""
-    with open(path) as fh:
+    with open(path, errors="surrogateescape") as fh:
         data_lines = ((no, ln) for no, ln in enumerate(fh, start=1)
                       if ln.strip())
         for lineno, raw in islice(data_lines, 1 + start, None):
@@ -209,7 +209,7 @@ def load_trajectory(path, stride: int = 1) -> Trajectory:
     times: list[np.ndarray] = []
     kept: list[np.ndarray] = []
     n_rows, finite = 0, True
-    with open(path) as fh:
+    with open(path, errors="surrogateescape") as fh:
         lines = filter(str.strip, fh)  # blank lines are skipped
         header = [h.strip() for h in next(lines, "").split(",")]
         if header == [""]:
@@ -393,8 +393,9 @@ SETTINGS = (
     Setting("generation", "burn_in", "burn_in", _auto_or_int,
             lambda v: v is None or v >= 0,
             "burn_in must be 'auto' or a nonnegative integer"),
-    Setting("generation", "seeds", "seeds", _ints, bool,
-            "seeds must be non-empty"),
+    Setting("generation", "seeds", "seeds", _ints,
+            lambda v: bool(v) and min(v) >= 0,
+            "seeds must be a non-empty list of nonnegative integers"),
     Setting("estimation", "stride", "stride", int, lambda v: v >= 1,
             "stride must be at least 1"),
     Setting("estimation", "estimators", "estimators", _words,

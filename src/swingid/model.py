@@ -123,16 +123,6 @@ class GridModel:
     def n_gen(self) -> int:
         return len(self.generator_ids)
 
-    def gen_inertia(self) -> np.ndarray:
-        """M_i in generator order."""
-        return np.array([self.inertia[g] for g in self.generator_ids])
-
-    def gen_damping(self) -> np.ndarray:
-        return np.array([self.damping[g] for g in self.generator_ids])
-
-    def gen_noise_sigma(self) -> np.ndarray:
-        return np.array([self.noise_sigma[g] for g in self.generator_ids])
-
 
 @dataclass(frozen=True)
 class ContinuousSystem:
@@ -225,9 +215,8 @@ def build_continuous(model: GridModel,
         raise ValidationError(
             f"reduced Laplacian must be {n}x{n}, got {reduced_laplacian.shape}",
             field="reduced_laplacian")
-    m = model.gen_inertia()
-    d = model.gen_damping()
-    sigma = model.gen_noise_sigma()
+    m, d, sigma = (np.array([per_node[g] for g in model.generator_ids]) for
+                   per_node in (model.inertia, model.damping, model.noise_sigma))
     a_d = np.zeros((2 * n, 2 * n))
     a_d[:n, n:] = np.eye(n)
     a_d[n:, :n] = -reduced_laplacian / m[:, None]

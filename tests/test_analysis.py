@@ -1,16 +1,15 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swingid.analysis import (CONTINUOUS, DISCRETE, BoundReport,
-                              corollary2_bound, relative_error,
-                              spectral_distance, spectrum, theorem1_bound,
-                              to_continuous)
+from swingid.analysis import (BoundReport, relative_error, spectral_distance,
+                              spectrum, theorem1_bound, to_continuous)
 from swingid.estimators import covariances
 from swingid.model import build_continuous, build_discrete
 from swingid.sim import DT_BASE, STEP_GROUP, spawn_seeds, steady_trajectory
@@ -68,7 +67,7 @@ def test_relative_error_rejects_zero_reference():
 def test_bound_collapses_without_noise():
     _, disc = systems_for(single_gen_model(sigma=0.0), DT_BASE)
     report = theorem1_bound(disc, 100, 0.1, 5, seed=0)
-    assert report.rhs == 0.0
+    assert report.rhs == report.rhs_continuous == 0.0
 
 
 def test_bound_scales_inversely_with_epsilon():
@@ -138,46 +137,74 @@ def test_bound_bit_identical_on_rerun():
     assert theorem1_bound(disc, 400, 0.1, n_trials, seed=9) == first
 
 
-def _expectations(trace=2.0, inv=3.0, n_trials=7):
-    return BoundReport(epsilon=0.1, rhs=1.0, trace_sigma0_mean=trace,
-                       inv_norm_mean=inv, n_trials=n_trials, which=DISCRETE)
-
-
 def test_corollary_collapses_without_noise():
-    report = corollary2_bound(np.zeros(3), np.ones(3), 0.05, 100, 0.1,
-                              _expectations())
-    assert report.rhs == 0.0
-    assert report.which == CONTINUOUS
+    _, disc = systems_for(two_gen_model(sigma=(0.0, 0.0)), DT_BASE)
+    report = theorem1_bound(disc, 100, 0.1, 5, seed=0)
+    assert report.rhs_continuous == 0.0
+    assert report.trace_sigma0_mean == report.inv_norm_mean == 0.0
 
 
 def test_corollary_depends_only_on_observation_window():
-    exp = _expectations()
-    a = corollary2_bound([0.01], [2.0], 0.05, 101, 0.1, exp)
-    b = corollary2_bound([0.01], [2.0], 0.025, 201, 0.1, exp)
-    assert a.rhs == pytest.approx(b.rhs)
+    # the sampling enters the continuous envelope's factor on the Monte Carlo
+    # means only through t_obs = (T-1) dt
+    model = single_gen_model(m=2.0, sigma=0.01)
+    factors = []
+    for dt, n_samples in ((0.05, 101), (0.025, 201)):
+        report = theorem1_bound(systems_for(model, dt)[1], n_samples, 0.1, 7,
+                                seed=3)
+        factors.append(report.rhs_continuous / math.sqrt(
+            report.trace_sigma0_mean * report.inv_norm_mean))
+    assert factors[0] == pytest.approx(factors[1], rel=1e-14)
 
 
 def test_corollary_consistent_with_theorem_for_single_generator():
-    # at N=1 the two bounds differ exactly by the time step factor
-    sigma_p, m, dt, T, eps = 0.01, 2.0, 0.05, 500, 0.1
-    exp = _expectations(trace=1.7, inv=4.2)
-    cor = corollary2_bound([sigma_p], [m], dt, T, eps, exp)
-    b_norm = sigma_p / m * math.sqrt(dt)
-    thm_rhs = b_norm / (eps * math.sqrt(T - 1)) * math.sqrt(
-        exp.trace_sigma0_mean * exp.inv_norm_mean)
-    assert cor.rhs == pytest.approx(thm_rhs / dt)
+    # at N=1 ||B||_F = ||B||_2, so the two bounds differ exactly by dt
+    dt = 0.05
+    _, disc = systems_for(single_gen_model(m=2.0, sigma=0.01), dt)
+    report = theorem1_bound(disc, 500, 0.1, 7, seed=4)
+    assert report.rhs_continuous == pytest.approx(report.rhs / dt, rel=1e-15)
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_rhs_continuous_is_corollary2_formula(fixture_grid, stride):
+    # Corollary 2 written with the grid's sigma_P and M, on the report's means
+    dt, n_samples, eps = stride * DT_BASE, 200, 0.1
+    disc = systems_for(fixture_grid, dt)[1]
+    report = theorem1_bound(disc, n_samples, eps, 3, seed=1)
+    power = sum((fixture_grid.noise_sigma[g] / fixture_grid.inertia[g]) ** 2
+                for g in fixture_grid.generator_ids)
+    expected = (1.0 / eps) * math.sqrt(
+        power / (dt * (n_samples - 1))
+        * report.trace_sigma0_mean * report.inv_norm_mean)
+    assert report.rhs_continuous == pytest.approx(expected, rel=1e-14)
+
+
+def test_bound_names_diverged_trials(fixture_grid):
+    # forward Euler at 1/6 s has spectral radius 1.0228 on the fixture
+    disc = systems_for(fixture_grid, 10 * DT_BASE)[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # a 600 s window grows Sigma_0 to about 1e67: finite but singular
+        with pytest.raises(ValueError, match=r"trials diverged: .* at "
+                           r"dt=0\.16666666666666666 s has spectral radius "
+                           r"1\.02282 over \d+ steps \(0 of 3"):
+            theorem1_bound(disc, 3600, 0.1, 3, seed=1)
+        # a 6,000 s window overflows
+        with pytest.raises(ValueError, match=r"\(3 of 3 with non-finite"):
+            theorem1_bound(disc, 36000, 0.1, 3, seed=1)
 
 
 def test_bound_report_validation():
     with pytest.raises(ValueError, match="epsilon"):
-        BoundReport(epsilon=0.0, rhs=1.0, trace_sigma0_mean=1.0,
-                    inv_norm_mean=1.0, n_trials=1, which=DISCRETE)
-    with pytest.raises(ValueError, match="rhs"):
-        BoundReport(epsilon=0.1, rhs=-1.0, trace_sigma0_mean=1.0,
-                    inv_norm_mean=1.0, n_trials=1, which=DISCRETE)
-    with pytest.raises(ValueError, match="tag"):
-        BoundReport(epsilon=0.1, rhs=1.0, trace_sigma0_mean=1.0,
-                    inv_norm_mean=1.0, n_trials=1, which="OTHER")
+        BoundReport(epsilon=0.0, rhs=1.0, rhs_continuous=1.0,
+                    trace_sigma0_mean=1.0, inv_norm_mean=1.0, n_trials=1)
+    for rhs, rhs_continuous in ((-1.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(ValueError, match="rhs"):
+            BoundReport(epsilon=0.1, rhs=rhs, rhs_continuous=rhs_continuous,
+                        trace_sigma0_mean=1.0, inv_norm_mean=1.0, n_trials=1)
+    with pytest.raises(ValueError, match="n_trials"):
+        BoundReport(epsilon=0.1, rhs=1.0, rhs_continuous=1.0,
+                    trace_sigma0_mean=1.0, inv_norm_mean=1.0, n_trials=0)
 
 
 # --------------------------------------------------------------------- spectrum

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from swingid import cli, estimators
+from swingid import analysis, cli, estimators
 from swingid.cli import main
 from swingid.estimators import covariances, lasso_kill_threshold
 from swingid.io_config import (load_matrix, load_records, load_trajectory,
@@ -504,6 +504,8 @@ def test_non_finite_times_exit_2_naming_the_field(tmp_path, small_model_path,
 @pytest.mark.parametrize("section,line,message", [
     ("generation", "dt_base = nan", "dt_base must be finite and positive"),
     ("estimation", "lamda = 5", "[estimation] lamda is not a known setting"),
+    ("generation", "seeds = 3 -1",
+     "seeds must be a non-empty list of nonnegative integers"),
 ])
 def test_bad_config_setting_exits_2(tmp_path, small_model_path, capsys,
                                     section, line, message):
@@ -511,6 +513,19 @@ def test_bad_config_setting_exits_2(tmp_path, small_model_path, capsys,
     cfg.write_text(f"[model]\npath = {small_model_path}\n\n[{section}]\n{line}\n")
     assert run("simulate", "--config", cfg, "--out", tmp_path / "o") == 2
     assert f"validation error: {cfg}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate"], ["bound", "--trials", "2"],
+    ["sweep", "--axis", "stride", "--values", "3"]])
+def test_negative_seed_exits_2_naming_seeds(tmp_path, small_model_path, capsys,
+                                            command):
+    # numpy's own message names no setting
+    code = run(*command, "--model", small_model_path, "--seed", "1", "-1",
+               "--out", tmp_path / "o")
+    assert code == 2
+    assert ("validation error: seeds must be a non-empty list of nonnegative "
+            "integers, got (1, -1)") in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------------ eigen
@@ -590,6 +605,44 @@ def test_bound_applies_config_cond_threshold(tmp_path, small_model_path,
     assert code == 2
     assert "all Monte Carlo trials produced singular sigma0" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("burn_in,steps", [("0", 0), ("7", 3)])
+def test_bound_applies_config_burn_in(tmp_path, small_model_path, burn_in,
+                                      steps):
+    # burn_in counts base steps: ceil(7 / 3) = 3 steps of the strided system
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[model]\npath = {small_model_path}\n\n"
+                   f"[generation]\nburn_in = {burn_in}\n")
+    auto = tmp_path / "auto.ini"
+    auto.write_text(f"[model]\npath = {small_model_path}\n\n"
+                    "[generation]\nburn_in = auto\n")
+    argv = ("--stride", "3", "--n-samples", "300", "--trials", "5",
+            "--seed", "5")
+    assert run("bound", "--config", cfg, *argv, "--out", tmp_path / "b.csv") == 0
+    assert run("bound", "--config", auto, *argv,
+               "--out", tmp_path / "a.csv") == 0
+    disc = systems_for(path3_model(), 3 * DT_BASE)[1]
+    report = analysis.theorem1_bound(disc, 300, 0.1, 5, 5, burn_in=steps)
+    records = load_records(tmp_path / "b.csv")
+    assert records["rhs_discrete"] == repr(report.rhs)
+    assert records["rhs_continuous"] == repr(report.rhs_continuous)
+    assert records["trace_sigma0_mean"] == repr(report.trace_sigma0_mean)
+    assert (load_records(tmp_path / "a.csv")["rhs_discrete"]
+            != records["rhs_discrete"])
+
+
+def test_bound_names_diverged_trials(tmp_path, fixture_model_path, capsys):
+    # the forward-Euler step at stride 10 (1/6 s) is unstable on the fixture
+    code = run("bound", "--model", fixture_model_path, "--stride", "10",
+               "--t-obs", "600", "--trials", "3", "--out", tmp_path / "b.csv")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert ("validation error: all Monte Carlo trials diverged: the "
+            "forward-Euler step at dt=0.16666666666666666 s has spectral "
+            "radius 1.02282") in err
+    assert "singular" not in err and "Warning" not in err
+    assert not (tmp_path / "b.csv").exists()
 
 
 def test_kron_on_fixture(tmp_path, fixture_model_path):

@@ -188,7 +188,9 @@ def test_trajectory_roundtrip_keeps_every_bit(tmp_path_factory, traj):
 
 def write_lines(tmp_path, *lines):
     path = tmp_path / "traj.csv"
-    path.write_text("\n".join(("t,delta_1,omega_1",) + lines) + "\n")
+    # a lone surrogate such as "\udcff" writes the byte 0xff, not UTF-8
+    path.write_text("\n".join(("t,delta_1,omega_1",) + lines) + "\n",
+                    encoding="utf-8", errors="surrogateescape")
     return path
 
 
@@ -211,6 +213,8 @@ def test_trajectory_whitespace_only_line_skipped(tmp_path):
      "expected 3 columns, got 1"),
     (["0.0,0.1,0.2", "0.05,0.3,0.4", "0.1,1_0,0.6"], 4, "non-numeric value"),
     (["0.0,0.1,0.2", "0.05,0.3,", "0.1,0.5,0.6"], 3, "non-numeric value"),
+    (["0.0,0.1,0.2", "0.05,0.\udcff3,0.4", "0.1,0.5,0.6"], 3,
+     "non-numeric value"),
 ])
 def test_trajectory_bad_row_names_its_line(tmp_path, lines, lineno, message):
     path = write_lines(tmp_path, *lines)
@@ -547,7 +551,8 @@ def test_config_validation():
     ({"dt_base": float("nan")}, "dt_base"), ({"dt_base": float("inf")}, "dt_base"),
     ({"t_obs": float("inf")}, "t_obs"), ({"t_obs": float("nan")}, "t_obs"),
     ({"sweep_values": (60.0, float("inf"))}, "sweep_values"),
-    ({"sweep_values": (float("nan"),)}, "sweep_values")])
+    ({"sweep_values": (float("nan"),)}, "sweep_values"),
+    ({"seeds": (-1,)}, "seeds"), ({"seeds": (1, -2)}, "seeds")])
 def test_config_rejects_bad_solver_settings(kwargs, field):
     with pytest.raises(ValidationError) as excinfo:
         ExperimentConfig(model_path="m", **kwargs)
