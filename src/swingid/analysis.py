@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .estimators import COND_THRESHOLD, check_cond_threshold, covariances
 from .model import ContinuousSystem, DiscreteSystem
@@ -206,13 +205,39 @@ def spectrum(a_d: np.ndarray, zero_mode_tol: float | None = None) -> SpectralRep
 def spectral_distance(eigs_a, eigs_b) -> float:
     """Mean matched distance between two eigenvalue sets.
 
-    Solves the minimum-cost perfect matching under absolute-difference
-    cost, so permuted but equal spectra are at distance zero.
+    Minimum-cost perfect matching under |lambda - mu| cost: permuted equal
+    spectra are at distance zero.  Non-finite eigenvalues raise ValueError.
     """
     a = np.asarray(eigs_a, dtype=complex)
     b = np.asarray(eigs_b, dtype=complex)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("eigenvalue lists must be 1-d and of equal length")
     cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].mean())
+    if not np.all(np.isfinite(cost)):
+        raise ValueError("eigenvalues and their distances must be finite")
+    return float(cost[np.arange(a.size), _min_cost_matching(cost)].mean())
+
+
+def _min_cost_matching(cost: np.ndarray) -> np.ndarray:
+    """Column of each row in a minimum-cost perfect matching of a finite square
+    cost: Hungarian shortest augmenting paths with dual potentials u, v, O(n^3)
+    (Kuhn 1955; Jonker & Volgenant 1987).  owner[j] - 1 is column j's row."""
+    n = cost.shape[0]
+    cost = np.hstack([np.full((n, 1), np.inf), cost])  # column 0: path start
+    (u, v), (owner, way) = np.zeros((2, n + 1)), np.zeros((2, n + 1), int)
+    for i in range(1, n + 1):
+        owner[0], j0 = i, 0
+        slack, used = np.full(n + 1, np.inf), np.zeros(n + 1, dtype=bool)
+        while owner[j0]:
+            used[j0] = True
+            reduced = cost[owner[j0] - 1] - u[owner[j0]] - v
+            closer = ~used & (reduced < slack)
+            slack[closer], way[closer] = reduced[closer], j0
+            j0 = int(np.argmin(np.where(used, np.inf, slack)))
+            delta = slack[j0]
+            u[owner[used]] += delta
+            v[used] -= delta
+            slack[~used] -= delta
+        while j0:
+            owner[j0], j0 = owner[way[j0]], way[j0]
+    return np.argsort(owner[1:])

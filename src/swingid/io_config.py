@@ -75,6 +75,15 @@ def save_model(path, model: GridModel) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _data_lines(path: Path):
+    """(`path:lineno`, text) for each line of a `#`-commented text file, the
+    comment stripped; lines left blank are skipped."""
+    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+        text = raw.split("#", 1)[0].strip()
+        if text:
+            yield f"{path}:{lineno}", text
+
+
 def _parse(parse, token: str, where: str, fieldname: str):
     try:
         return parse(token)
@@ -94,11 +103,7 @@ def load_model(path) -> GridModel:
     damping: dict[int, float] = {}
     noise_sigma: dict[int, float] = {}
     lines: list[Line] = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        where = f"{path}:{lineno}"
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
+    for where, text in _data_lines(path):
         if text.startswith("["):
             if text not in ("[nodes]", "[lines]"):
                 raise ValidationError(f"{where}: unknown section {text}",
@@ -183,12 +188,14 @@ def _bad_row(path: Path, width: int, start: int) -> ValidationError:
     return ValidationError(f"{path}: unreadable data rows", field="row")
 
 
-def save_trajectory(path, traj: Trajectory) -> None:
-    n = traj.n_gen
-    header = ["t"] + [f"delta_{i}" for i in range(1, n + 1)] \
+def _trajectory_header(n: int) -> list[str]:
+    return ["t"] + [f"delta_{i}" for i in range(1, n + 1)] \
         + [f"omega_{i}" for i in range(1, n + 1)]
+
+
+def save_trajectory(path, traj: Trajectory) -> None:
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(_trajectory_header(traj.n_gen)) + "\n")
         for start in range(0, traj.n_samples, _ROWS_PER_BLOCK):
             block = traj.states[start:start + _ROWS_PER_BLOCK]
             t = np.arange(start, start + len(block)) * traj.dt
@@ -214,14 +221,8 @@ def load_trajectory(path, stride: int = 1) -> Trajectory:
         header = [h.strip() for h in next(lines, "").split(",")]
         if header == [""]:
             raise ValidationError(f"{path}: empty file", field="trajectory")
-        if len(header) < 3 or header[0] != "t" or (len(header) - 1) % 2 != 0:
-            raise ValidationError(
-                f"{path}:1: header must be t,delta_1..delta_N,omega_1..omega_N",
-                field="header")
         n = (len(header) - 1) // 2
-        expected = ["t"] + [f"delta_{i}" for i in range(1, n + 1)] \
-            + [f"omega_{i}" for i in range(1, n + 1)]
-        if header != expected:
+        if n < 1 or header != _trajectory_header(n):
             raise ValidationError(
                 f"{path}:1: header must be t,delta_1..delta_N,omega_1..omega_N, "
                 f"got {','.join(header)}", field="header")
@@ -276,19 +277,16 @@ def load_matrix(path) -> np.ndarray:
     path = Path(path)
     rows = []
     width = None
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
+    for where, text in _data_lines(path):
         parts = text.split(",")
         if width is None:
             width = len(parts)
         elif len(parts) != width:
-            raise ValidationError(f"{path}:{lineno}: ragged row", field="row")
+            raise ValidationError(f"{where}: ragged row", field="row")
         try:
             rows.append([float(p) for p in parts])
         except ValueError:
-            raise ValidationError(f"{path}:{lineno}: non-numeric value",
+            raise ValidationError(f"{where}: non-numeric value",
                                   field="row") from None
     if not rows:
         raise ValidationError(f"{path}: no data rows", field="matrix")
@@ -309,13 +307,9 @@ def save_records(path, records: dict[str, object]) -> None:
 def load_records(path) -> dict[str, str]:
     path = Path(path)
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
+    for where, text in _data_lines(path):
         if "," not in text:
-            raise ValidationError(f"{path}:{lineno}: expected key,value",
-                                  field="row")
+            raise ValidationError(f"{where}: expected key,value", field="row")
         key, value = text.split(",", 1)
         out[key.strip()] = value.strip()
     return out
@@ -363,6 +357,10 @@ def _nonnegative(value) -> bool:
     return math.isfinite(value) and value >= 0.0
 
 
+def _distinct(values: tuple) -> bool:
+    return len(set(values)) == len(values)
+
+
 class Setting(NamedTuple):
     """One ExperimentConfig field: where it sits in the INI file, how its
     text parses, and the rule its value must meet (None: any value)."""
@@ -394,13 +392,15 @@ SETTINGS = (
             lambda v: v is None or v >= 0,
             "burn_in must be 'auto' or a nonnegative integer"),
     Setting("generation", "seeds", "seeds", _ints,
-            lambda v: bool(v) and min(v) >= 0,
-            "seeds must be a non-empty list of nonnegative integers"),
+            lambda v: bool(v) and min(v) >= 0 and _distinct(v),
+            "seeds must be a non-empty list of nonnegative integers, "
+            "without repeats"),
     Setting("estimation", "stride", "stride", int, lambda v: v >= 1,
             "stride must be at least 1"),
     Setting("estimation", "estimators", "estimators", _words,
-            lambda v: bool(v) and set(v) <= set(ESTIMATORS),
-            f"estimators must be a non-empty list from {' '.join(ESTIMATORS)}"),
+            lambda v: bool(v) and set(v) <= set(ESTIMATORS) and _distinct(v),
+            f"estimators must be a non-empty list from {' '.join(ESTIMATORS)}, "
+            "without repeats"),
     Setting("estimation", "threshold", "threshold", _boolean, None, None),
     Setting("estimation", "nu", "nu", float, _nonnegative,
             "nu must be finite and nonnegative"),
@@ -422,8 +422,8 @@ SETTINGS = (
             lambda v: v is None or v in VALID_SWEEP_VARIABLES,
             f"sweep_variable must be one of {' '.join(VALID_SWEEP_VARIABLES)}"),
     Setting("sweep", "values", "sweep_values", _floats,
-            lambda v: all(map(_positive, v)),
-            "sweep_values must be finite and positive"),
+            lambda v: all(map(_positive, v)) and _distinct(v),
+            "sweep_values must be finite and positive, without repeats"),
 )
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -290,3 +291,43 @@ def test_spectral_distance_permutation_invariant(eigs, rnd):
     shuffled = eigs.copy()
     rnd.shuffle(shuffled)
     assert spectral_distance(eigs, shuffled) == pytest.approx(0.0, abs=1e-12)
+
+
+_eigenvalues = st.complex_numbers(max_magnitude=10.0, allow_nan=False,
+                                  allow_infinity=False)
+
+
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.lists(_eigenvalues, min_size=n, max_size=n),
+    st.lists(_eigenvalues, min_size=n, max_size=n))))
+@settings(max_examples=60, deadline=None)
+def test_spectral_distance_is_the_best_matching(pair):
+    a, b = np.array(pair[0]), np.array(pair[1])
+    cost = np.abs(a[:, None] - b[None, :])
+    orders = np.array(list(permutations(range(a.size))))
+    best = cost[np.arange(a.size), orders].sum(axis=1).min() / a.size
+    assert spectral_distance(a, b) == pytest.approx(best, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf),
+                                 complex(math.nan, 1.0)])
+def test_spectral_distance_rejects_non_finite(bad):
+    # NaN compares false against every slack, so the matching would be
+    # arbitrary and its mean NaN or inf with no error
+    with pytest.raises(ValueError, match="finite"):
+        spectral_distance([0.0, bad], [0.0, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        spectral_distance([0.0, 1.0], [bad, 0.0])
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_spectral_distance_matches_scipy_assignment(n):
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        cost = np.abs(a[:, None] - b[None, :])
+        rows, cols = optimize.linear_sum_assignment(cost)
+        assert spectral_distance(a, b) == pytest.approx(
+            cost[rows, cols].mean(), rel=1e-12)

@@ -506,6 +506,13 @@ def test_non_finite_times_exit_2_naming_the_field(tmp_path, small_model_path,
     ("estimation", "lamda = 5", "[estimation] lamda is not a known setting"),
     ("generation", "seeds = 3 -1",
      "seeds must be a non-empty list of nonnegative integers"),
+    ("generation", "seeds = 1, 2, 1",
+     "seeds must be a non-empty list of nonnegative integers, without repeats"),
+    ("estimation", "estimators = CML UML CML",
+     "estimators must be a non-empty list from UML CML TIKHONOV LASSO "
+     "SPARSE_LOW_RANK, without repeats"),
+    ("sweep", "values = 3 3.0",
+     "sweep_values must be finite and positive, without repeats"),
 ])
 def test_bad_config_setting_exits_2(tmp_path, small_model_path, capsys,
                                     section, line, message):
@@ -525,7 +532,27 @@ def test_negative_seed_exits_2_naming_seeds(tmp_path, small_model_path, capsys,
                "--out", tmp_path / "o")
     assert code == 2
     assert ("validation error: seeds must be a non-empty list of nonnegative "
-            "integers, got (1, -1)") in capsys.readouterr().err
+            "integers, without repeats, got (1, -1)") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["simulate", "--seed", "1", "1"], "seeds"),
+    (["bound", "--trials", "2", "--seed", "2", "2"], "seeds"),
+    (["sweep", "--axis", "stride", "--values", "3", "3", "--seed", "1", "2"],
+     "sweep_values"),
+    (["sweep", "--axis", "t_obs", "--values", "30", "30.0"], "sweep_values"),
+    (["sweep", "--axis", "stride", "--values", "3", "--estimator", "CML",
+      "CML"], "estimators"),
+])
+def test_repeated_list_entries_exit_2_naming_the_setting(
+        tmp_path, small_model_path, capsys, argv, field):
+    # a repeat would run, write and average the same cell twice
+    code = run(*argv, "--model", small_model_path, "--out", tmp_path / "o")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"validation error: {field} must be" in err
+    assert "without repeats" in err
+    assert not (tmp_path / "o").exists()
 
 
 # ------------------------------------------------------------------------ eigen

@@ -552,7 +552,9 @@ def test_config_validation():
     ({"t_obs": float("inf")}, "t_obs"), ({"t_obs": float("nan")}, "t_obs"),
     ({"sweep_values": (60.0, float("inf"))}, "sweep_values"),
     ({"sweep_values": (float("nan"),)}, "sweep_values"),
-    ({"seeds": (-1,)}, "seeds"), ({"seeds": (1, -2)}, "seeds")])
+    ({"seeds": (-1,)}, "seeds"), ({"seeds": (1, -2)}, "seeds"),
+    ({"seeds": (1, 2, 1)}, "seeds"), ({"estimators": ("CML", "CML")}, "estimators"),
+    ({"sweep_values": (3.0, 3.0)}, "sweep_values")])
 def test_config_rejects_bad_solver_settings(kwargs, field):
     with pytest.raises(ValidationError) as excinfo:
         ExperimentConfig(model_path="m", **kwargs)

@@ -1,8 +1,16 @@
-"""The package's public surface."""
+"""The package's public surface, its dependencies and its Python floor."""
 
 from __future__ import annotations
 
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import swingid
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_every_exported_name_resolves():
@@ -11,3 +19,21 @@ def test_every_exported_name_resolves():
     missing = [name for name in swingid.__all__ if not hasattr(swingid, name)]
     assert missing == []
     assert len(set(swingid.__all__)) == len(swingid.__all__)
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # pyproject.toml declares requires-python >= 3.10
+    sources = sorted((SRC / "swingid").glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_cli_imports_numpy_but_not_scipy():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, swingid.cli; print(sorted({m.split('.')[0] "
+             "for m in sys.modules} & {'numpy', 'scipy'}))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "['numpy']"
