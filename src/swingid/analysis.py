@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import COND_THRESHOLD, check_cond_threshold, covariances
+from . import estimators
+from .estimators import covariances
 from .model import ContinuousSystem, DiscreteSystem
 from .sim import (default_burn_in, simulate, spawn_seeds, steady_sigma0,
                   steady_start)
@@ -88,14 +89,14 @@ def relative_error(a_hat_d: np.ndarray, a_d: np.ndarray) -> float:
 
 
 def _sigma0_moments(sys: DiscreteSystem, n_samples: int, n_trials: int,
-                    seed: int, burn_in: int,
-                    cond_threshold: float) -> tuple[float, float, int]:
+                    seed: int, burn_in: int) -> tuple[float, float, int]:
     """Monte Carlo means of Tr Sigma_0 and ||Sigma_0^{-1}||_F^2.
 
     Each trial is a fresh steady-state window; the trials are stepped
-    together by `steady_sigma0`.  Diverged (non-finite) and singular trials
-    are discarded and counted.  Means use exact (fsum) aggregation so the
-    result does not depend on accumulation order.
+    together by `steady_sigma0`.  Diverged (non-finite) trials and those
+    above estimators.COND_THRESHOLD are discarded and counted.  Means use
+    exact (fsum) aggregation so the result does not depend on accumulation
+    order.
     """
     traces: list[float] = []
     inv_norms: list[float] = []
@@ -109,7 +110,7 @@ def _sigma0_moments(sys: DiscreteSystem, n_samples: int, n_trials: int,
             diverged += 1
             continue
         cond = np.linalg.cond(sigma0)
-        if not np.isfinite(cond) or cond > cond_threshold:
+        if not np.isfinite(cond) or cond > estimators.COND_THRESHOLD:
             continue
         traces.append(float(np.trace(sigma0)))
         inv_norms.append(float(np.sum(np.linalg.inv(sigma0) ** 2)))
@@ -128,8 +129,7 @@ def _sigma0_moments(sys: DiscreteSystem, n_samples: int, n_trials: int,
 
 def theorem1_bound(sys: DiscreteSystem, n_samples: int, epsilon: float,
                    n_trials: int, seed: int, *,
-                   burn_in: int | None = None,
-                   cond_threshold: float = COND_THRESHOLD) -> BoundReport:
+                   burn_in: int | None = None) -> BoundReport:
     """Envelopes on ||A_hat - A||_F (rhs, Theorem 1) and ||A_hat_d - A_d||_F
     (rhs_continuous, Corollary 2), each holding with probability >= 1 - epsilon.
 
@@ -146,7 +146,6 @@ def theorem1_bound(sys: DiscreteSystem, n_samples: int, epsilon: float,
         raise ValueError("epsilon must lie in (0, 1)")
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
-    check_cond_threshold(cond_threshold)
     if burn_in is None:
         burn_in = default_burn_in(ContinuousSystem(
             n_gen=sys.n_gen, a_d=to_continuous(sys.a, sys.dt),
@@ -158,7 +157,7 @@ def theorem1_bound(sys: DiscreteSystem, n_samples: int, epsilon: float,
                            trace_sigma0_mean=0.0, inv_norm_mean=0.0,
                            n_trials=n_trials)
     trace_mean, inv_mean, discarded = _sigma0_moments(
-        sys, n_samples, n_trials, seed, burn_in, cond_threshold)
+        sys, n_samples, n_trials, seed, burn_in)
     rhs = b_norm / (epsilon * math.sqrt(n_samples - 1)) * math.sqrt(
         trace_mean * inv_mean)
     rhs_continuous = float(np.linalg.norm(sys.b_diag)) / sys.dt / (

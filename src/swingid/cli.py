@@ -125,16 +125,12 @@ def cmd_simulate(args) -> int:
 
 # tag -> fit(cov, cfg, a_prev), one entry per estimators.ESTIMATORS tag
 _ESTIMATORS = {
-    UML: lambda cov, cfg, a_prev: estimate_uml(
-        cov, cond_threshold=cfg.cond_threshold),
-    CML: lambda cov, cfg, a_prev: estimate_cml(
-        cov, cond_threshold=cfg.cond_threshold),
-    TIKHONOV: lambda cov, cfg, a_prev: estimate_tikhonov(
-        cov, a_prev, cfg.nu, cond_threshold=cfg.cond_threshold),
-    LASSO: lambda cov, cfg, a_prev: estimate_lasso(
-        cov, cfg.lam, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter),
+    UML: lambda cov, cfg, a_prev: estimate_uml(cov),
+    CML: lambda cov, cfg, a_prev: estimate_cml(cov),
+    TIKHONOV: lambda cov, cfg, a_prev: estimate_tikhonov(cov, a_prev, cfg.nu),
+    LASSO: lambda cov, cfg, a_prev: estimate_lasso(cov, cfg.lam),
     SPARSE_LOW_RANK: lambda cov, cfg, a_prev: estimate_sparse_low_rank(
-        cov, cfg.lam, cfg.eta, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter),
+        cov, cfg.lam, cfg.eta),
 }
 
 
@@ -223,6 +219,12 @@ def cmd_sweep(args) -> int:
             raise ValidationError("stride values must be integers >= 1",
                                   field="sweep_values")
         windows = [(round(cfg.t_obs / cfg.dt_base), int(v)) for v in values]
+    # two values that round to one window would run the same cells twice
+    for (v0, w0), (v1, w1) in itertools.combinations(zip(values, windows), 2):
+        if w0 == w1:
+            raise ValidationError(
+                f"sweep_values {v0!r} and {v1!r} give the same window of "
+                f"{w0[0]} samples at stride {w0[1]}", field="sweep_values")
     n_kept = [-(-n_keep // stride) for n_keep, stride in windows]
     folded = [w for w, n in enumerate(n_kept) if _enough_samples(n, disc.n_gen)]
     # deficit windows fail without covariances, so only the others are run
@@ -335,8 +337,7 @@ def cmd_bound(args) -> int:
     # burn_in counts base steps; the bound steps at dt_base * stride
     burn_in = None if cfg.burn_in is None else -(-cfg.burn_in // cfg.stride)
     report = analysis.theorem1_bound(disc, n_samples, args.epsilon,
-                                     args.trials, seed, burn_in=burn_in,
-                                     cond_threshold=cfg.cond_threshold)
+                                     args.trials, seed, burn_in=burn_in)
     records = {
         "model": cfg.model_path,
         "dt": dt,
@@ -442,8 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eig = sub.add_parser("eigen", help="eigenvalue table and spectral distance")
     p_eig.add_argument("matrix", help="continuous dynamic matrix file")
-    p_eig.add_argument("--model", help="truth model for paired comparison")
-    p_eig.add_argument("--against", help="second matrix file for comparison")
+    truth = p_eig.add_mutually_exclusive_group()
+    truth.add_argument("--model", help="truth model for paired comparison")
+    truth.add_argument("--against", help="second matrix file for comparison")
     p_eig.add_argument("--zero-mode-tol", dest="zero_mode_tol", type=float,
                        help="modulus below which eigenvalues count as the "
                             "structural zero mode")

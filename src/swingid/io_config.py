@@ -42,8 +42,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .estimators import (CERTIFICATE_BOUND, CML, COND_THRESHOLD, ESTIMATORS,
-                         SOLVER_MAX_ITER, SOLVER_TOL, SOLVER_TOL_MIN, UML)
+from .estimators import CML, ESTIMATORS, UML
 from .model import GridModel, Line, ValidationError
 from .sim import DT_BASE, Trajectory
 
@@ -408,15 +407,6 @@ SETTINGS = (
             "lambda must be finite and nonnegative"),
     Setting("estimation", "eta", "eta", float, _nonnegative,
             "eta must be finite and nonnegative"),
-    # cond(Sigma_0) >= 1 always; a NaN limit would pass every matrix
-    Setting("estimation", "cond_threshold", "cond_threshold", float,
-            lambda v: math.isfinite(v) and v >= 1.0,
-            "cond_threshold must be finite and at least 1"),
-    Setting("estimation", "solver_tol", "solver_tol", float,
-            lambda v: SOLVER_TOL_MIN <= v <= CERTIFICATE_BOUND,
-            f"solver_tol must be in [{SOLVER_TOL_MIN!r}, {CERTIFICATE_BOUND!r}]"),
-    Setting("estimation", "solver_max_iter", "solver_max_iter", int,
-            lambda v: v >= 1, "solver_max_iter must be at least 1"),
     Setting("outputs", "dir", "outputs", str, None, None),
     Setting("sweep", "variable", "sweep_variable", str,
             lambda v: v is None or v in VALID_SWEEP_VARIABLES,
@@ -450,11 +440,6 @@ class ExperimentConfig:
     nu: float = 0.0
     lam: float = 0.0
     eta: float = 0.0
-    cond_threshold: float = COND_THRESHOLD
-    # stopping tolerance on the solvers' optimality certificate, relative to
-    # the gradient scale max(lambda, 2(T-1) max|Sigma_1|, 1)
-    solver_tol: float = SOLVER_TOL
-    solver_max_iter: int = SOLVER_MAX_ITER
     outputs: str = "out"
     sweep_variable: str | None = None
     sweep_values: tuple[float, ...] = ()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swingid import estimators
 from swingid.analysis import (BoundReport, relative_error, spectral_distance,
                               spectrum, theorem1_bound, to_continuous)
 from swingid.estimators import covariances
@@ -100,14 +101,7 @@ def test_bound_validates_arguments():
         theorem1_bound(disc, 100, 0.1, 0, seed=0)
 
 
-@pytest.mark.parametrize("limit", [float("nan"), float("inf")])
-def test_bound_rejects_nonfinite_cond_threshold(limit):
-    _, disc = systems_for(single_gen_model(), DT_BASE)
-    with pytest.raises(ValueError, match="cond_threshold"):
-        theorem1_bound(disc, 100, 0.1, 5, seed=0, cond_threshold=limit)
-
-
-def test_bound_discards_match_a_serial_recount():
+def test_bound_discards_match_a_serial_recount(monkeypatch):
     # just above T = 2N+2 Sigma_0 is badly conditioned; a limit between two
     # trials' condition numbers discards exactly the worse half
     _, disc = systems_for(path3_model(), DT_BASE)
@@ -117,8 +111,9 @@ def test_bound_discards_match_a_serial_recount():
     conds = sorted(np.linalg.cond(s) for s in sigma0s)
     limit = math.sqrt(conds[n_trials // 2 - 1] * conds[n_trials // 2])
     kept = [s for s in sigma0s if np.linalg.cond(s) <= limit]
+    monkeypatch.setattr(estimators, "COND_THRESHOLD", limit)
     report = theorem1_bound(disc, n_samples, 0.1, n_trials, seed,
-                            burn_in=burn_in, cond_threshold=limit)
+                            burn_in=burn_in)
     assert report.n_discarded == n_trials - len(kept) == n_trials // 2
     trace_mean = math.fsum(float(np.trace(s)) for s in kept) / len(kept)
     inv_mean = math.fsum(float(np.sum(np.linalg.inv(s) ** 2))
@@ -126,9 +121,9 @@ def test_bound_discards_match_a_serial_recount():
     assert report.trace_sigma0_mean == pytest.approx(trace_mean, rel=1e-12)
     # ||Sigma_0^{-1}||_F^2 amplifies rounding by about cond(Sigma_0) ~ 1e6
     assert report.inv_norm_mean == pytest.approx(inv_mean, rel=1e-8)
+    monkeypatch.setattr(estimators, "COND_THRESHOLD", 1.0)
     with pytest.raises(ValueError, match="all Monte Carlo trials"):
-        theorem1_bound(disc, n_samples, 0.1, n_trials, seed, burn_in=burn_in,
-                       cond_threshold=1.0)
+        theorem1_bound(disc, n_samples, 0.1, n_trials, seed, burn_in=burn_in)
 
 
 def test_bound_bit_identical_on_rerun():

@@ -187,11 +187,7 @@ def test_estimate_rejects_bad_penalty(tmp_path, small_model_path, traj_path,
     assert f"validation error: {name} must be finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line,name", [
-    ("solver_tol = 0", "solver_tol"), ("solver_tol = 1e-9", "solver_tol"),
-    ("solver_tol = 1e-3", "solver_tol"),
-    ("solver_tol = nan", "solver_tol"), ("solver_max_iter = 0", "solver_max_iter"),
-    ("lambda = nan", "lambda")])
+@pytest.mark.parametrize("line,name", [("lambda = nan", "lambda")])
 def test_estimate_rejects_bad_solver_config(tmp_path, small_model_path, traj_path,
                                             capsys, line, name):
     cfg = tmp_path / "exp.ini"
@@ -206,40 +202,11 @@ def test_config_value_that_does_not_parse_exits_2(tmp_path, small_model_path,
                                                    traj_path, capsys):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(f"[model]\npath = {small_model_path}\n\n"
-                   "[estimation]\nsolver_max_iter = abc\n")
+                   "[estimation]\nstride = abc\n")
     code = run("estimate", traj_path, "--config", cfg, "--out", tmp_path / "e")
     assert code == 2
-    assert (f"validation error: {cfg}: [estimation] solver_max_iter is not an "
+    assert (f"validation error: {cfg}: [estimation] stride is not an "
             "integer: 'abc'") in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", ["nan", "0.5"])
-@pytest.mark.parametrize("command", ["estimate", "bound"])
-def test_cond_threshold_config_rejected(tmp_path, small_model_path, traj_path,
-                                        capsys, command, value):
-    cfg = tmp_path / "exp.ini"
-    cfg.write_text(f"[model]\npath = {small_model_path}\n\n"
-                   f"[estimation]\ncond_threshold = {value}\n")
-    argv = [traj_path] if command == "estimate" else ["--n-samples", "300",
-                                                      "--trials", "2"]
-    code = run(command, *argv, "--config", cfg, "--out", tmp_path / "o")
-    assert code == 2
-    assert (f"validation error: {cfg}: cond_threshold must be finite and at "
-            "least 1") in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("flags", [("--estimator", "UML"),
-                                   ("--estimator", "TIKHONOV", "--nu", "0")])
-def test_closed_forms_apply_config_cond_threshold(tmp_path, small_model_path,
-                                                  traj_path, capsys, flags):
-    # cond(Sigma_0) > 1 for any non-isotropic data, so a limit of 1 fails
-    cfg = tmp_path / "exp.ini"
-    cfg.write_text(f"[model]\npath = {small_model_path}\n\n"
-                   "[estimation]\ncond_threshold = 1\n")
-    code = run("estimate", traj_path, "--config", cfg, *flags,
-               "--out", tmp_path / "e")
-    assert code == 3
-    assert "sigma0 is singular or ill-conditioned" in capsys.readouterr().err
 
 
 def count_covariance_calls(monkeypatch) -> list[int]:
@@ -419,6 +386,17 @@ def test_sweep_rejects_nonpositive_t_obs_value(tmp_path, small_model_path,
             in capsys.readouterr().err)
 
 
+def test_sweep_rejects_t_obs_values_that_share_a_window(tmp_path,
+                                                       small_model_path, capsys):
+    # both round to 1800 steps of 1/60 s, which would run the same cells twice
+    assert run("sweep", "--model", small_model_path, "--axis", "t_obs",
+               "--values", "30", "30.001", "--seed", "1",
+               "--out", tmp_path / "sw") == 2
+    assert ("validation error: sweep_values 30.0 and 30.001 give the same "
+            "window of 1800 samples at stride 3") in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
+
+
 def test_sweep_rejects_non_integer_stride_value(tmp_path, small_model_path,
                                                 capsys):
     argv = ["sweep", "--model", str(small_model_path), "--axis", "stride",
@@ -477,9 +455,6 @@ def test_sweep_manifest_records_every_setting_it_reads(tmp_path,
     manifest = load_records(out / "manifest.csv")
     assert manifest["t_obs"] == "20.0"
     assert manifest["threshold"] == "false"
-    assert float(manifest["cond_threshold"]) == estimators.COND_THRESHOLD
-    assert float(manifest["solver_tol"]) == estimators.SOLVER_TOL
-    assert int(manifest["solver_max_iter"]) == estimators.SOLVER_MAX_ITER
     assert (manifest["model"], manifest["axis"], manifest["values"]) == \
         (str(small_model_path), "stride", "1.0 3.0")
     # where the tables went does not change them, so reruns elsewhere match
@@ -504,6 +479,13 @@ def test_non_finite_times_exit_2_naming_the_field(tmp_path, small_model_path,
 @pytest.mark.parametrize("section,line,message", [
     ("generation", "dt_base = nan", "dt_base must be finite and positive"),
     ("estimation", "lamda = 5", "[estimation] lamda is not a known setting"),
+    # the conditioning and solver limits are constants, not settings
+    ("estimation", "cond_threshold = 1e12",
+     "[estimation] cond_threshold is not a known setting"),
+    ("estimation", "solver_tol = 1e-6",
+     "[estimation] solver_tol is not a known setting"),
+    ("estimation", "solver_max_iter = 100000",
+     "[estimation] solver_max_iter is not a known setting"),
     ("generation", "seeds = 3 -1",
      "seeds must be a non-empty list of nonnegative integers"),
     ("generation", "seeds = 1, 2, 1",
@@ -590,6 +572,16 @@ def test_eigen_rejects_bad_zero_mode_tol(tmp_path, tol, capsys):
     assert "zero_mode_tol" in capsys.readouterr().err
 
 
+def test_eigen_takes_model_or_against_not_both(tmp_path, small_model_path,
+                                               capsys):
+    matrix = tmp_path / "a.csv"
+    save_matrix(matrix, np.diag([-1.0, 0.0]))
+    with pytest.raises(SystemExit) as info:
+        run("eigen", matrix, "--model", small_model_path, "--against", matrix)
+    assert info.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_eigen_dimension_mismatch(tmp_path, small_model_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1.0,0.0\n0.0,1.0\n")
@@ -619,19 +611,6 @@ def test_bound_rejects_nonpositive_n_samples(tmp_path, small_model_path,
                "--trials", "3", "--out", tmp_path / "b.csv") == 2
     assert "2N+2" in capsys.readouterr().err
     assert not (tmp_path / "b.csv").exists()
-
-
-def test_bound_applies_config_cond_threshold(tmp_path, small_model_path,
-                                             capsys):
-    # cond(Sigma_0) > 1 for every trial, so a limit of 1 discards them all
-    cfg = tmp_path / "exp.ini"
-    cfg.write_text(f"[model]\npath = {small_model_path}\n\n"
-                   "[estimation]\ncond_threshold = 1\n")
-    code = run("bound", "--config", cfg, "--n-samples", "300", "--trials", "3",
-               "--out", tmp_path / "b.csv")
-    assert code == 2
-    assert "all Monte Carlo trials produced singular sigma0" in \
-        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("burn_in,steps", [("0", 0), ("7", 3)])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swingid import estimators
 from swingid.estimators import (CML, LASSO, SOLVER_TOL, UML,
                                 ConvergenceError, CovariancePair,
                                 SingularCovarianceError, covariances,
@@ -306,16 +307,6 @@ def test_cml_rejects_odd_state_dimension():
         estimate_cml(cov)
 
 
-@pytest.mark.parametrize("limit", [float("nan"), float("inf")])
-def test_closed_forms_reject_nonfinite_cond_threshold(limit):
-    # cond > nan is never true, so a NaN limit would pass any Sigma_0
-    traj = noisy_traj()
-    with pytest.raises(ValueError, match="cond_threshold must be finite"):
-        estimate_uml(covariances(traj), cond_threshold=limit)
-    with pytest.raises(ValueError, match="cond_threshold must be finite"):
-        estimate_cml(covariances(traj), cond_threshold=limit)
-
-
 # --------------------------------------------------------------------- Tikhonov
 
 def gradient_descent_tikhonov(cov, a_prev, nu, iters=200_000):
@@ -434,7 +425,7 @@ def test_tikhonov_ridge_solves_a_window_too_short_for_uml():
 
 
 def test_every_closed_form_runs_the_gradient_certificate():
-    # cond(Sigma_0) ~ 1e11 passes the default cond_threshold, but against an
+    # cond(Sigma_0) ~ 1e11 passes COND_THRESHOLD, but against an
     # unrelated Sigma_1 the solve leaves normal-equation residuals far above
     # 1e-8 of the scale
     rng = np.random.default_rng(3)
@@ -531,10 +522,11 @@ def test_lasso_subgradient_certificate():
     assert l1_optimality_gap(cov, result.a_hat, lam) < 1e-4 * scale
 
 
-def test_lasso_nonconvergence_carries_diagnostics():
+def test_lasso_nonconvergence_carries_diagnostics(monkeypatch):
     traj = noisy_traj(seed=22, n_steps=200)
+    monkeypatch.setattr(estimators, "SOLVER_MAX_ITER", 3)
     with pytest.raises(ConvergenceError) as excinfo:
-        estimate_lasso(covariances(traj), 1e-6, max_iter=3)
+        estimate_lasso(covariances(traj), 1e-6)
     assert excinfo.value.iterations == 3
     assert np.isfinite(excinfo.value.objective)
     assert excinfo.value.gap > 0.0
@@ -758,14 +750,16 @@ def test_estimators_are_deterministic():
                           estimate_lasso(covariances(traj), lam).a_hat)
 
 
-def test_sparse_low_rank_reaches_tight_certificate(fixture_seed3_window):
+def test_sparse_low_rank_reaches_tight_certificate(fixture_seed3_window,
+                                                   monkeypatch):
     # accepting steps on the objective difference, not on J evaluated
     # through sum ||X_{t+1}||^2, keeps 1e-8 reachable
     traj = fixture_seed3_window
     cov = covariances(traj)
     lam = 0.01 * lasso_kill_threshold(cov)
-    result = estimate_sparse_low_rank(covariances(traj), lam, 5.0 * lam, tol=1e-8,
-                                      max_iter=20_000)
+    monkeypatch.setattr(estimators, "SOLVER_TOL", 1e-8)
+    monkeypatch.setattr(estimators, "SOLVER_MAX_ITER", 20_000)
+    result = estimate_sparse_low_rank(covariances(traj), lam, 5.0 * lam)
     assert result.hyperparams["optimality_gap"] <= 1e-8 * max(
         lam, lasso_kill_threshold(cov), 1.0)
     history = np.array(result.objective_history)

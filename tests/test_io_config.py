@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import configparser
+import re
 import tracemalloc
 from dataclasses import fields
 
@@ -9,8 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swingid.estimators import (CERTIFICATE_BOUND, COND_THRESHOLD, SOLVER_MAX_ITER,
-                                SOLVER_TOL, SOLVER_TOL_MIN)
 from swingid.io_config import (_ROWS_PER_BLOCK, SETTINGS, ExperimentConfig,
                                load_config, load_matrix, load_model,
                                load_records, load_trajectory, save_config,
@@ -451,10 +450,8 @@ def test_config_roundtrip(tmp_path):
     cfg = ExperimentConfig(model_path="m.grid", dt_base=0.01, t_obs=120.0,
                            burn_in=500, seeds=(4, 5), stride=6,
                            estimators=("CML",), threshold=False, nu=2.5,
-                           lam=0.1, eta=0.7, cond_threshold=1e10,
-                           solver_tol=1e-7, solver_max_iter=500,
-                           outputs="results", sweep_variable="stride",
-                           sweep_values=(1.0, 3.0))
+                           lam=0.1, eta=0.7, outputs="results",
+                           sweep_variable="stride", sweep_values=(1.0, 3.0))
     default = ExperimentConfig(model_path="")
     assert all(getattr(cfg, f.name) != getattr(default, f.name)
                for f in fields(ExperimentConfig))
@@ -475,6 +472,15 @@ def test_shipped_config_sets_every_setting():
     assert {(section, key) for section in parser.sections()
             for key in parser[section]} == \
         {(s.section, s.key) for s in SETTINGS}
+
+
+def test_readme_configuration_table_lists_every_setting():
+    rows = re.findall(r"^\| `\[(\w+)\] (\w+)` \|",
+                      (REPO_ROOT / "README.md").read_text(), flags=re.M)
+    assert rows[0] == ("section", "key")  # the header
+    rows = rows[1:]
+    assert len(rows) == len(set(rows))
+    assert set(rows) == {(s.section, s.key) for s in SETTINGS}
 
 
 @pytest.mark.parametrize("text,named", [
@@ -539,15 +545,12 @@ def test_config_validation():
 @pytest.mark.parametrize("kwargs,field", [
     ({"lam": float("nan")}, "lam"), ({"lam": -1.0}, "lam"),
     ({"eta": float("inf")}, "eta"), ({"nu": float("nan")}, "nu"),
-    ({"solver_tol": 0.0}, "solver_tol"), ({"solver_tol": 1e-3}, "solver_tol"),
-    ({"solver_tol": float("nan")}, "solver_tol"),
-    ({"solver_max_iter": 0}, "solver_max_iter"),
-    ({"cond_threshold": float("nan")}, "cond_threshold"),
-    ({"cond_threshold": float("inf")}, "cond_threshold"),
-    ({"cond_threshold": 0.5}, "cond_threshold"),
-    ({"cond_threshold": -1.0}, "cond_threshold"),
-    # below what both solvers certify on fixture windows
-    ({"solver_tol": 1e-9}, "solver_tol"),
+    ({"eta": -1.0}, "eta"), ({"nu": -0.5}, "nu"),
+    ({"dt_base": 0.0}, "dt_base"), ({"dt_base": -DT_BASE}, "dt_base"),
+    ({"t_obs": -600.0}, "t_obs"), ({"burn_in": -1}, "burn_in"),
+    ({"sweep_values": (60.0, 0.0)}, "sweep_values"),
+    ({"sweep_values": (-60.0,)}, "sweep_values"),
+    ({"estimators": ("CML", "BOGUS")}, "estimators"),
     ({"dt_base": float("nan")}, "dt_base"), ({"dt_base": float("inf")}, "dt_base"),
     ({"t_obs": float("inf")}, "t_obs"), ({"t_obs": float("nan")}, "t_obs"),
     ({"sweep_values": (60.0, float("inf"))}, "sweep_values"),
@@ -561,19 +564,6 @@ def test_config_rejects_bad_solver_settings(kwargs, field):
     assert excinfo.value.field == field
 
 
-def test_config_accepts_solver_tol_range_both_solvers_certify():
-    assert SOLVER_TOL_MIN == 1e-8
-    for tol in (SOLVER_TOL_MIN, SOLVER_TOL, CERTIFICATE_BOUND):
-        assert ExperimentConfig(model_path="m", solver_tol=tol).solver_tol == tol
-
-
-def test_shipped_config_uses_default_solver_settings():
-    cfg = load_config(REPO_ROOT / "configs" / "fixture10.ini")
-    assert (cfg.solver_tol, cfg.solver_max_iter) == (SOLVER_TOL, SOLVER_MAX_ITER)
-    assert ExperimentConfig(model_path="m").solver_tol == SOLVER_TOL == 1e-6
-    assert ExperimentConfig(model_path="m").cond_threshold == COND_THRESHOLD
-
-
 @pytest.mark.parametrize("section,line,key,field", [
     ("generation", "dt_base = fast", "dt_base", "dt_base"),
     ("generation", "t_obs = 10min", "t_obs", "t_obs"),
@@ -583,9 +573,6 @@ def test_shipped_config_uses_default_solver_settings():
     ("estimation", "nu = none", "nu", "nu"),
     ("estimation", "lambda = 1e-3x", "lambda", "lam"),
     ("estimation", "eta = ?", "eta", "eta"),
-    ("estimation", "cond_threshold = big", "cond_threshold", "cond_threshold"),
-    ("estimation", "solver_tol = tight", "solver_tol", "solver_tol"),
-    ("estimation", "solver_max_iter = abc", "solver_max_iter", "solver_max_iter"),
     ("sweep", "values = 60 x 600", "values", "sweep_values"),
     ("estimation", "threshold = ture", "threshold", "threshold"),
 ])
