@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, io_config, sim
-from .estimators import (CML, ESTIMATORS, LASSO, SPARSE_LOW_RANK, TIKHONOV,
-                         UML, ConvergenceError, CovariancePair,
+from .estimators import (CML, LASSO, SPARSE_LOW_RANK, TIKHONOV, UML,
+                         ConvergenceError, CovariancePair,
                          SingularCovarianceError, covariances, estimate_b,
                          estimate_cml, estimate_lasso, estimate_sparse_low_rank,
                          estimate_tikhonov, estimate_uml, fold_covariances,
@@ -42,22 +42,37 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 
+# the ExperimentConfig fields each command takes as flags; its other
+# settings come from --config or the defaults
+_ESTIMATION_FLAGS = {"model_path", "outputs", "stride", "estimators",
+                     "threshold", "nu", "lam", "eta"}
+CONFIG_FLAGS = {
+    "simulate": {"model_path", "outputs", "seeds", "t_obs", "dt_base",
+                 "burn_in"},
+    "estimate": _ESTIMATION_FLAGS,
+    "sweep": _ESTIMATION_FLAGS | {"seeds", "t_obs", "sweep_variable",
+                                  "sweep_values"},
+    "bound": {"model_path", "seeds", "stride", "t_obs"},
+}
+
+
 def _config_from_args(args) -> io_config.ExperimentConfig:
     """The --config file, or the defaults, with every given flag on top.
 
-    Each config flag's argparse dest is its field name; a flag given as text
-    parses like the INI value.
+    Each config flag's argparse dest is its field name, and its text (a
+    list flag's words joined) parses like the INI value.
     """
-    cfg = (io_config.load_config(args.config) if getattr(args, "config", None)
+    cfg = (io_config.load_config(args.config) if args.config
            else io_config.ExperimentConfig(model_path=""))
     overrides = {}
     for setting in io_config.SETTINGS:
         value = getattr(args, setting.field, None)
-        if isinstance(value, str):
-            value = setting.read(value, setting.field)
-        if value is not None:
-            overrides[setting.field] = (tuple(value) if isinstance(value, list)
-                                        else value)
+        if value is None:
+            continue
+        if isinstance(value, list):
+            value = " ".join(value)
+        overrides[setting.field] = (setting.read(value, setting.field)
+                                    if isinstance(value, str) else value)
     return replace(cfg, **overrides)
 
 
@@ -351,8 +366,8 @@ def cmd_bound(args) -> int:
         "rhs_discrete": report.rhs,
         "rhs_continuous": report.rhs_continuous,
     }
-    if args.outputs:
-        io_config.save_records(args.outputs, records)
+    if args.out:
+        io_config.save_records(args.out, records)
     for key in ("rhs_discrete", "rhs_continuous"):
         print(f"{key},{repr(records[key])}")
     return EXIT_OK
@@ -380,65 +395,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "dynamic state matrix from sampled trajectories.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, *, seeds=True):
-        sp.add_argument("--config", help="experiment config (INI)")
-        sp.add_argument("--model", dest="model_path", metavar="MODEL",
-                        help="grid model file")
-        sp.add_argument("--out", dest="outputs", metavar="OUT",
-                        help="output directory or file")
-        if seeds:
-            sp.add_argument("--seed", dest="seeds", metavar="SEED", type=int,
-                            nargs="+", help="override config seeds")
-
-    def add_penalties(sp):
-        sp.add_argument("--nu", type=float, help="quadratic-prior weight")
-        sp.add_argument("--lambda", dest="lam", type=float,
-                        help="l1 penalty weight")
-        sp.add_argument("--eta", type=float,
-                        help="nuclear-norm penalty weight")
-
     p_sim = sub.add_parser("simulate", help="generate trajectories per seed")
-    add_common(p_sim)
-    p_sim.add_argument("--t-obs", dest="t_obs", type=float,
-                       help="observation window in seconds")
-    p_sim.add_argument("--dt-base", dest="dt_base", type=float,
-                       help="generation step in seconds (default 1/60)")
-    p_sim.add_argument("--burn-in", dest="burn_in",
-                       help="burn-in steps or 'auto'")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_est = sub.add_parser("estimate", help="reconstruct dynamics from a file")
-    add_common(p_est, seeds=False)
     p_est.add_argument("trajectory", help="trajectory file")
-    p_est.add_argument("--stride", type=int, help="subsampling stride in cycles")
-    p_est.add_argument("--estimator", dest="estimators", nargs="+",
-                       choices=list(ESTIMATORS),
-                       help="estimators to run")
-    p_est.add_argument("--threshold", action=argparse.BooleanOptionalAction,
-                       default=None,
-                       help="zero the known-zero damping-block entries")
-    add_penalties(p_est)
     p_est.add_argument("--a-prev", dest="a_prev",
                        help="matrix file with the quadratic-prior center")
     p_est.set_defaults(func=cmd_estimate)
 
     p_sweep = sub.add_parser("sweep", help="error tables over an axis")
-    add_common(p_sweep)
-    p_sweep.add_argument("--axis", dest="sweep_variable",
-                         choices=list(io_config.VALID_SWEEP_VARIABLES),
-                         help="sweep variable")
-    p_sweep.add_argument("--values", dest="sweep_values", metavar="VALUES",
-                         nargs="+", type=float,
-                         help="axis values (seconds or cycles)")
-    p_sweep.add_argument("--stride", type=int,
-                         help="fixed stride for t_obs sweeps")
-    p_sweep.add_argument("--t-obs", dest="t_obs", type=float,
-                         help="fixed window for stride sweeps")
-    p_sweep.add_argument("--estimator", dest="estimators", nargs="+",
-                         choices=list(ESTIMATORS))
-    p_sweep.add_argument("--threshold", action=argparse.BooleanOptionalAction,
-                         default=None)
-    add_penalties(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_eig = sub.add_parser("eigen", help="eigenvalue table and spectral distance")
@@ -453,21 +419,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_eig.set_defaults(func=cmd_eigen)
 
     p_bound = sub.add_parser("bound", help="error envelopes by Monte Carlo")
-    add_common(p_bound)
-    p_bound.add_argument("--stride", type=int, help="sampling stride in cycles")
-    p_bound.add_argument("--t-obs", dest="t_obs", type=float)
     p_bound.add_argument("--n-samples", dest="n_samples", type=int,
                          help="window length in samples (overrides t_obs)")
     p_bound.add_argument("--epsilon", type=float, default=0.1,
                          help="confidence parameter in (0,1)")
     p_bound.add_argument("--trials", type=int, default=100,
                          help="Monte Carlo replications")
+    p_bound.add_argument("--out", help="report file (default: none)")
     p_bound.set_defaults(func=cmd_bound)
 
     p_kron = sub.add_parser("kron", help="reduce a model to its generator buses")
     p_kron.add_argument("model", help="grid model file")
     p_kron.add_argument("--out", help="output matrix file (default: stdout)")
     p_kron.set_defaults(func=cmd_kron)
+
+    # one flag per SETTINGS row a command takes, read as its INI key is
+    for command, names in CONFIG_FLAGS.items():
+        sp = sub.choices[command]
+        sp.add_argument("--config", help="experiment config (INI)")
+        for s in [s for s in io_config.SETTINGS if s.field in names]:
+            options = ({"action": argparse.BooleanOptionalAction} if s.is_boolean
+                       else {"nargs": "+"} if s.is_list else {})
+            sp.add_argument(s.flag, dest=s.field,
+                            help=f"[{s.section}] {s.key}", **options)
     return parser
 
 
@@ -479,10 +453,7 @@ def main(argv=None) -> int:
             np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except FileNotFoundError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ValidationError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

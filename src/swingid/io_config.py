@@ -27,8 +27,9 @@ Formats:
   matrix          comma-separated rows, `#` comments allowed.
   key-value       `key,value` lines for metadata sidecars and bound reports.
   experiment      INI file with sections [model], [generation], [estimation],
-                  [outputs] and optional [sweep]; SETTINGS lists every key,
-                  and any other section or key is an error.
+                  [outputs] and optional [sweep]; SETTINGS lists every key
+                  and its command-line flag, and any other section or key
+                  is an error.
 """
 
 from __future__ import annotations
@@ -83,13 +84,13 @@ def _data_lines(path: Path):
             yield f"{path}:{lineno}", text
 
 
-def _parse(parse, token: str, where: str, fieldname: str):
+def _read(parse, text: str, where: str, fieldname: str):
+    """parse(text); a failure names `where` and says what the text is not."""
     try:
-        return parse(token)
+        return parse(text)
     except ValueError:
-        raise ValidationError(
-            f"{where}: {fieldname} is not {_KINDS[parse]}: {token!r}",
-            field=fieldname) from None
+        raise ValidationError(f"{where} is not {_KINDS[parse]}: {text!r}",
+                              field=fieldname) from None
 
 
 def load_model(path) -> GridModel:
@@ -115,8 +116,8 @@ def load_model(path) -> GridModel:
                 raise ValidationError(
                     f"{where}: node row must be id,is_generator,M,D,sigma_P "
                     "(loads may leave the last three empty)", field="nodes")
-            node = _parse(int, parts[0], where, "id")
-            is_gen = _parse(int, parts[1], where, "is_generator")
+            node = _read(int, parts[0], f"{where}: id", "id")
+            is_gen = _read(int, parts[1], f"{where}: is_generator", "is_generator")
             if node in node_ids:
                 raise ValidationError(f"{where}: duplicate node id {node}",
                                       field="id")
@@ -130,9 +131,10 @@ def load_model(path) -> GridModel:
                         f"{where}: generator row needs M, D and sigma_P",
                         field="nodes")
                 generator_ids.append(node)
-                inertia[node] = _parse(float, parts[2], where, "M")
-                damping[node] = _parse(float, parts[3], where, "D")
-                noise_sigma[node] = _parse(float, parts[4], where, "sigma_P")
+                inertia[node] = _read(float, parts[2], f"{where}: M", "M")
+                damping[node] = _read(float, parts[3], f"{where}: D", "D")
+                noise_sigma[node] = _read(float, parts[4], f"{where}: sigma_P",
+                                          "sigma_P")
             elif any(p != "" for p in parts[2:]):
                 raise ValidationError(
                     f"{where}: load row must leave M, D, sigma_P empty",
@@ -141,10 +143,11 @@ def load_model(path) -> GridModel:
             if len(parts) not in (3, 4):
                 raise ValidationError(f"{where}: line row needs `i,j,beta[,gamma]`",
                                       field="lines")
-            i = _parse(int, parts[0], where, "i")
-            j = _parse(int, parts[1], where, "j")
-            beta = _parse(float, parts[2], where, "beta")
-            gamma = _parse(float, parts[3], where, "gamma") if len(parts) == 4 else 0.0
+            i = _read(int, parts[0], f"{where}: i", "i")
+            j = _read(int, parts[1], f"{where}: j", "j")
+            beta = _read(float, parts[2], f"{where}: beta", "beta")
+            gamma = (_read(float, parts[3], f"{where}: gamma", "gamma")
+                     if len(parts) == 4 else 0.0)
             lines.append(Line(i=i, j=j, beta=beta, gamma=gamma))
         else:
             raise ValidationError(f"{where}: data before any section header",
@@ -361,57 +364,65 @@ def _distinct(values: tuple) -> bool:
 
 
 class Setting(NamedTuple):
-    """One ExperimentConfig field: where it sits in the INI file, how its
-    text parses, and the rule its value must meet (None: any value)."""
+    """One ExperimentConfig field: where it sits in the INI file, its
+    command-line flag, how its text parses, and the rule its value must
+    meet (None: any value)."""
 
     section: str
     key: str
+    flag: str
     field: str
     parse: Callable[[str], object]
     rule: Callable[[object], bool] | None
     message: str | None  # the rule in words, raised when it fails
 
+    @property
+    def is_list(self) -> bool:
+        """Whether the text is a list, its entries split by spaces or commas."""
+        return self.parse in (_ints, _floats, _words)
+
+    @property
+    def is_boolean(self) -> bool:
+        return self.parse is _boolean
+
     def read(self, text: str, where: str):
         """parse(text); a failure names `where` and the field."""
-        try:
-            return self.parse(text)
-        except ValueError:
-            raise ValidationError(f"{where} is not {_KINDS[self.parse]}: {text!r}",
-                                  field=self.field) from None
+        return _read(self.parse, text, where, self.field)
 
 
 # one row per ExperimentConfig field, in field order
 SETTINGS = (
-    Setting("model", "path", "model_path", str, None, None),
-    Setting("generation", "dt_base", "dt_base", float, _positive,
+    Setting("model", "path", "--model", "model_path", str, None, None),
+    Setting("generation", "dt_base", "--dt-base", "dt_base", float, _positive,
             "dt_base must be finite and positive"),
-    Setting("generation", "t_obs", "t_obs", float, _positive,
+    Setting("generation", "t_obs", "--t-obs", "t_obs", float, _positive,
             "t_obs must be finite and positive"),
-    Setting("generation", "burn_in", "burn_in", _auto_or_int,
+    Setting("generation", "burn_in", "--burn-in", "burn_in", _auto_or_int,
             lambda v: v is None or v >= 0,
             "burn_in must be 'auto' or a nonnegative integer"),
-    Setting("generation", "seeds", "seeds", _ints,
+    Setting("generation", "seeds", "--seed", "seeds", _ints,
             lambda v: bool(v) and min(v) >= 0 and _distinct(v),
             "seeds must be a non-empty list of nonnegative integers, "
             "without repeats"),
-    Setting("estimation", "stride", "stride", int, lambda v: v >= 1,
-            "stride must be at least 1"),
-    Setting("estimation", "estimators", "estimators", _words,
+    Setting("estimation", "stride", "--stride", "stride", int,
+            lambda v: v >= 1, "stride must be at least 1"),
+    Setting("estimation", "estimators", "--estimator", "estimators", _words,
             lambda v: bool(v) and set(v) <= set(ESTIMATORS) and _distinct(v),
             f"estimators must be a non-empty list from {' '.join(ESTIMATORS)}, "
             "without repeats"),
-    Setting("estimation", "threshold", "threshold", _boolean, None, None),
-    Setting("estimation", "nu", "nu", float, _nonnegative,
+    Setting("estimation", "threshold", "--threshold", "threshold", _boolean,
+            None, None),
+    Setting("estimation", "nu", "--nu", "nu", float, _nonnegative,
             "nu must be finite and nonnegative"),
-    Setting("estimation", "lambda", "lam", float, _nonnegative,
+    Setting("estimation", "lambda", "--lambda", "lam", float, _nonnegative,
             "lambda must be finite and nonnegative"),
-    Setting("estimation", "eta", "eta", float, _nonnegative,
+    Setting("estimation", "eta", "--eta", "eta", float, _nonnegative,
             "eta must be finite and nonnegative"),
-    Setting("outputs", "dir", "outputs", str, None, None),
-    Setting("sweep", "variable", "sweep_variable", str,
+    Setting("outputs", "dir", "--out", "outputs", str, None, None),
+    Setting("sweep", "variable", "--axis", "sweep_variable", str,
             lambda v: v is None or v in VALID_SWEEP_VARIABLES,
             f"sweep_variable must be one of {' '.join(VALID_SWEEP_VARIABLES)}"),
-    Setting("sweep", "values", "sweep_values", _floats,
+    Setting("sweep", "values", "--values", "sweep_values", _floats,
             lambda v: all(map(_positive, v)) and _distinct(v),
             "sweep_values must be finite and positive, without repeats"),
 )

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from swingid import analysis, cli, estimators
 from swingid.cli import main
 from swingid.estimators import covariances, lasso_kill_threshold
-from swingid.io_config import (load_matrix, load_records, load_trajectory,
-                               save_matrix, save_model, save_trajectory)
+from swingid.io_config import (SETTINGS, load_config, load_matrix, load_records,
+                               load_trajectory, save_matrix, save_model,
+                               save_trajectory)
 from swingid.model import ValidationError
 from swingid.sim import DT_BASE, simulate, subsample
 
@@ -689,3 +692,123 @@ dir = {tmp_path / 'cfg_out'}
                "--out", tmp_path / "ovr") == 0
     traj = load_trajectory(tmp_path / "ovr" / "traj_seed9.csv")
     assert traj.n_samples == 120
+
+
+def test_burn_in_flag_auto_overrides_the_config(tmp_path):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[model]\npath = m.grid\n[generation]\nburn_in = 100\n")
+    args = cli.build_parser().parse_args(
+        ["simulate", "--config", str(cfg), "--burn-in", "auto"])
+    assert cli._config_from_args(args).burn_in is None
+
+
+# each command's config flags, written out so that a flag added to or taken
+# from a command shows up here
+CONFIG_FLAGS = {
+    "simulate": {"--model", "--out", "--seed", "--t-obs", "--dt-base",
+                 "--burn-in"},
+    "estimate": {"--model", "--out", "--stride", "--estimator", "--threshold",
+                 "--nu", "--lambda", "--eta"},
+    "bound": {"--model", "--seed", "--stride", "--t-obs"},
+}
+CONFIG_FLAGS["sweep"] = CONFIG_FLAGS["estimate"] | {"--seed", "--t-obs",
+                                                    "--axis", "--values"}
+# every other option of each subcommand, -h and --help aside
+OWN_FLAGS = {
+    "simulate": {"--config"},
+    "estimate": {"--config", "--a-prev"},
+    "sweep": {"--config"},
+    "bound": {"--config", "--n-samples", "--epsilon", "--trials", "--out"},
+    "eigen": {"--model", "--against", "--zero-mode-tol", "--out"},
+    "kron": {"--out"},
+}
+# one text per flag, which must read as the same text under its INI key does;
+# lists are written with commas
+FLAG_TEXTS = {"--model": "m.grid", "--dt-base": "0.02", "--t-obs": "30.5",
+              "--burn-in": "120", "--seed": "1,2", "--stride": "4",
+              "--estimator": "CML,LASSO", "--threshold": "off", "--nu": "0.5",
+              "--lambda": "1e-3", "--eta": "2", "--out": "res",
+              "--axis": "t_obs", "--values": "3,5"}
+
+
+def _write_ini(path, entries: dict[tuple[str, str], str]):
+    sections: dict[str, list[str]] = {}
+    for (section, key), text in entries.items():
+        sections.setdefault(section, []).append(f"{key} = {text}\n")
+    path.write_text("".join(f"[{section}]\n" + "".join(lines)
+                            for section, lines in sections.items()))
+    return path
+
+
+@pytest.mark.parametrize("command,flag", sorted(
+    (command, flag) for command, flags in CONFIG_FLAGS.items()
+    for flag in flags))
+def test_flag_reads_as_its_ini_key(tmp_path, command, flag):
+    setting = next(s for s in SETTINGS if s.flag == flag)
+    text = FLAG_TEXTS[flag]
+    base = {("model", "path"): "base.grid", ("sweep", "values"): "7"}
+    base_ini = _write_ini(tmp_path / "base.ini", base)
+    from_ini = load_config(_write_ini(
+        tmp_path / "key.ini", {**base, (setting.section, setting.key): text}))
+    argv = [command, "--config", str(base_ini)]
+    if command == "estimate":
+        argv.append("traj.csv")
+    argv += [f"--no-{flag[2:]}"] if setting.is_boolean else [flag, text]
+    from_flag = cli._config_from_args(cli.build_parser().parse_args(argv))
+    assert from_flag == from_ini
+    # the text sets a value other than the base one
+    assert (getattr(from_flag, setting.field)
+            != getattr(load_config(base_ini), setting.field))
+
+
+@pytest.mark.parametrize("command", sorted(OWN_FLAGS))
+def test_help_lists_each_flag_and_names_each_setting(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    config = CONFIG_FLAGS.get(command, set())
+    boolean = {f"--no-{s.flag[2:]}" for s in SETTINGS
+               if s.is_boolean and s.flag in config}
+    assert set(re.findall(r"(?<![\w-])--[a-z][\w-]*", text)) == \
+        {"--help"} | config | boolean | OWN_FLAGS[command]
+    for setting in SETTINGS:
+        if setting.flag in config:
+            assert f"[{setting.section}] {setting.key}" in text
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["estimate", "t.csv", "--stride", "2.5"],
+     "stride is not an integer: '2.5'"),
+    (["simulate", "--seed", "1,x"], "seeds is not a list of integers: '1,x'"),
+    (["estimate", "t.csv", "--estimator", "FOO"],
+     "estimators must be a non-empty list from UML CML TIKHONOV LASSO "
+     "SPARSE_LOW_RANK, without repeats, got ('FOO',)"),
+    (["sweep", "--axis", "foo", "--values", "3"],
+     "sweep_variable must be one of stride t_obs, got 'foo'"),
+], ids=["stride", "seeds", "estimators", "sweep_variable"])
+def test_bad_flag_text_exits_2_naming_the_setting(tmp_path, capsys, argv,
+                                                  message):
+    assert run(*argv, "--out", tmp_path / "o") == 2
+    assert f"validation error: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv,bad", [
+    (["estimate", "{dir}"], "dir"),
+    (["simulate", "--model", "{dir}"], "dir"),
+    (["simulate", "--model", "{model}", "--out", "{file}"], "file"),
+    (["eigen", "{dir}"], "dir"),
+    (["kron", "{dir}"], "dir"),
+    (["bound", "--model", "{model}", "--trials", "2", "--out", "{dir}"], "dir"),
+], ids=["estimate", "simulate-model", "simulate-out", "eigen", "kron", "bound"])
+def test_directory_or_file_in_place_of_the_other_exits_2(
+        tmp_path, small_model_path, capsys, argv, bad):
+    paths = {"dir": tmp_path / "a_dir", "file": tmp_path / "a_file",
+             "model": small_model_path}
+    paths["dir"].mkdir()
+    paths["file"].write_text("x\n")
+    assert run(*[a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ")
+    assert str(paths[bad]) in err

@@ -475,12 +475,14 @@ def test_shipped_config_sets_every_setting():
 
 
 def test_readme_configuration_table_lists_every_setting():
-    rows = re.findall(r"^\| `\[(\w+)\] (\w+)` \|",
+    rows = re.findall(r"^\| `\[(\w+)\] (\w+)` \| (.*?) \|",
                       (REPO_ROOT / "README.md").read_text(), flags=re.M)
-    assert rows[0] == ("section", "key")  # the header
+    assert rows[0] == ("section", "key", "flag")  # the header
     rows = rows[1:]
     assert len(rows) == len(set(rows))
-    assert set(rows) == {(s.section, s.key) for s in SETTINGS}
+    # the boolean is written --[no-]flag
+    assert set(rows) == {(s.section, s.key, f"`--[no-]{s.flag[2:]}`"
+                          if s.is_boolean else f"`{s.flag}`") for s in SETTINGS}
 
 
 @pytest.mark.parametrize("text,named", [
