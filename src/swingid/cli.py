@@ -344,6 +344,9 @@ def cmd_eigen(args) -> int:
 
 def cmd_bound(args) -> int:
     cfg = _config_from_args(args)
+    if len(cfg.seeds) != 1:
+        raise ValidationError(f"seeds must be one seed for bound, got {cfg.seeds}",
+                              field="seeds")
     dt = cfg.dt_base * cfg.stride
     disc = _build_systems(cfg.model_path, dt)[2]
     n_samples = (args.n_samples if args.n_samples is not None

@@ -358,7 +358,7 @@ def slr_optimality_gap(cov: CovariancePair, a: np.ndarray, low: np.ndarray,
     grad = _ls_gradient(cov, a + low)
     u, s, vt = np.linalg.svd(low)
     s = np.where(s > s[0] * max(low.shape) * np.finfo(float).eps, s, 0.0)
-    return max(_l1_gap(a, grad, lam), _nuclear_gap((u, s, vt), grad, eta))
+    return float(np.max([_l1_gap(a, grad, lam), _nuclear_gap((u, s, vt), grad, eta)]))
 
 
 class _Block(NamedTuple):
@@ -393,15 +393,17 @@ def _accelerated_prox_grad(cov: CovariancePair, blocks: tuple[_Block, ...],
     (O'Donoghue & Candes 2015): a step that would raise the objective is
     rejected and the momentum restarts from the last accepted point, so
     the objective history is monotone.  Acceptance compares the exact
-    objective difference between the two points, and the objective is
-    carried forward by those differences.  The gradient of the smooth part in
-    (X_1..X_k) is k 2(T-1) lambda_max(Sigma_0)-Lipschitz, which fixes the
-    step.  Stops once the worst block certificate, evaluated at every
-    accepted point, is at most SOLVER_TOL * scale, and raises
-    ConvergenceError after SOLVER_MAX_ITER proximal steps.
+    objective difference between the two points; the objective, sum and
+    penalty of the accepted point are carried forward.  The gradient of the
+    smooth part in (X_1..X_k) is k 2(T-1) lambda_max(Sigma_0)-Lipschitz,
+    which fixes the step.  Stops once every block certificate at an accepted
+    point is at most SOLVER_TOL * scale, checked in order up to the first
+    that fails (a NaN fails), so the nuclear-norm one runs only where the l1
+    one passes.  Raises ConvergenceError after SOLVER_MAX_ITER proximal steps.
 
     Returns (blocks stacked on axis 0, iterations, gap, objective, history);
-    iterations counts every proximal step, rejected ones included.
+    iterations counts every proximal step, rejected ones included.  The gap,
+    returned or raised, is the full certificate: the worst block's value.
     """
     n2 = cov.sigma0.shape[0]
     lip = 2.0 * (cov.n_samples - 1) * float(np.linalg.eigvalsh(cov.sigma0)[-1])
@@ -409,8 +411,14 @@ def _accelerated_prox_grad(cov: CovariancePair, blocks: tuple[_Block, ...],
     # is certified before any step
     step = 1.0 / (len(blocks) * lip) if lip > 0.0 else 0.0
 
-    def certificate(aux, grad):
-        return max(b.gap(aux_k, grad, b.weight) for b, aux_k in zip(blocks, aux))
+    def certificate(aux, grad, full=False):
+        # gaps in block order up to the first that fails, or all; np.max keeps NaN
+        gaps = []
+        for b, aux_k in zip(blocks, aux):
+            gaps.append(b.gap(aux_k, grad, b.weight))
+            if not (full or gaps[-1] <= SOLVER_TOL * scale):
+                break
+        return float(np.max(gaps))
 
     def penalty(aux):
         return sum(b.weight * b.norm(aux_k) for b, aux_k in zip(blocks, aux))
@@ -418,13 +426,15 @@ def _accelerated_prox_grad(cov: CovariancePair, blocks: tuple[_Block, ...],
     x = np.zeros((len(blocks), n2, n2))
     # a zero-threshold prox of the zero start yields its aux
     aux = [b.prox(x_k, 0.0)[1] for b, x_k in zip(blocks, x)]
-    gap = certificate(aux, _ls_gradient(cov, x.sum(axis=0)))
-    obj = ls_objective(cov, x.sum(axis=0))
+    x_sum, pen = x.sum(axis=0), penalty(aux)
+    gap = certificate(aux, _ls_gradient(cov, x_sum))
+    obj = ls_objective(cov, x_sum)
     history = [obj]
     x_prev, theta, it = x, 1.0, 0
     # negated comparisons so that a NaN gap or objective never passes
     while not gap <= SOLVER_TOL * scale:
         if it == SOLVER_MAX_ITER:
+            gap = certificate(aux, _ls_gradient(cov, x_sum), full=True)
             raise ConvergenceError(f"{name} did not reach its certificate",
                                    iterations=it, objective=obj, gap=gap)
         it += 1
@@ -437,17 +447,17 @@ def _accelerated_prox_grad(cov: CovariancePair, blocks: tuple[_Block, ...],
         # J(Z) - J(X) = (T-1) <Z - X, (Z + X) Sigma_0 - 2 Sigma_1> leaves
         # out sum ||X_{t+1}||^2, whose rounding in J itself hides the last
         # decreases and would reject every step near the minimizer
-        z_sum, x_sum = z.sum(axis=0), x.sum(axis=0)
+        z_sum, z_pen = z.sum(axis=0), penalty(new_aux)
         change = (cov.n_samples - 1) * float(np.sum(
             (z_sum - x_sum) * ((z_sum + x_sum) @ cov.sigma0 - 2.0 * cov.sigma1)))
-        change += penalty(new_aux) - penalty(aux)
+        change += z_pen - pen
         if not change <= 0.0:
             x_prev, theta = x, 1.0
             continue
-        x_prev, x, theta, aux = x, z, theta_next, new_aux
+        x_prev, x, x_sum, pen, theta, aux = x, z, z_sum, z_pen, theta_next, new_aux
         obj += change
         history.append(obj)
-        gap = certificate(aux, _ls_gradient(cov, x.sum(axis=0)))
+        gap = certificate(aux, _ls_gradient(cov, x_sum))
     return x, it, gap, obj, tuple(history)
 
 

@@ -654,6 +654,21 @@ def test_bound_names_diverged_trials(tmp_path, fixture_model_path, capsys):
     assert not (tmp_path / "b.csv").exists()
 
 
+@pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+def test_bound_with_more_than_one_seed_exits_2(tmp_path, small_model_path,
+                                               capsys, by_config):
+    # the trials come from one seed; a second one was once dropped silently
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[model]\npath = {small_model_path}\n\n"
+                   "[generation]\nseeds = 1 2\n")
+    argv = (("--config", cfg) if by_config
+            else ("--model", small_model_path, "--seed", "1", "2"))
+    assert run("bound", *argv, "--trials", "2", "--out", tmp_path / "b.csv") == 2
+    assert ("validation error: seeds must be one seed for bound, got (1, 2)"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "b.csv").exists()
+
+
 def test_kron_on_fixture(tmp_path, fixture_model_path):
     out = tmp_path / "red.csv"
     assert run("kron", fixture_model_path, "--out", out) == 0

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -657,14 +660,25 @@ def test_slr_optimality_gap_reduces_to_l1_gap_at_zero_low_rank():
             == l1_optimality_gap(cov, a, lam)
 
 
-@pytest.fixture(scope="module")
-def fixture_seed3_window(fixture_systems):
-    # the 10-minute fixture seed-3 window at stride 3 (cond sigma0 ~ 3.5e4),
-    # simulated as `swingid simulate --seed 3` does
+def fixture_window(fixture_systems, seed):
+    # the 10-minute fixture window at stride 3, simulated as
+    # `swingid simulate --seed SEED` does
     cont, disc = fixture_systems
-    burn_seed, run_seed = spawn_seeds(3, 2)
+    burn_seed, run_seed = spawn_seeds(seed, 2)
     x0 = steady_start(disc, default_burn_in(cont, DT_BASE), burn_seed)
     return subsample(simulate(disc, round(600 / DT_BASE) - 1, x0, run_seed), 3)
+
+
+@pytest.fixture(scope="module")
+def fixture_seed1_window(fixture_systems):
+    # the README quick-start window
+    return fixture_window(fixture_systems, 1)
+
+
+@pytest.fixture(scope="module")
+def fixture_seed3_window(fixture_systems):
+    # cond sigma0 ~ 3.5e4
+    return fixture_window(fixture_systems, 3)
 
 
 def test_fixture_seed3_ill_conditioned_window_is_certified(fixture_seed3_window):
@@ -764,3 +778,174 @@ def test_sparse_low_rank_reaches_tight_certificate(fixture_seed3_window,
         lam, lasso_kill_threshold(cov), 1.0)
     history = np.array(result.objective_history)
     assert np.all(np.diff(history) <= 0.0)
+
+
+# ------------------------------------------------------- solver work per step
+
+def reference_prox_grad(cov, blocks, scale, name):
+    """The solver loop before its certificate was ordered, kept as it was.
+
+    Only the module's names are qualified and the comments dropped.  It
+    evaluates every block certificate at every accepted point and
+    recomputes the accepted point's sum and penalty at every step.
+    """
+    n2 = cov.sigma0.shape[0]
+    lip = 2.0 * (cov.n_samples - 1) * float(np.linalg.eigvalsh(cov.sigma0)[-1])
+    step = 1.0 / (len(blocks) * lip) if lip > 0.0 else 0.0
+
+    def certificate(aux, grad):
+        return max(b.gap(aux_k, grad, b.weight) for b, aux_k in zip(blocks, aux))
+
+    def penalty(aux):
+        return sum(b.weight * b.norm(aux_k) for b, aux_k in zip(blocks, aux))
+
+    x = np.zeros((len(blocks), n2, n2))
+    aux = [b.prox(x_k, 0.0)[1] for b, x_k in zip(blocks, x)]
+    gap = certificate(aux, estimators._ls_gradient(cov, x.sum(axis=0)))
+    obj = ls_objective(cov, x.sum(axis=0))
+    history = [obj]
+    x_prev, theta, it = x, 1.0, 0
+    while not gap <= estimators.SOLVER_TOL * scale:
+        if it == estimators.SOLVER_MAX_ITER:
+            raise ConvergenceError(f"{name} did not reach its certificate",
+                                   iterations=it, objective=obj, gap=gap)
+        it += 1
+        theta_next = (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
+        y = x + ((theta - 1.0) / theta_next) * (x - x_prev)
+        v = y - step * estimators._ls_gradient(cov, y.sum(axis=0))
+        steps = [b.prox(v_k, step * b.weight) for b, v_k in zip(blocks, v)]
+        z = np.stack([z_k for z_k, _ in steps])
+        new_aux = [aux_k for _, aux_k in steps]
+        z_sum, x_sum = z.sum(axis=0), x.sum(axis=0)
+        change = (cov.n_samples - 1) * float(np.sum(
+            (z_sum - x_sum) * ((z_sum + x_sum) @ cov.sigma0 - 2.0 * cov.sigma1)))
+        change += penalty(new_aux) - penalty(aux)
+        if not change <= 0.0:
+            x_prev, theta = x, 1.0
+            continue
+        x_prev, x, theta, aux = x, z, theta_next, new_aux
+        obj += change
+        history.append(obj)
+        gap = certificate(aux, estimators._ls_gradient(cov, x.sum(axis=0)))
+    return x, it, gap, obj, tuple(history)
+
+
+def bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def solve_both_ways(cov, lam, eta):
+    """LASSO (eta None) or sparse + low rank, and the reference loop's solve."""
+    scale = max(lam, lasso_kill_threshold(cov), 1.0)
+    if eta is None:
+        blocks = (estimators._l1_block(lam),)
+        solve = partial(estimate_lasso, cov, lam)
+    else:
+        blocks = (estimators._l1_block(lam), estimators._nuclear_block(eta))
+        solve = partial(estimate_sparse_low_rank, cov, lam, eta)
+    return solve, partial(reference_prox_grad, cov, blocks, scale, "reference")
+
+
+def assert_matches_reference(cov, lam, eta):
+    solve, reference = solve_both_ways(cov, lam, eta)
+    result = solve()
+    x, it, gap, obj, history = reference()
+    assert bits(result.a_hat) == bits(x[0])
+    if eta is not None:
+        assert bits(result.l_hat) == bits(x[1])
+    assert bits(result.objective) == bits(obj)
+    assert bits(result.objective_history) == bits(history)
+    assert result.hyperparams["iterations"] == it
+    assert bits(result.hyperparams["optimality_gap"]) == bits(gap)
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+@pytest.mark.parametrize("sparse_low_rank", [False, True], ids=["LASSO", "SLR"])
+def test_solvers_match_the_reference_loop_on_fixture_windows(
+        fixture_systems, seed, sparse_low_rank):
+    cov = covariances(fixture_window(fixture_systems, seed))
+    lam = 0.01 * lasso_kill_threshold(cov)
+    assert_matches_reference(cov, lam, 5.0 * lam if sparse_low_rank else None)
+
+
+@pytest.mark.parametrize("seed,lam_frac,eta_ratio", [
+    (30, 0.01, 5.0), (31, 0.1, 0.5), (32, 0.3, 2.0), (33, 0.0, 1.0)])
+def test_solvers_match_the_reference_loop_on_small_problems(seed, lam_frac,
+                                                            eta_ratio):
+    for traj in (noisy_traj(seed=seed, n_steps=150),
+                 mixing_traj(seed=seed, n_steps=100, dim=6)):
+        cov = covariances(traj)
+        lam = lam_frac * lasso_kill_threshold(cov)
+        assert_matches_reference(cov, lam, None)
+        assert_matches_reference(cov, lam, eta_ratio * max(lam, 1.0))
+
+
+@pytest.mark.parametrize("sparse_low_rank", [False, True], ids=["LASSO", "SLR"])
+def test_nonconvergence_matches_the_reference_loop(fixture_seed1_window,
+                                                   monkeypatch, sparse_low_rank):
+    # after 3 steps the l1 certificate still fails, so the solver's last
+    # check stopped early; the raised gap is the full certificate
+    monkeypatch.setattr(estimators, "SOLVER_MAX_ITER", 3)
+    cov = covariances(fixture_seed1_window)
+    lam = 0.01 * lasso_kill_threshold(cov)
+    solve, reference = solve_both_ways(cov, lam,
+                                       5.0 * lam if sparse_low_rank else None)
+    with pytest.raises(ConvergenceError) as got:
+        solve()
+    with pytest.raises(ConvergenceError) as want:
+        reference()
+    assert got.value.iterations == want.value.iterations == 3
+    assert bits(got.value.objective) == bits(want.value.objective)
+    assert bits(got.value.gap) == bits(want.value.gap)
+    assert got.value.gap > 0.0
+
+
+def test_nan_nuclear_certificate_is_never_certified(monkeypatch):
+    # max() over the blocks once kept the l1 gap 0.0 ahead of a NaN nuclear
+    # gap and certified the zero start after 0 steps
+    cov = covariances(noisy_traj(seed=34, n_steps=100))
+    lam = 2.0 * lasso_kill_threshold(cov)
+    monkeypatch.setattr(estimators, "_nuclear_gap", lambda *args: float("nan"))
+    monkeypatch.setattr(estimators, "SOLVER_MAX_ITER", 5)
+    with pytest.raises(ConvergenceError) as excinfo:
+        estimate_sparse_low_rank(cov, lam, 1e6)
+    assert excinfo.value.iterations == 5
+    assert np.isnan(excinfo.value.gap)
+    zero = np.zeros((4, 4))
+    assert np.isnan(slr_optimality_gap(cov, zero, zero, lam, 1e6))
+
+
+def test_nuclear_certificate_runs_only_where_the_l1_one_passes(
+        fixture_seed1_window, monkeypatch):
+    cov = covariances(fixture_seed1_window)
+    lam = 0.01 * lasso_kill_threshold(cov)
+    tol = SOLVER_TOL * max(lam, lasso_kill_threshold(cov), 1.0)
+    l1_gap, nuclear_gap = estimators._l1_gap, estimators._nuclear_gap
+    svd = np.linalg.svd
+    l1_gaps, nuclear_after, svd_calls = [], [], []
+
+    def counted_l1_gap(*args):
+        l1_gaps.append(l1_gap(*args))
+        return l1_gaps[-1]
+
+    def counted_nuclear_gap(*args):
+        nuclear_after.append(len(l1_gaps) - 1)
+        return nuclear_gap(*args)
+
+    def counted_svd(*args, **kwargs):
+        svd_calls.append(None)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "_l1_gap", counted_l1_gap)
+    monkeypatch.setattr(estimators, "_nuclear_gap", counted_nuclear_gap)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    result = estimate_sparse_low_rank(cov, lam, 5.0 * lam)
+    steps = result.hyperparams["iterations"]
+    # one certificate per accepted point, the zero start included
+    assert len(l1_gaps) == len(result.objective_history)
+    # the nuclear block runs exactly where the l1 block passes: a handful
+    # of points against hundreds of steps
+    assert nuclear_after == [k for k, g in enumerate(l1_gaps) if g <= tol]
+    assert 1 <= len(nuclear_after) <= 10 and steps > 500
+    # one SVD per proximal step, plus the prox of the zero start
+    assert len(svd_calls) == steps + 1
