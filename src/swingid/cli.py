@@ -27,13 +27,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, io_config, sim
+from . import __version__, analysis, io_config, sim
 from .estimators import (CML, LASSO, SPARSE_LOW_RANK, TIKHONOV, UML,
                          ConvergenceError, CovariancePair,
                          SingularCovarianceError, covariances, estimate_b,
                          estimate_cml, estimate_lasso, estimate_sparse_low_rank,
                          estimate_tikhonov, estimate_uml, fold_covariances,
-                         threshold_structure)
+                         lasso_kill_threshold, threshold_structure)
 from .model import (KronReductionError, ValidationError, build_continuous,
                     build_discrete, build_laplacian, kron_reduce)
 
@@ -162,6 +162,15 @@ def _fit(tag: str, cov: CovariancePair, dt: float,
     return result, a_hat, analysis.to_continuous(a_hat, dt)
 
 
+def _all_zero(tag: str, a_hat: np.ndarray, cov: CovariancePair,
+              cfg: io_config.ExperimentConfig) -> str | None:
+    """What is wrong with a fit that has no nonzero entry; None otherwise."""
+    if np.any(a_hat):
+        return None
+    return (f"{tag} fit is all zero: lambda={cfg.lam!r}, this window's "
+            f"lasso_kill_threshold={lasso_kill_threshold(cov)!r}")
+
+
 def _enough_samples(n_samples: int, n_gen: int) -> bool:
     """T > 2N+2, the fewest samples whose covariance can be invertible."""
     return n_samples > 2 * n_gen + 2
@@ -186,8 +195,12 @@ def cmd_estimate(args) -> int:
     outdir = Path(cfg.outputs)
     outdir.mkdir(parents=True, exist_ok=True)
     cov = covariances(strided)
+    cond_sigma0 = float(np.linalg.cond(cov.sigma0))
     for tag in cfg.estimators:
         result, a_hat, a_hat_d = _fit(tag, cov, strided.dt, cfg, a_prev)
+        zero = _all_zero(tag, a_hat, cov, cfg)
+        if zero:
+            print(f"warning: {zero}", file=sys.stderr)
         b_hat = estimate_b(strided, a_hat)
         stem = f"ahat_d_{tag.lower()}"
         io_config.save_matrix(outdir / f"{stem}.csv", a_hat_d,
@@ -210,6 +223,11 @@ def cmd_estimate(args) -> int:
             eps = analysis.relative_error(a_hat_d, a_d_true)
             meta["eps"] = eps
             line += f" eps={eps:.6f}"
+        meta["cond_sigma0"] = cond_sigma0
+        if tag in (LASSO, SPARSE_LOW_RANK):
+            meta["kill_threshold"] = lasso_kill_threshold(cov)
+        meta["numpy_version"] = np.__version__
+        meta["swingid_version"] = __version__
         io_config.save_records(outdir / f"{stem}.meta", meta)
         print(line)
     return EXIT_OK
@@ -258,8 +276,11 @@ def cmd_sweep(args) -> int:
                 for tag in cfg.estimators:
                     try:
                         _check_sample_count(n_kept[w], disc.n_gen)
-                        a_hat_d = _fit(tag, pairs[w][k], disc.dt * stride,
-                                       cfg, zeros)[2]
+                        _, a_hat, a_hat_d = _fit(tag, pairs[w][k],
+                                                 disc.dt * stride, cfg, zeros)
+                        zero = _all_zero(tag, a_hat, pairs[w][k], cfg)
+                        if zero:
+                            raise ValidationError(zero, field="lam")
                         eps = analysis.relative_error(a_hat_d, a_d_true)
                     except (ValidationError, SingularCovarianceError,
                             ConvergenceError) as exc:

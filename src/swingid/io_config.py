@@ -13,10 +13,19 @@ Formats:
                   sample, `t` in seconds; dt is inferred from the t column,
                   which must be uniformly spaced.  Rows are formatted and
                   written, and read back, a block of _ROWS_PER_BLOCK rows at
-                  a time, never the whole file at once.  A read with stride
-                  k keeps rows 0, k, 2k, ... and the t column, so it holds
-                  the kept states, 8 bytes a row for t, one block and, at
-                  the end, one copy of the kept states.
+                  a time, never the whole file at once.  Where os.fork
+                  exists, two CPUs are usable and the data span more than
+                  one block, a forked helper formats, or parses, blocks 1,
+                  3, 5, ... and streams each result back over a pipe, in
+                  order, while the caller does blocks 0, 2, 4, ... and alone
+                  writes the file.  Bytes, bits and error messages are those
+                  of the serial path, which runs the same per-block routine.
+                  A read with stride k keeps rows 0, k, 2k, ... and the t
+                  column.  The caller holds the kept states, 8 bytes a row
+                  for t, its own block, one of the helper's results and, at
+                  the end, one copy of the kept states.  The helper reads
+                  the file through its own handle and holds one block and
+                  its result besides the pages it shares with the caller.
                   Numbers are read by numpy's text parser, which rounds
                   correctly like float(): decimal or exponent notation with
                   optional sign and surrounding blanks, and nan/inf (both
@@ -36,10 +45,15 @@ from __future__ import annotations
 
 import configparser
 import math
+import os
+import pickle
+import sys
+from contextlib import closing
 from dataclasses import MISSING, dataclass, fields
-from itertools import islice
+from functools import partial
+from itertools import chain, islice
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -169,6 +183,105 @@ def load_model(path) -> GridModel:
 # rows at a time, which bounds the text either holds in memory
 _ROWS_PER_BLOCK = 1024
 
+# POSIX's number for SIGKILL; importing the signal module for it would
+# build its enums, about 0.4 MB of resident memory, in every process
+_SIGKILL = 9
+
+
+def _helper_allowed() -> bool:
+    """Whether a forked helper may take every other block: os.fork exists
+    and at least two CPUs are usable."""
+    if not hasattr(os, "fork"):
+        return False
+    try:
+        return len(os.sched_getaffinity(0)) >= 2
+    except AttributeError:  # no affinity call on this platform
+        return (os.cpu_count() or 1) >= 2
+
+
+def _start_helper(jobs: Callable[[], Iterable],
+                  work: Callable) -> tuple[int, BinaryIO] | None:
+    """Fork a helper that runs work on every odd-numbered job of jobs().
+
+    Returns its pid and the read end of a pipe that carries the results,
+    pickled one after another in order; None if the fork fails.  The
+    helper runs jobs(), work and pickle, none of which calls BLAS, and
+    leaves only through os._exit, so it runs no exit handler and flushes
+    no buffer it inherited.
+    """
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None where the process has no such fd
+            stream.flush()
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                for job in islice(jobs(), 1, None, 2):
+                    pickle.dump(work(job), pipe, pickle.HIGHEST_PROTOCOL)
+                    pipe.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _stop_helper(pid: int, pipe: BinaryIO) -> None:
+    """Close the helper's pipe, end the helper if it still runs, reap it."""
+    pipe.close()
+    os.kill(pid, _SIGKILL)  # still this process's child until reaped
+    os.waitpid(pid, 0)
+
+
+def _in_order(jobs: Callable[[], Iterable], work: Callable) -> Iterator:
+    """Yield work(job) for each job of jobs(), in order.
+
+    Where a helper is allowed and there is more than one job, a forked
+    helper runs work on jobs 1, 3, 5, ... of its own call of jobs() while
+    the caller runs jobs 0, 2, 4, ...; if the helper stops early, the
+    caller runs the rest of its jobs too.  Closing the generator closes
+    the pipe and reaps the helper.
+    """
+    mine = iter(jobs())
+    ahead = list(islice(mine, 2))
+    helper = (_start_helper(jobs, work)
+              if len(ahead) == 2 and _helper_allowed() else None)
+    try:
+        for i, job in enumerate(chain(ahead, mine)):
+            if i == 1:
+                ahead.clear()  # so that no job is held after its turn
+            if helper is not None and i % 2:
+                try:
+                    yield pickle.load(helper[1])
+                    continue
+                except (EOFError, pickle.UnpicklingError):
+                    # the helper ended before sending this result whole
+                    _stop_helper(*helper)
+                    helper = None
+            yield work(job)
+    finally:
+        if helper is not None:
+            _stop_helper(*helper)
+
+
+def _data_blocks(path: Path) -> Iterator[tuple[int, list[str]]]:
+    """(i, data lines i*_ROWS_PER_BLOCK, ...) for each block of a trajectory
+    file, blank lines skipped, through a handle of its own: a helper's
+    inherited descriptor would share the caller's offset."""
+    with open(path, errors="surrogateescape") as fh:
+        lines = filter(str.strip, fh)
+        next(lines, None)  # the header
+        yield from enumerate(
+            iter(lambda: list(islice(lines, _ROWS_PER_BLOCK)), []))
+
 
 def _bad_row(path: Path, width: int, start: int) -> ValidationError:
     """The error naming the first data line, from data row `start` on, that
@@ -195,14 +308,38 @@ def _trajectory_header(n: int) -> list[str]:
         + [f"omega_{i}" for i in range(1, n + 1)]
 
 
+def _format_rows(traj: Trajectory, start: int) -> str:
+    """Data rows start, start + 1, ... of one block, as file text."""
+    block = traj.states[start:start + _ROWS_PER_BLOCK]
+    t = np.arange(start, start + len(block)) * traj.dt
+    rows = np.column_stack([t, block]).tolist()
+    return "\n".join([",".join(map(repr, row)) for row in rows]) + "\n"
+
+
 def save_trajectory(path, traj: Trajectory) -> None:
+    starts = range(0, traj.n_samples, _ROWS_PER_BLOCK)
     with open(path, "w") as fh:
         fh.write(",".join(_trajectory_header(traj.n_gen)) + "\n")
-        for start in range(0, traj.n_samples, _ROWS_PER_BLOCK):
-            block = traj.states[start:start + _ROWS_PER_BLOCK]
-            t = np.arange(start, start + len(block)) * traj.dt
-            rows = np.column_stack([t, block]).tolist()
-            fh.write("\n".join([",".join(map(repr, row)) for row in rows]) + "\n")
+        with closing(_in_order(lambda: starts,
+                               partial(_format_rows, traj))) as texts:
+            fh.writelines(texts)
+
+
+def _parse_rows(width: int, stride: int, job: tuple[int, list[str]]):
+    """Block i's t column, its states at rows 0, stride, 2*stride, ... of
+    the file, and whether all its values are finite; None if a row is
+    ragged or does not parse."""
+    i, lines = job
+    try:
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if data.shape[1] != width:
+        return None
+    # copies, so that no view keeps the block alive
+    first_kept = -i * _ROWS_PER_BLOCK % stride
+    return (data[:, 0].copy(), data[first_kept::stride, 1:].copy(),
+            bool(np.all(np.isfinite(data))))
 
 
 def load_trajectory(path, stride: int = 1) -> Trajectory:
@@ -217,7 +354,7 @@ def load_trajectory(path, stride: int = 1) -> Trajectory:
     path = Path(path)
     times: list[np.ndarray] = []
     kept: list[np.ndarray] = []
-    n_rows, finite = 0, True
+    finite = True
     with open(path, errors="surrogateescape") as fh:
         lines = filter(str.strip, fh)  # blank lines are skipped
         header = [h.strip() for h in next(lines, "").split(",")]
@@ -228,24 +365,19 @@ def load_trajectory(path, stride: int = 1) -> Trajectory:
             raise ValidationError(
                 f"{path}:1: header must be t,delta_1..delta_N,omega_1..omega_N, "
                 f"got {','.join(header)}", field="header")
-        block = list(islice(lines, _ROWS_PER_BLOCK))
-        if len(block) < 2:
+        if len(list(islice(lines, 2))) < 2:
             raise ValidationError(
                 f"{path}: need at least 2 samples to infer dt", field="t")
-        while block:
-            try:
-                data = np.loadtxt(block, delimiter=",", comments=None, ndmin=2)
-                if data.shape[1] != len(header):
-                    raise ValueError("wrong column count")
-            except ValueError:
-                raise _bad_row(path, len(header), n_rows) from None
+    parse = partial(_parse_rows, len(header), stride)
+    with closing(_in_order(partial(_data_blocks, path), parse)) as parsed:
+        for i, block in enumerate(parsed):
+            if block is None:
+                raise _bad_row(path, len(header), i * _ROWS_PER_BLOCK)
+            block_t, block_kept, block_finite = block
             # reported once every row has parsed, as a bad row comes first
-            finite = finite and bool(np.all(np.isfinite(data)))
-            # copies, so that no view keeps the block alive
-            times.append(data[:, 0].copy())
-            kept.append(data[-n_rows % stride::stride, 1:].copy())
-            n_rows += len(data)
-            block = list(islice(lines, _ROWS_PER_BLOCK))
+            finite = finite and block_finite
+            times.append(block_t)
+            kept.append(block_kept)
     if not finite:
         raise ValidationError(f"{path}: NaN or infinite values", field="row")
     t = np.concatenate(times)

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import swingid
 from swingid import analysis, cli, estimators
 from swingid.cli import main
 from swingid.estimators import covariances, lasso_kill_threshold
@@ -178,6 +179,43 @@ def test_estimate_sparse_low_rank_records_certificate(tmp_path, small_model_path
     assert int(meta["hp_iterations"]) >= 1
 
 
+def test_estimate_meta_records_conditioning_versions_and_kill_threshold(
+        tmp_path, small_model_path, traj_path):
+    out = tmp_path / "est"
+    tags = ["UML", "CML", "TIKHONOV", "LASSO", "SPARSE_LOW_RANK"]
+    assert run("estimate", traj_path, "--model", small_model_path,
+               "--stride", "3", "--estimator", *tags, "--lambda", "0.01",
+               "--eta", "0.05", "--nu", "1", "--out", out) == 0
+    cov = covariances(load_trajectory(traj_path, 3))
+    for tag in tags:
+        meta = load_records(out / f"ahat_d_{tag.lower()}.meta")
+        assert float(meta["cond_sigma0"]) == float(np.linalg.cond(cov.sigma0))
+        assert meta["numpy_version"] == np.__version__
+        assert meta["swingid_version"] == swingid.__version__
+        sparse = tag in ("LASSO", "SPARSE_LOW_RANK")
+        if sparse:
+            assert float(meta["kill_threshold"]) == lasso_kill_threshold(cov)
+        else:
+            assert "kill_threshold" not in meta
+        # the new keys follow every key the sidecar had before
+        new = ["cond_sigma0", *["kill_threshold"] * sparse, "numpy_version",
+               "swingid_version"]
+        assert list(meta)[-len(new):] == new
+
+
+def test_estimate_warns_on_an_all_zero_fit(tmp_path, small_model_path,
+                                           traj_path, capsys):
+    out = tmp_path / "est"
+    assert run("estimate", traj_path, "--model", small_model_path,
+               "--stride", "3", "--estimator", "CML", "LASSO",
+               "--lambda", "1e9", "--out", out) == 0
+    kill = lasso_kill_threshold(covariances(load_trajectory(traj_path, 3)))
+    err = capsys.readouterr().err
+    assert err == (f"warning: LASSO fit is all zero: lambda=1000000000.0, "
+                   f"this window's lasso_kill_threshold={kill!r}\n")
+    assert (out / "ahat_d_lasso.csv").exists()
+
+
 @pytest.mark.parametrize("flags,name", [
     (("--lambda", "nan"), "lambda"), (("--lambda", "inf"), "lambda"),
     (("--lambda", "-1"), "lambda"), (("--eta", "nan"), "eta"),
@@ -315,6 +353,40 @@ def _sweep_files(out) -> dict[str, bytes]:
             for name in ("sweep.csv", "sweep_mean.csv", "manifest.csv")}
 
 
+def test_sweep_cell_with_an_all_zero_fit_fails(tmp_path, fixture_model_path,
+                                               capsys):
+    # lambda is 1% of a 600 s window's kill threshold, above the 60 s one's
+    out = tmp_path / "sw"
+    assert run("sweep", "--model", fixture_model_path, "--axis", "stride",
+               "--values", "3", "--t-obs", "60", "--estimator", "LASSO",
+               "SPARSE_LOW_RANK", "--lambda", "1.2848", "--eta", "6.424",
+               "--seed", "1", "--out", out) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines == ["axis_value,estimator,seed,eps", "3.0,LASSO,1,nan",
+                     "3.0,SPARSE_LOW_RANK,1,nan"]
+    assert load_records(out / "manifest.csv")["failed_cells"] == "2"
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    for line, tag in zip(err, ("LASSO", "SPARSE_LOW_RANK")):
+        assert line.startswith(f"cell failed (value=3.0, {tag}, seed=1): "
+                               f"{tag} fit is all zero: lambda=1.2848, "
+                               "this window's lasso_kill_threshold=0.945")
+
+
+def test_all_zero_check_leaves_a_uml_cml_sweep_byte_identical(
+        tmp_path, fixture_model_path, monkeypatch, capsys):
+    def sweep(out):
+        assert run("sweep", "--model", fixture_model_path, "--axis", "stride",
+                   "--values", "1", "3", "--t-obs", "40", "--seed", "1", "2",
+                   "--estimator", "UML", "CML", "--out", out) == 0
+        return _sweep_files(out)
+
+    checked = sweep(tmp_path / "checked")
+    monkeypatch.setattr(cli, "_all_zero", lambda *args: None)
+    assert sweep(tmp_path / "unchecked") == checked
+    assert "failed" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("axis,values,fixed", [
     ("stride", ["1", "3", "7"], ["--t-obs", "40"]),
     ("t_obs", ["10", "25", "40"], ["--stride", "2"]),
@@ -417,10 +489,12 @@ def test_sweep_rejects_non_integer_stride_value(tmp_path, small_model_path,
                "--out", tmp_path / "ok") == 0
 
 
+# the penalties sit below both windows' LASSO kill thresholds (0.45 at
+# stride 1, 0.15 at stride 3), so every cell is a fit, not A = 0
 @pytest.mark.parametrize("tag,flags,recorded", [
-    ("LASSO", ["--lambda", "0.5"], {"lam": "0.5"}),
-    ("SPARSE_LOW_RANK", ["--lambda", "0.5", "--eta", "2.5"],
-     {"lam": "0.5", "eta": "2.5"}),
+    ("LASSO", ["--lambda", "0.05"], {"lam": "0.05"}),
+    ("SPARSE_LOW_RANK", ["--lambda", "0.05", "--eta", "0.25"],
+     {"lam": "0.05", "eta": "0.25"}),
     ("TIKHONOV", ["--nu", "100"], {"nu": "100.0"}),
 ])
 def test_sweep_applies_and_records_penalties(tmp_path, small_model_path, tag,

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
 import configparser
+import os
+import pickle
 import re
+import signal
+import sys
+import time
 import tracemalloc
 from dataclasses import fields
 
@@ -10,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swingid import io_config
 from swingid.io_config import (_ROWS_PER_BLOCK, SETTINGS, ExperimentConfig,
                                load_config, load_matrix, load_model,
                                load_records, load_trajectory, save_config,
@@ -376,6 +382,289 @@ def test_trajectory_read_memory_is_bounded_by_the_kept_states(
         tracemalloc.stop()
     assert traj.n_samples == -(-36_000 // stride)
     assert peak <= 2 * traj.states.nbytes + 2 * 2 ** 20
+
+
+# ------------------------------------------------- the forked block helper
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """Force the helper on, whatever the CPU count, and list the pid of
+    every process forked while the test runs."""
+    pids = []
+    real_fork = os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(io_config, "_helper_allowed", lambda: True)
+    return pids
+
+
+def serially(monkeypatch, call, *args):
+    """call(*args) on the forced-serial path."""
+    with monkeypatch.context() as m:
+        m.setattr(io_config, "_helper_allowed", lambda: False)
+        return call(*args)
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def same_trajectory(a: Trajectory, b: Trajectory) -> bool:
+    return (same_bits(a.states, b.states) and same_bits(a.dt, b.dt)
+            and a.n_gen == b.n_gen)
+
+
+def random_trajectory(n_samples: int) -> Trajectory:
+    rng = np.random.default_rng(n_samples)
+    return Trajectory(dt=DT_BASE, n_gen=3,
+                      states=rng.standard_normal((n_samples, 6)))
+
+
+@pytest.mark.parametrize("n_samples", [2 * _B - 1, 2 * _B, 2 * _B + 1,
+                                       3 * _B + 2])
+def test_helper_writes_and_reads_the_serial_bytes_and_bits(
+        tmp_path, monkeypatch, forks, n_samples):
+    traj = random_trajectory(n_samples)
+    text = reference_trajectory_text(traj)
+    rows = reference_trajectory_rows(text)
+    helped, serial = tmp_path / "helped.csv", tmp_path / "serial.csv"
+    save_trajectory(helped, traj)
+    assert len(forks) == 1
+    serially(monkeypatch, save_trajectory, serial, traj)
+    assert len(forks) == 1
+    assert helped.read_bytes() == serial.read_bytes() == text.encode()
+    for stride in (1, 3, 7, _B + 1):
+        got = load_trajectory(helped, stride)
+        ref = serially(monkeypatch, load_trajectory, helped, stride)
+        assert same_trajectory(got, ref)
+        assert same_bits(got.states, rows[::stride, 1:])
+        assert got.states.flags.c_contiguous
+    # one helper per save and per read, and every one reaped
+    assert len(forks) == 5
+    assert_reaped(forks)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_helper_skips_blank_lines_across_block_boundaries(
+        tmp_path, monkeypatch, forks, newline):
+    n_samples = 3 * _B + 2
+    clean = states_file(tmp_path / "clean.csv", n_samples)
+    blanks = states_file(tmp_path / "blanks.csv", n_samples, blank_around=(
+        0, _B - 2, _B - 1, _B, 2 * _B - 1, 2 * _B, n_samples - 1))
+    blanks.write_bytes(blanks.read_bytes().replace(b"\n", newline.encode()))
+    made = len(forks)
+    for stride in (1, 3, _B + 1):
+        ref = serially(monkeypatch, load_trajectory, clean, stride)
+        assert same_trajectory(load_trajectory(blanks, stride), ref)
+        assert same_trajectory(
+            serially(monkeypatch, load_trajectory, blanks, stride), ref)
+    assert len(forks) == made + 3
+    assert_reaped(forks)
+
+
+# data rows 0..B-1 are the caller's block 0, B..2B-1 the helper's block 1,
+# 2B..3B-1 the caller's block 2 and 3B.. the helper's block 3
+@pytest.mark.parametrize("bad_rows,first_bad", [
+    ({_B + 5: "0.1,0,abc,0,0,0,0"}, _B + 5),
+    ({3 * _B + 1: "0.1,0"}, 3 * _B + 1),
+    ({2 * _B + 7: "0.1,0,0,0,0,0,"}, 2 * _B + 7),
+    ({_B + 5: "0.1,0,abc,0,0,0,0", 2 * _B + 7: "0.1,0"}, _B + 5),
+    ({2 * _B + 7: "0.1,0,abc,0,0,0,0", 3 * _B + 1: "0.1,0"}, 2 * _B + 7),
+])
+@pytest.mark.parametrize("nan_row", [20, _B + 2])
+def test_helper_reports_the_serial_first_bad_row(tmp_path, monkeypatch, forks,
+                                                 bad_rows, first_bad, nan_row):
+    # a NaN in an earlier block waits until every row has parsed, so the
+    # bad row is reported, whichever process parsed either of them
+    path = states_file(tmp_path / "traj.csv", 3 * _B + 2)
+    lines = path.read_text().splitlines(keepends=True)
+    for row, text in bad_rows.items():
+        lines[row + 1] = text + "\n"
+    lines[nan_row + 1] = "nan," + lines[nan_row + 1].split(",", 1)[1]
+    path.write_text("".join(lines))
+    made = len(forks)
+    for stride in (1, 3):
+        with pytest.raises(ValidationError) as helped:
+            load_trajectory(path, stride)
+        with pytest.raises(ValidationError) as serial:
+            serially(monkeypatch, load_trajectory, path, stride)
+        assert str(helped.value) == str(serial.value)
+        assert str(helped.value).startswith(f"{path}:{first_bad + 2}: ")
+        assert helped.value.field == serial.value.field == "row"
+    assert len(forks) == made + 2
+    assert_reaped(forks)
+
+
+def test_helper_nan_is_reported_after_every_row_parses(tmp_path, monkeypatch,
+                                                       forks):
+    path = states_file(tmp_path / "traj.csv", 3 * _B + 2)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[_B + 3] = "0.1,0,0,inf,0,0,0\n"
+    path.write_text("".join(lines))
+    made = len(forks)
+    with pytest.raises(ValidationError, match="NaN or infinite values"):
+        load_trajectory(path)
+    with pytest.raises(ValidationError, match="NaN or infinite values"):
+        serially(monkeypatch, load_trajectory, path)
+    assert len(forks) == made + 1
+    assert_reaped(forks)
+
+
+def helper_dies_at(monkeypatch, name: str, job) -> list:
+    """Make the helper kill itself when module function `name` is called
+    on `job`; returns the list of jobs the caller runs itself."""
+    caller = os.getpid()
+    real = getattr(io_config, name)
+    own = []
+
+    def dying(*args):
+        if os.getpid() != caller and args[-1] == job:
+            os.kill(os.getpid(), signal.SIGKILL)
+        if os.getpid() == caller:
+            own.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(io_config, name, dying)
+    return own
+
+
+def test_caller_finishes_the_blocks_of_a_killed_helper(tmp_path, monkeypatch,
+                                                       forks):
+    traj = random_trajectory(5 * _B + 3)
+    serial = tmp_path / "serial.csv"
+    serially(monkeypatch, save_trajectory, serial, traj)
+    # the helper sends block 1 and dies before block 3
+    own = helper_dies_at(monkeypatch, "_format_rows", 3 * _B)
+    helped = tmp_path / "helped.csv"
+    save_trajectory(helped, traj)
+    assert helped.read_bytes() == serial.read_bytes()
+    assert own == [0, 2 * _B, 3 * _B, 4 * _B, 5 * _B]
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+    def block_lines(i):
+        lines = serial.read_text().splitlines(keepends=True)[1:]
+        return (i, lines[i * _B:(i + 1) * _B])
+
+    own = helper_dies_at(monkeypatch, "_parse_rows", block_lines(3))
+    for stride in (1, 3):
+        assert same_trajectory(
+            load_trajectory(serial, stride),
+            serially(monkeypatch, load_trajectory, serial, stride))
+        assert [i for i, _ in own] == [0, 2, 3, 4, 5] + [0, 1, 2, 3, 4, 5]
+        own.clear()
+    assert len(forks) == 3
+    assert_reaped(forks)
+
+
+def test_caller_error_ends_a_busy_helper_without_waiting(tmp_path, monkeypatch,
+                                                        forks):
+    path = states_file(tmp_path / "traj.csv", 3 * _B + 2)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[5] = "0.1,0,abc,0,0,0,0\n"
+    path.write_text("".join(lines))
+    caller = os.getpid()
+    real = io_config._parse_rows
+
+    def slow_in_helper(*args):
+        if os.getpid() != caller:
+            time.sleep(30)
+        return real(*args)
+
+    monkeypatch.setattr(io_config, "_parse_rows", slow_in_helper)
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match=f"{path}:6: non-numeric"):
+        load_trajectory(path)
+    assert time.perf_counter() - start < 10
+    assert len(forks) == 2
+    assert_reaped(forks)
+
+
+class HalfPickle:
+    """io_config's pickle, except that a helper writes half of its first
+    result and then kills itself."""
+
+    UnpicklingError = pickle.UnpicklingError
+    HIGHEST_PROTOCOL = pickle.HIGHEST_PROTOCOL
+    load = staticmethod(pickle.load)
+
+    @staticmethod
+    def dump(obj, file, protocol):
+        data = pickle.dumps(obj, protocol)
+        file.write(data[:len(data) // 2])
+        file.flush()
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_result_cut_short_by_the_helper_is_redone_by_the_caller(
+        tmp_path, monkeypatch, forks):
+    traj = random_trajectory(3 * _B + 2)
+    path = tmp_path / "traj.csv"
+    serial = serially(monkeypatch, load_trajectory,
+                      states_file(tmp_path / "states.csv", 3 * _B + 2), 3)
+    made = len(forks)
+    monkeypatch.setattr(io_config, "pickle", HalfPickle)
+    save_trajectory(path, traj)
+    assert path.read_bytes() == reference_trajectory_text(traj).encode()
+    assert same_trajectory(load_trajectory(tmp_path / "states.csv", 3), serial)
+    assert len(forks) == made + 2
+    assert_reaped(forks)
+
+
+@pytest.mark.parametrize("n_samples", [2, _B - 1, _B])
+def test_one_block_file_never_forks(tmp_path, forks, n_samples):
+    traj = random_trajectory(n_samples)
+    path = tmp_path / "traj.csv"
+    save_trajectory(path, traj)
+    assert same_bits(load_trajectory(path).states, traj.states)
+    assert forks == []
+
+
+def test_helper_needs_fork_and_two_usable_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    assert io_config._helper_allowed()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert not io_config._helper_allowed()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert not io_config._helper_allowed()
+
+
+def test_helper_starts_in_a_process_without_stdout(tmp_path, monkeypatch,
+                                                  forks):
+    # Python sets sys.stdout to None when it starts with file descriptor 1
+    # closed
+    monkeypatch.setattr(sys, "stdout", None)
+    traj = random_trajectory(2 * _B)
+    path = tmp_path / "traj.csv"
+    save_trajectory(path, traj)
+    assert path.read_bytes() == reference_trajectory_text(traj).encode()
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+def test_failed_fork_falls_back_to_the_serial_path(tmp_path, monkeypatch):
+    def no_fork():
+        raise OSError("no more processes")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(io_config, "_helper_allowed", lambda: True)
+    traj = random_trajectory(3 * _B + 2)
+    path = tmp_path / "traj.csv"
+    save_trajectory(path, traj)
+    assert path.read_bytes() == reference_trajectory_text(traj).encode()
+    assert same_bits(load_trajectory(path, 3).states, traj.states[::3])
 
 
 # ---------------------------------------------------------- matrices and records
