@@ -35,7 +35,8 @@ class BoundReport:
 
     `rhs` bounds the discrete matrix (Theorem 1) and `rhs_continuous` the
     continuous one (Corollary 2).  n_discarded counts trials dropped because
-    Sigma_0 came out singular or non-finite.
+    Sigma_0 came out singular or non-finite.  burn_in counts the steps of
+    the system's dt run before each trial's window.
     """
 
     epsilon: float
@@ -45,6 +46,7 @@ class BoundReport:
     inv_norm_mean: float
     n_trials: int
     n_discarded: int = 0
+    burn_in: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
@@ -155,7 +157,7 @@ def theorem1_bound(sys: DiscreteSystem, n_samples: int, epsilon: float,
         # noiseless system: both bounds collapse to zero with no data needed
         return BoundReport(epsilon=epsilon, rhs=0.0, rhs_continuous=0.0,
                            trace_sigma0_mean=0.0, inv_norm_mean=0.0,
-                           n_trials=n_trials)
+                           n_trials=n_trials, burn_in=burn_in)
     trace_mean, inv_mean, discarded = _sigma0_moments(
         sys, n_samples, n_trials, seed, burn_in)
     rhs = b_norm / (epsilon * math.sqrt(n_samples - 1)) * math.sqrt(
@@ -164,7 +166,8 @@ def theorem1_bound(sys: DiscreteSystem, n_samples: int, epsilon: float,
         epsilon * math.sqrt(n_samples - 1)) * math.sqrt(trace_mean * inv_mean)
     return BoundReport(epsilon=epsilon, rhs=rhs, rhs_continuous=rhs_continuous,
                        trace_sigma0_mean=trace_mean, inv_norm_mean=inv_mean,
-                       n_trials=n_trials, n_discarded=discarded)
+                       n_trials=n_trials, n_discarded=discarded,
+                       burn_in=burn_in)
 
 
 def spectrum(a_d: np.ndarray, zero_mode_tol: float | None = None) -> SpectralReport:

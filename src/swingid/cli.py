@@ -22,6 +22,7 @@ import hashlib
 import itertools
 import math
 import sys
+from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
 
@@ -263,15 +264,16 @@ def cmd_sweep(args) -> int:
     # deficit windows fail without covariances, so only the others are run
     base_samples = max((windows[w][0] for w in folded), default=1)
     zeros = np.zeros_like(a_d_true)
-    rows: list[tuple[float, str, int, float]] = []
-    failures = 0
-    for first, x0, blocks in sim.steady_blocks(disc, cfg.seeds, burn_in,
-                                               base_samples - 1):
+
+    def fit_group(x0, blocks) -> list[tuple]:
+        """(value, tag, k, eps, why it failed or None) of each cell of a
+        group's k-th seed, in the order the cells are printed."""
         # every state passes once, folded into the pairs of every window
         pairs = dict(zip(folded, fold_covariances(
             itertools.chain([x0[:, None]], blocks),
             [windows[w] for w in folded])))
-        for k, seed in enumerate(cfg.seeds[first:first + len(x0)]):
+        cells = []
+        for k in range(len(x0)):
             for w, (value, (_, stride)) in enumerate(zip(values, windows)):
                 for tag in cfg.estimators:
                     try:
@@ -282,13 +284,26 @@ def cmd_sweep(args) -> int:
                         if zero:
                             raise ValidationError(zero, field="lam")
                         eps = analysis.relative_error(a_hat_d, a_d_true)
+                        failed = None
                     except (ValidationError, SingularCovarianceError,
                             ConvergenceError) as exc:
-                        print(f"cell failed (value={value}, {tag}, "
-                              f"seed={seed}): {exc}", file=sys.stderr)
-                        eps = float("nan")
-                        failures += 1
-                    rows.append((float(value), tag, seed, eps))
+                        eps, failed = float("nan"), str(exc)
+                    cells.append((value, tag, k, eps, failed))
+        return cells
+
+    rows: list[tuple[float, str, int, float]] = []
+    failures = 0
+    # a forked helper may fit every other group of seeds
+    with closing(sim.steady_blocks(disc, cfg.seeds, burn_in, base_samples - 1,
+                                   fit_group)) as groups:
+        for first, _, cells in groups:
+            for value, tag, k, eps, failed in cells:
+                seed = cfg.seeds[first + k]
+                if failed is not None:
+                    print(f"cell failed (value={value}, {tag}, "
+                          f"seed={seed}): {failed}", file=sys.stderr)
+                    failures += 1
+                rows.append((float(value), tag, seed, eps))
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     outdir = Path(cfg.outputs)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -318,6 +333,8 @@ def cmd_sweep(args) -> int:
         **settings,
         "burn_in": burn_in,
         "failed_cells": failures,
+        "numpy_version": np.__version__,
+        "swingid_version": __version__,
     })
     print(f"sweep over {cfg.sweep_variable}: {len(rows)} cells "
           f"({failures} failed) -> {outdir / 'sweep.csv'}")
@@ -379,8 +396,10 @@ def cmd_bound(args) -> int:
                                      args.trials, seed, burn_in=burn_in)
     records = {
         "model": cfg.model_path,
+        "model_sha256": _model_sha256(cfg.model_path),
         "dt": dt,
         "n_samples": n_samples,
+        "burn_in": report.burn_in,
         "epsilon": args.epsilon,
         "n_trials": args.trials,
         "n_discarded": report.n_discarded,
@@ -389,6 +408,8 @@ def cmd_bound(args) -> int:
         "inv_norm_mean": report.inv_norm_mean,
         "rhs_discrete": report.rhs,
         "rhs_continuous": report.rhs_continuous,
+        "numpy_version": np.__version__,
+        "swingid_version": __version__,
     }
     if args.out:
         io_config.save_records(args.out, records)

@@ -15,11 +15,12 @@ Formats:
                   written, and read back, a block of _ROWS_PER_BLOCK rows at
                   a time, never the whole file at once.  Where os.fork
                   exists, two CPUs are usable and the data span more than
-                  one block, a forked helper formats, or parses, blocks 1,
-                  3, 5, ... and streams each result back over a pipe, in
-                  order, while the caller does blocks 0, 2, 4, ... and alone
-                  writes the file.  Bytes, bits and error messages are those
-                  of the serial path, which runs the same per-block routine.
+                  one block, the forked helper of sim._in_order formats, or
+                  parses, blocks 1, 3, 5, ... and streams each result back
+                  over a pipe, in order, while the caller does blocks 0, 2,
+                  4, ... and alone writes the file.  Bytes, bits and error
+                  messages are those of the serial path, which runs the
+                  same per-block routine.
                   A read with stride k keeps rows 0, k, 2k, ... and the t
                   column.  The caller holds the kept states, 8 bytes a row
                   for t, its own block, one of the helper's results and, at
@@ -45,21 +46,18 @@ from __future__ import annotations
 
 import configparser
 import math
-import os
-import pickle
-import sys
 from contextlib import closing
 from dataclasses import MISSING, dataclass, fields
 from functools import partial
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .estimators import CML, ESTIMATORS, UML
 from .model import GridModel, Line, ValidationError
-from .sim import DT_BASE, Trajectory
+from .sim import DT_BASE, Trajectory, _in_order
 
 
 def _fmt(x: float) -> str:
@@ -182,95 +180,6 @@ def load_model(path) -> GridModel:
 # save_trajectory formats and writes, and load_trajectory parses, this many
 # rows at a time, which bounds the text either holds in memory
 _ROWS_PER_BLOCK = 1024
-
-# POSIX's number for SIGKILL; importing the signal module for it would
-# build its enums, about 0.4 MB of resident memory, in every process
-_SIGKILL = 9
-
-
-def _helper_allowed() -> bool:
-    """Whether a forked helper may take every other block: os.fork exists
-    and at least two CPUs are usable."""
-    if not hasattr(os, "fork"):
-        return False
-    try:
-        return len(os.sched_getaffinity(0)) >= 2
-    except AttributeError:  # no affinity call on this platform
-        return (os.cpu_count() or 1) >= 2
-
-
-def _start_helper(jobs: Callable[[], Iterable],
-                  work: Callable) -> tuple[int, BinaryIO] | None:
-    """Fork a helper that runs work on every odd-numbered job of jobs().
-
-    Returns its pid and the read end of a pipe that carries the results,
-    pickled one after another in order; None if the fork fails.  The
-    helper runs jobs(), work and pickle, none of which calls BLAS, and
-    leaves only through os._exit, so it runs no exit handler and flushes
-    no buffer it inherited.
-    """
-    for stream in (sys.stdout, sys.stderr):
-        if stream is not None:  # None where the process has no such fd
-            stream.flush()
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                for job in islice(jobs(), 1, None, 2):
-                    pickle.dump(work(job), pipe, pickle.HIGHEST_PROTOCOL)
-                    pipe.flush()
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _stop_helper(pid: int, pipe: BinaryIO) -> None:
-    """Close the helper's pipe, end the helper if it still runs, reap it."""
-    pipe.close()
-    os.kill(pid, _SIGKILL)  # still this process's child until reaped
-    os.waitpid(pid, 0)
-
-
-def _in_order(jobs: Callable[[], Iterable], work: Callable) -> Iterator:
-    """Yield work(job) for each job of jobs(), in order.
-
-    Where a helper is allowed and there is more than one job, a forked
-    helper runs work on jobs 1, 3, 5, ... of its own call of jobs() while
-    the caller runs jobs 0, 2, 4, ...; if the helper stops early, the
-    caller runs the rest of its jobs too.  Closing the generator closes
-    the pipe and reaps the helper.
-    """
-    mine = iter(jobs())
-    ahead = list(islice(mine, 2))
-    helper = (_start_helper(jobs, work)
-              if len(ahead) == 2 and _helper_allowed() else None)
-    try:
-        for i, job in enumerate(chain(ahead, mine)):
-            if i == 1:
-                ahead.clear()  # so that no job is held after its turn
-            if helper is not None and i % 2:
-                try:
-                    yield pickle.load(helper[1])
-                    continue
-                except (EOFError, pickle.UnpicklingError):
-                    # the helper ended before sending this result whole
-                    _stop_helper(*helper)
-                    helper = None
-            yield work(job)
-    finally:
-        if helper is not None:
-            _stop_helper(*helper)
-
 
 def _data_blocks(path: Path) -> Iterator[tuple[int, list[str]]]:
     """(i, data lines i*_ROWS_PER_BLOCK, ...) for each block of a trajectory

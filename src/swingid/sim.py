@@ -17,20 +17,39 @@ Determinism contract:
     trajectory with one matrix-vector product per step, so a seed's
     trajectory (and every file written from it) is bit-identical on rerun.
   * `steady_blocks` advances a group of seeds together, one matrix product
-    per step, and feeds `steady_sigma0` and the `sweep` command, which keep
-    only per-seed covariances.  It draws the same noise as the serial path,
-    but the batched product rounds differently from the matrix-vector one,
-    so a seed's covariances agree with those of `steady_trajectory` to about
-    1e-14 relative (about 1e-10 in a sweep's `eps`), not bitwise.  A lone
-    seed is stepped beside an idle zero row, so every product has at least
-    two rows and a seed's bits do not depend on which seeds share its
-    group.  Results are bit-identical on rerun.
+    per step, and folds each group for `steady_sigma0` and the `sweep`
+    command, which keep only per-seed covariances and fits.  It draws the
+    same noise as the serial path, but the batched product rounds
+    differently from the matrix-vector one, so a seed's covariances agree
+    with those of `steady_trajectory` to about 1e-14 relative (about 1e-10
+    in a sweep's `eps`), not bitwise.  A lone seed is stepped beside an
+    idle zero row, so every product has at least two rows and a seed's
+    bits do not depend on which seeds share its group.  The groups do
+    depend on the machine: where a forked helper can run (os.fork and two
+    usable CPUs), the seeds split into an even number of near-equal groups
+    and the helper steps and folds every other one; elsewhere they go in
+    groups of STEP_GROUP.  Each step adds to a time-major copy of the
+    group's noise, where the states of one step are contiguous; the noise
+    is still drawn seed by seed.  None of this moves a bit: results are
+    bit-identical on rerun, on one CPU or two, with the helper or without.
+
+The forked helper (`_in_order`) also runs trajectory text I/O in
+io_config: the caller does jobs 0, 2, 4, ..., the helper jobs 1, 3, 5, ...
+and sends each result back pickled over a pipe, in order.  If the helper
+dies, the caller does the rest of its jobs itself, and it reaps the helper
+on every exit.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import sys as _sys  # `sys` names the stepped system below
+from contextlib import closing
 from dataclasses import dataclass
+from itertools import chain, islice
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -143,61 +162,194 @@ def steady_trajectory(sys: DiscreteSystem, n_samples: int, burn_in: int,
     return simulate(sys, n_samples - 1, x0, run_seed)
 
 
+# ------------------------------------------------------- the forked helper
+
+# POSIX's number for SIGKILL; importing the signal module for it would
+# build its enums, about 0.4 MB of resident memory, in every process
+_SIGKILL = 9
+
+
+def _helper_allowed() -> bool:
+    """Whether a forked helper may take every other job: os.fork exists
+    and at least two CPUs are usable."""
+    if not hasattr(os, "fork"):
+        return False
+    try:
+        return len(os.sched_getaffinity(0)) >= 2
+    except AttributeError:  # no affinity call on this platform
+        return (os.cpu_count() or 1) >= 2
+
+
+def _start_helper(jobs: Callable[[], Iterable],
+                  work: Callable) -> tuple[int, BinaryIO] | None:
+    """Fork a helper that runs work on every odd-numbered job of jobs().
+
+    Returns its pid and the read end of a pipe that carries the results,
+    pickled one after another in order; None if the fork fails.  The
+    helper leaves only through os._exit, so it runs no exit handler and
+    flushes no buffer it inherited.  It inherits numpy's error state, so
+    an np.errstate around the call holds in the helper too.
+
+    A stepping helper calls BLAS (small matmuls) after the fork.  That is
+    safe with numpy's OpenBLAS: its pthread_atfork handler stops its
+    thread pool before the fork, so the helper starts with no pool and no
+    held lock, and a threaded call in either process starts a new pool.
+    The matmuls here are below OpenBLAS's threading threshold anyway.
+    Python 3.12 and later may still issue a DeprecationWarning for a fork
+    while other threads are alive.
+    """
+    for stream in (_sys.stdout, _sys.stderr):
+        if stream is not None:  # None where the process has no such fd
+            stream.flush()
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                for job in islice(jobs(), 1, None, 2):
+                    pickle.dump(work(job), pipe, pickle.HIGHEST_PROTOCOL)
+                    pipe.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _stop_helper(pid: int, pipe: BinaryIO) -> None:
+    """Close the helper's pipe, end the helper if it still runs, reap it."""
+    pipe.close()
+    os.kill(pid, _SIGKILL)  # still this process's child until reaped
+    os.waitpid(pid, 0)
+
+
+def _in_order(jobs: Callable[[], Iterable], work: Callable) -> Iterator:
+    """Yield work(job) for each job of jobs(), in order.
+
+    Where a helper is allowed and there is more than one job, a forked
+    helper runs work on jobs 1, 3, 5, ... of its own call of jobs() while
+    the caller runs jobs 0, 2, 4, ...; if the helper stops early, the
+    caller runs the rest of its jobs too.  Closing the generator closes
+    the pipe and reaps the helper.
+    """
+    mine = iter(jobs())
+    ahead = list(islice(mine, 2))
+    helper = (_start_helper(jobs, work)
+              if len(ahead) == 2 and _helper_allowed() else None)
+    try:
+        for i, job in enumerate(chain(ahead, mine)):
+            if i == 1:
+                ahead.clear()  # so that no job is held after its turn
+            if helper is not None and i % 2:
+                try:
+                    yield pickle.load(helper[1])
+                    continue
+                except (EOFError, pickle.UnpicklingError):
+                    # the helper ended before sending this result whole
+                    _stop_helper(*helper)
+                    helper = None
+            yield work(job)
+    finally:
+        if helper is not None:
+            _stop_helper(*helper)
+
+
 def _advance(sys: DiscreteSystem, x: np.ndarray, rngs, n_steps: int,
-             buf: np.ndarray):
+             noise: np.ndarray, states: np.ndarray):
     """Step every row of the group n_steps times, STEP_CHUNK steps at a time.
 
     x holds one current state per row and rngs one generator per row; rows
-    past len(rngs) get no noise.  Yields the (k, m, 2N) block of the next m
-    states of every row; the block is a view of `buf`, overwritten by the
-    next chunk.
+    past len(rngs) get no noise.  numpy draws only into contiguous arrays,
+    so each row's noise is drawn into its row of the seed-major buffer
+    `noise`, (rows, STEP_CHUNK, 2N), and scaled into the time-major buffer
+    `states`, (STEP_CHUNK, rows, 2N), where each step's states are
+    contiguous and the step adds to them in place.  Yields the (m, rows, 2N)
+    block of the next m states of every row; the block is a view of
+    `states`, overwritten by the next chunk.
     """
     a_t = sys.a.T
     step = np.empty_like(x)
-    for start in range(0, n_steps, buf.shape[1]):
-        m = min(buf.shape[1], n_steps - start)
-        block = buf[:, :m]
-        for rng, rows in zip(rngs, block):
+    for start in range(0, n_steps, noise.shape[1]):
+        m = min(noise.shape[1], n_steps - start)
+        for rng, rows in zip(rngs, noise[:, :m]):
             rng.standard_normal(out=rows)
-        block *= sys.b_diag
+        block = states[:m]
+        np.multiply(noise[:, :m].transpose(1, 0, 2), sys.b_diag, out=block)
         for t in range(m):
             # X_{t+1} = A X_t + B xi_t, written over the noise row it uses
             np.matmul(x, a_t, out=step)
-            x = block[:, t]
+            x = block[t]
             x += step
         yield block
-        x = block[:, -1].copy()
+        x = block[-1].copy()
 
 
-def steady_blocks(sys: DiscreteSystem, seeds, burn_in: int, n_steps: int):
+def _group_bounds(n_seeds: int) -> list[int]:
+    """Where each group of steady_blocks starts, then n_seeds.
+
+    Where a helper may run, an even number of near-equal groups of at most
+    STEP_GROUP seeds, so that the caller and the helper step as many seeds
+    each (10 seeds: 5 + 5; 129: 33 + 32 + 32 + 32); elsewhere groups of
+    STEP_GROUP and the rest.
+    """
+    if n_seeds >= 2 and _helper_allowed():
+        count = 2 * -(-n_seeds // (2 * STEP_GROUP))
+        return [-(-n_seeds * i // count) for i in range(count + 1)]
+    return [*range(0, n_seeds, STEP_GROUP), n_seeds]
+
+
+def steady_blocks(sys: DiscreteSystem, seeds, burn_in: int, n_steps: int,
+                  fold: Callable) -> Iterator:
     """Steady-state runs of many seeds, stepped together a group at a time.
 
     Seed k covers the same states as `steady_trajectory(sys, n_steps + 1,
-    burn_in, seeds[k])`, from the same noise streams.  Yields one
-    (first, x0, blocks) triple per group seeds[first:first + k] of at most
-    STEP_GROUP seeds: x0 is the (k, 2N) array of their states X_0, and
+    burn_in, seeds[k])`, from the same noise streams.  For each group
+    seeds[first:first + k] of at most STEP_GROUP seeds this runs
+    fold(x0, blocks): x0 is the (k, 2N) array of their states X_0, and
     blocks yields (k, m, 2N) arrays holding X_1..X_{n_steps} in order,
-    STEP_CHUNK states at a time.  Each block is overwritten by the next, and
-    a group's blocks must be used up before the next group is asked for.
+    STEP_CHUNK states at a time, each overwritten by the next.  Returns an
+    iterator of (first, k, fold's result), group by group, from
+    `_in_order`: a forked helper may fold every other group, so the result
+    must pickle, and closing the iterator reaps the helper.
     """
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
     n2 = 2 * sys.n_gen
     seeds = list(seeds)
-    for first in range(0, len(seeds), STEP_GROUP):
-        streams = [_split_streams(s) for s in seeds[first:first + STEP_GROUP]]
+    bounds = _group_bounds(len(seeds))
+
+    def run(group: tuple[int, int]):
+        first, end = group
+        streams = [_split_streams(s) for s in seeds[first:end]]
         k = len(streams)
         # a one-row product takes the matrix-vector path, which rounds
         # differently: a lone seed is stepped beside a zero row without noise
         rows = max(k, 2)
-        buf = np.zeros((rows, STEP_CHUNK, n2))
+        noise = np.zeros((rows, STEP_CHUNK, n2))
+        states = np.empty((STEP_CHUNK, rows, n2))
         x = np.zeros((rows, n2))
         burn = [np.random.default_rng(b) for b, _ in streams]
-        for block in _advance(sys, x, burn, burn_in, buf):
-            x = block[:, -1].copy()
-        run = _advance(sys, x, [np.random.default_rng(r) for _, r in streams],
-                       n_steps, buf)
-        yield first, x[:k], (block[:k] for block in run)
+        for block in _advance(sys, x, burn, burn_in, noise, states):
+            x = block[-1].copy()
+        run_rngs = [np.random.default_rng(r) for _, r in streams]
+
+        def blocks():
+            for block in _advance(sys, x, run_rngs, n_steps, noise, states):
+                # seed-major again, in the noise rows it was stepped from
+                out = noise[:k, :len(block)]
+                out[...] = block[:, :k].transpose(1, 0, 2)
+                yield out
+
+        return first, k, fold(x[:k], blocks())
+
+    return _in_order(lambda: zip(bounds, bounds[1:]), run)
 
 
 def steady_sigma0(sys: DiscreteSystem, n_samples: int, trial_seeds,
@@ -216,13 +368,19 @@ def steady_sigma0(sys: DiscreteSystem, n_samples: int, trial_seeds,
     n2 = 2 * sys.n_gen
     seeds = list(trial_seeds)
     out = np.empty((len(seeds), n2, n2))
-    # X_{T-1} enters only Sigma_1, so the run stops one step short
-    for first, x, blocks in steady_blocks(sys, seeds, burn_in, n_samples - 2):
+
+    def sigma0(x: np.ndarray, blocks) -> np.ndarray:
         gram = x[:, :, None] * x[:, None, :]
         for block in blocks:
             gram += np.matmul(block.transpose(0, 2, 1), block)
         gram /= n_samples - 1
-        out[first:first + len(x)] = (gram + gram.transpose(0, 2, 1)) / 2.0
+        return (gram + gram.transpose(0, 2, 1)) / 2.0
+
+    # X_{T-1} enters only Sigma_1, so the run stops one step short
+    with closing(steady_blocks(sys, seeds, burn_in, n_samples - 2,
+                               sigma0)) as groups:
+        for first, k, group in groups:
+            out[first:first + k] = group
     return out
 
 

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from swingid import sim
 from swingid.model import (GridModel, Line, build_continuous, build_discrete,
                            build_laplacian, kron_reduce)
 
@@ -104,3 +106,36 @@ def grid_models(draw, max_nodes: int = 6) -> GridModel:
 def random_trajectory_states(rng: np.random.Generator, n_samples: int,
                              n_gen: int) -> np.ndarray:
     return rng.standard_normal((n_samples, 2 * n_gen))
+
+
+# ------------------------------------------------- the forked helper
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """Force the helper on, whatever the CPU count, and list the pid of
+    every process forked while the test runs."""
+    pids = []
+    real_fork = os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(sim, "_helper_allowed", lambda: True)
+    return pids
+
+
+def serially(monkeypatch, call, *args):
+    """call(*args) on the forced-serial path."""
+    with monkeypatch.context() as m:
+        m.setattr(sim, "_helper_allowed", lambda: False)
+        return call(*args)
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)

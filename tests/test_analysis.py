@@ -72,6 +72,18 @@ def test_bound_collapses_without_noise():
     assert report.rhs == report.rhs_continuous == 0.0
 
 
+def test_bound_reports_the_burn_in_it_used():
+    _, disc = systems_for(path3_model(), 3 * DT_BASE)
+    auto = theorem1_bound(disc, 200, 0.1, 3, seed=1)
+    # the default burn-in, given explicitly, gives the same report
+    assert auto.burn_in > 0
+    assert theorem1_bound(disc, 200, 0.1, 3, seed=1,
+                          burn_in=auto.burn_in) == auto
+    assert theorem1_bound(disc, 200, 0.1, 3, seed=1, burn_in=7).burn_in == 7
+    _, quiet = systems_for(single_gen_model(sigma=0.0), DT_BASE)
+    assert theorem1_bound(quiet, 100, 0.1, 5, seed=0, burn_in=4).burn_in == 4
+
+
 def test_bound_scales_inversely_with_epsilon():
     _, disc = systems_for(single_gen_model(sigma=0.01), DT_BASE)
     a = theorem1_bound(disc, 200, 0.1, 10, seed=1)

@@ -1,6 +1,12 @@
 from __future__ import annotations
 
+import hashlib
+import os
 import re
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +21,8 @@ from swingid.io_config import (SETTINGS, load_config, load_matrix, load_records,
 from swingid.model import ValidationError
 from swingid.sim import DT_BASE, simulate, subsample
 
-from conftest import path3_model, systems_for, two_gen_model
+from conftest import (assert_reaped, path3_model, serially, systems_for,
+                      two_gen_model)
 
 
 @pytest.fixture()
@@ -538,6 +545,150 @@ def test_sweep_manifest_records_every_setting_it_reads(tmp_path,
     assert "outputs" not in manifest
 
 
+def test_sweep_manifest_records_versions(tmp_path, small_model_path):
+    out = tmp_path / "sw"
+    assert run("sweep", "--model", small_model_path, "--axis", "stride",
+               "--values", "1", "--t-obs", "20", "--seed", "1",
+               "--out", out) == 0
+    manifest = load_records(out / "manifest.csv")
+    assert manifest["numpy_version"] == np.__version__
+    assert manifest["swingid_version"] == swingid.__version__
+    assert list(manifest)[-3:] == ["failed_cells", "numpy_version",
+                                   "swingid_version"]
+
+
+# ------------------------------------------- seed groups on the forked helper
+
+_STRIDES = ["--axis", "stride", "--values", "1", "3", "--t-obs", "40",
+            "--estimator", "UML", "CML"]
+_HELPED_SWEEPS = {
+    "one-seed": _STRIDES + ["--seed", "1"],
+    "two-seeds": _STRIDES + ["--seed", "2", "1"],
+    "three-seeds": _STRIDES + ["--seed", "3", "1", "2"],
+    "ten-seeds": _STRIDES + ["--seed", *map(str, range(1, 11))],
+    "t_obs": ["--axis", "t_obs", "--values", "10", "25", "40", "--stride", "2",
+              "--estimator", "UML", "CML", "--seed", "3", "1", "2"],
+    # stride 200 leaves 18 samples; lambda kills the stride-3 LASSO fits
+    "failing-cells": ["--axis", "stride", "--values", "3", "200", "--t-obs",
+                      "60", "--estimator", "CML", "LASSO", "--lambda",
+                      "1.2848", "--seed", "1", "2", "3"],
+}
+
+
+def _sweep_outputs(out, capsys, argv) -> tuple[dict[str, bytes], str]:
+    assert run("sweep", *argv, "--out", out) == 0
+    return _sweep_files(out), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", list(_HELPED_SWEEPS))
+def test_sweep_on_the_helper_writes_the_serial_bytes_and_messages(
+        tmp_path, fixture_model_path, monkeypatch, capsys, forks, name):
+    argv = ["--model", fixture_model_path, *_HELPED_SWEEPS[name]]
+    helped = _sweep_outputs(tmp_path / "helped", capsys, argv)
+    assert len(forks) == (name != "one-seed")
+    assert serially(monkeypatch, _sweep_outputs, tmp_path / "serial", capsys,
+                    argv) == helped
+    assert len(forks) == (name != "one-seed")
+    assert_reaped(forks)
+    failed = [re.match(r"cell failed \(value=(.*), (.*), seed=(\d)\): ", line)
+              for line in helped[1].splitlines()]
+    if name == "failing-cells":
+        # seed by seed, then by value, then by estimator, as the cells run
+        cells = [(int(m[3]), float(m[1]), m[2]) for m in failed]
+        assert cells == sorted(cells, key=lambda c: (c[0], c[1], c[2] != "CML"))
+        assert [c for c in cells if c[1] == 200.0] == [
+            (seed, 200.0, tag) for seed in (1, 2, 3) for tag in ("CML", "LASSO")]
+        assert (1, 3.0, "LASSO") in cells
+    else:
+        assert failed == []
+
+
+def test_sweep_finishes_the_group_of_a_helper_killed_mid_run(
+        tmp_path, fixture_model_path, monkeypatch, capsys, forks):
+    argv = ["--model", fixture_model_path, *_HELPED_SWEEPS["ten-seeds"]]
+    serial = serially(monkeypatch, _sweep_outputs, tmp_path / "serial", capsys,
+                      argv)
+    caller, real = os.getpid(), cli.fold_covariances
+
+    def dying(chunks, windows):
+        def cut():
+            for i, chunk in enumerate(chunks):
+                if i == 5 and os.getpid() != caller:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                yield chunk
+        return real(cut(), windows)
+
+    monkeypatch.setattr(cli, "fold_covariances", dying)
+    assert _sweep_outputs(tmp_path / "helped", capsys, argv) == serial
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+def _run_forcing_the_helper(argv, before="") -> subprocess.CompletedProcess:
+    """`swingid argv` in a fresh interpreter with the helper forced on,
+    after the code `before`; stdout ends with the exit code, the number of
+    helpers forked and whether each was reaped."""
+    src = Path(swingid.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    script = f"""
+import os
+import numpy as np
+from swingid import cli, sim
+{before}
+pids, real_fork = [], os.fork
+def fork():
+    pid = real_fork()
+    if pid:
+        pids.append(pid)
+    return pid
+os.fork = fork
+sim._helper_allowed = lambda: True
+code = cli.main({[str(a) for a in argv]!r})
+def reaped(pid):
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+print("exit", code, "helpers", len(pids), "reaped", all(map(reaped, pids)))
+"""
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_diverging_bound_warns_in_neither_process(tmp_path, fixture_model_path):
+    # at stride 10 the Euler step grows 1.0228-fold; 18,000 samples after
+    # the burn-in overflow Sigma_0 in all three trials, two of them in the
+    # helper, whose np.errstate is inherited from the caller
+    done = _run_forcing_the_helper(
+        ["bound", "--model", fixture_model_path, "--stride", "10", "--t-obs",
+         "3000", "--trials", "3", "--out", tmp_path / "b.csv"])
+    assert done.stdout.splitlines()[-1] == "exit 2 helpers 1 reaped True"
+    assert done.stderr.splitlines() == [
+        "validation error: all Monte Carlo trials diverged: the forward-Euler "
+        "step at dt=0.16666666666666666 s has spectral radius 1.02282 over "
+        "18215 steps (3 of 3 with non-finite sigma0)"]
+
+
+def test_bound_on_the_helper_after_a_threaded_matmul_finishes(
+        tmp_path, fixture_model_path, monkeypatch, capsys):
+    # a large product wakes OpenBLAS's thread pool before the helper forks
+    argv = ["bound", "--model", fixture_model_path, "--t-obs", "60",
+            "--trials", "10", "--seed", "4"]
+    done = _run_forcing_the_helper(
+        argv + ["--out", tmp_path / "helped.csv"],
+        before="big = np.ones((1000, 1000)); big @ big")
+    lines = done.stdout.splitlines()
+    assert lines[-1] == "exit 0 helpers 1 reaped True"
+    assert done.stderr == ""
+    assert serially(monkeypatch, run, *argv,
+                    "--out", tmp_path / "serial.csv") == 0
+    assert lines[:-1] == capsys.readouterr().out.splitlines()
+    assert ((tmp_path / "helped.csv").read_bytes()
+            == (tmp_path / "serial.csv").read_bytes())
+
+
 @pytest.mark.parametrize("argv,field", [
     (["simulate", "--t-obs", "inf"], "t_obs"),
     (["simulate", "--t-obs", "nan"], "t_obs"),
@@ -726,6 +877,34 @@ def test_bound_names_diverged_trials(tmp_path, fixture_model_path, capsys):
             "radius 1.02282") in err
     assert "singular" not in err and "Warning" not in err
     assert not (tmp_path / "b.csv").exists()
+
+
+def test_bound_records_burn_in_model_hash_and_versions(tmp_path,
+                                                      small_model_path):
+    out = tmp_path / "b.csv"
+    assert run("bound", "--model", small_model_path, "--trials", "1",
+               "--t-obs", "60", "--out", out) == 0
+    records = load_records(out)
+    new = {"model_sha256", "burn_in", "numpy_version", "swingid_version"}
+    assert [k for k in records if k not in new] == [
+        "model", "dt", "n_samples", "epsilon", "n_trials", "n_discarded",
+        "seed", "trace_sigma0_mean", "inv_norm_mean", "rhs_discrete",
+        "rhs_continuous"]
+    assert records["model_sha256"] == hashlib.sha256(
+        small_model_path.read_bytes()).hexdigest()
+    assert records["numpy_version"] == np.__version__
+    assert records["swingid_version"] == swingid.__version__
+    # the default burn-in, in steps of the bound's dt (stride 3)
+    disc = systems_for(path3_model(), 3 * DT_BASE)[1]
+    report = analysis.theorem1_bound(disc, 1200, 0.1, 1, int(records["seed"]))
+    assert records["burn_in"] == str(report.burn_in)
+    assert records["rhs_discrete"] == repr(report.rhs)
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[model]\npath = {small_model_path}\n\n"
+                   "[generation]\nburn_in = 7\n")
+    assert run("bound", "--config", cfg, "--trials", "1", "--t-obs", "60",
+               "--out", out) == 0
+    assert load_records(out)["burn_in"] == "3"
 
 
 @pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])

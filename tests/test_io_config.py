@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swingid import io_config
+from swingid import io_config, sim
 from swingid.io_config import (_ROWS_PER_BLOCK, SETTINGS, ExperimentConfig,
                                load_config, load_matrix, load_model,
                                load_records, load_trajectory, save_config,
@@ -25,7 +25,8 @@ from swingid.model import ValidationError
 from swingid.sim import (DT_BASE, Trajectory, simulate, steady_trajectory,
                          subsample)
 
-from conftest import REPO_ROOT, path3_model, systems_for, two_gen_model
+from conftest import (REPO_ROOT, assert_reaped, path3_model, serially,
+                      systems_for, two_gen_model)
 
 
 # ------------------------------------------------------------------ model files
@@ -386,37 +387,6 @@ def test_trajectory_read_memory_is_bounded_by_the_kept_states(
 
 # ------------------------------------------------- the forked block helper
 
-@pytest.fixture()
-def forks(monkeypatch):
-    """Force the helper on, whatever the CPU count, and list the pid of
-    every process forked while the test runs."""
-    pids = []
-    real_fork = os.fork
-
-    def recording_fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    monkeypatch.setattr(io_config, "_helper_allowed", lambda: True)
-    return pids
-
-
-def serially(monkeypatch, call, *args):
-    """call(*args) on the forced-serial path."""
-    with monkeypatch.context() as m:
-        m.setattr(io_config, "_helper_allowed", lambda: False)
-        return call(*args)
-
-
-def assert_reaped(pids):
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
-
 def same_trajectory(a: Trajectory, b: Trajectory) -> bool:
     return (same_bits(a.states, b.states) and same_bits(a.dt, b.dt)
             and a.n_gen == b.n_gen)
@@ -589,7 +559,7 @@ def test_caller_error_ends_a_busy_helper_without_waiting(tmp_path, monkeypatch,
 
 
 class HalfPickle:
-    """io_config's pickle, except that a helper writes half of its first
+    """The helper's pickle, except that a helper writes half of its first
     result and then kills itself."""
 
     UnpicklingError = pickle.UnpicklingError
@@ -611,7 +581,7 @@ def test_result_cut_short_by_the_helper_is_redone_by_the_caller(
     serial = serially(monkeypatch, load_trajectory,
                       states_file(tmp_path / "states.csv", 3 * _B + 2), 3)
     made = len(forks)
-    monkeypatch.setattr(io_config, "pickle", HalfPickle)
+    monkeypatch.setattr(sim, "pickle", HalfPickle)
     save_trajectory(path, traj)
     assert path.read_bytes() == reference_trajectory_text(traj).encode()
     assert same_trajectory(load_trajectory(tmp_path / "states.csv", 3), serial)
@@ -631,14 +601,14 @@ def test_one_block_file_never_forks(tmp_path, forks, n_samples):
 def test_helper_needs_fork_and_two_usable_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
-    assert io_config._helper_allowed()
+    assert sim._helper_allowed()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
-    assert not io_config._helper_allowed()
+    assert not sim._helper_allowed()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
     monkeypatch.delattr(os, "fork", raising=False)
-    assert not io_config._helper_allowed()
+    assert not sim._helper_allowed()
 
 
 def test_helper_starts_in_a_process_without_stdout(tmp_path, monkeypatch,
@@ -659,7 +629,7 @@ def test_failed_fork_falls_back_to_the_serial_path(tmp_path, monkeypatch):
         raise OSError("no more processes")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    monkeypatch.setattr(io_config, "_helper_allowed", lambda: True)
+    monkeypatch.setattr(sim, "_helper_allowed", lambda: True)
     traj = random_trajectory(3 * _B + 2)
     path = tmp_path / "traj.csv"
     save_trajectory(path, traj)

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swingid import sim
 from swingid.estimators import covariances
 from swingid.model import DiscreteSystem, build_continuous
 from swingid.sim import (DT_BASE, STEP_CHUNK, STEP_GROUP, Trajectory,
@@ -14,7 +17,8 @@ from swingid.sim import (DT_BASE, STEP_CHUNK, STEP_GROUP, Trajectory,
                          steady_sigma0, steady_start, steady_trajectory,
                          subsample)
 
-from conftest import path3_model, single_gen_model, systems_for, two_gen_model
+from conftest import (assert_reaped, path3_model, serially, single_gen_model,
+                      systems_for, two_gen_model)
 
 
 def noiseless_system(a: np.ndarray, dt: float = DT_BASE) -> DiscreteSystem:
@@ -264,11 +268,16 @@ def test_steady_sigma0_rejects_bad_input():
 
 def _stepped_states(disc, seeds, burn_in, n_steps) -> np.ndarray:
     """Every seed's X_0..X_{n_steps} from steady_blocks, shape (K, T, 2N)."""
+    def states(x0, blocks):
+        return np.concatenate([x0[:, None]] + [b.copy() for b in blocks],
+                              axis=1)
+
     groups = []
-    for first, x0, blocks in steady_blocks(disc, seeds, burn_in, n_steps):
+    for first, k, group in steady_blocks(disc, seeds, burn_in, n_steps,
+                                         states):
         assert first == sum(len(g) for g in groups)
-        groups.append(np.concatenate([x0[:, None]] + [b.copy() for b in blocks],
-                                     axis=1))
+        assert len(group) == k
+        groups.append(group)
     return np.concatenate(groups)
 
 
@@ -313,4 +322,170 @@ def test_steady_sigma0_lone_last_trial_is_batch_invariant(fixture_systems):
 def test_steady_blocks_rejects_negative_burn_in(fixture_systems):
     _, disc = fixture_systems
     with pytest.raises(ValueError, match="burn_in"):
-        next(steady_blocks(disc, [1], -1, 10))
+        next(steady_blocks(disc, [1], -1, 10, lambda x0, blocks: None))
+
+
+# --------------------------------------------- seed groups on the helper
+
+def _seed_major_steps(disc, x, rngs, n_steps) -> np.ndarray:
+    """The n_steps states after x, stepped in a seed-major buffer: each step
+    adds to a strided view of its rows' noise, as steady_blocks did before
+    it stepped in a time-major copy."""
+    buf = np.zeros((len(x), STEP_CHUNK, x.shape[1]))
+    a_t, step, done = disc.a.T, np.empty_like(x), []
+    for start in range(0, n_steps, STEP_CHUNK):
+        block = buf[:, :min(STEP_CHUNK, n_steps - start)]
+        for rng, rows in zip(rngs, block):
+            rng.standard_normal(out=rows)
+        block *= disc.b_diag
+        for t in range(block.shape[1]):
+            np.matmul(x, a_t, out=step)
+            x = block[:, t]
+            x += step
+        done.append(block.copy())
+        x = block[:, -1].copy()
+    return np.concatenate(done, axis=1) if done else buf[:, :0].copy()
+
+
+def _seed_major_states(disc, seeds, burn_in, n_steps) -> np.ndarray:
+    """_stepped_states as the seed-major stepper gave them, in groups of
+    STEP_GROUP."""
+    groups = []
+    for first in range(0, len(seeds), STEP_GROUP):
+        streams = [sim._split_streams(s) for s in seeds[first:first + STEP_GROUP]]
+        x = np.zeros((max(len(streams), 2), 2 * disc.n_gen))
+        burn = _seed_major_steps(
+            disc, x, [np.random.default_rng(b) for b, _ in streams], burn_in)
+        if burn_in:
+            x = burn[:, -1].copy()
+        run = _seed_major_steps(
+            disc, x, [np.random.default_rng(r) for _, r in streams], n_steps)
+        groups.append(np.concatenate([x[:, None], run], axis=1)[:len(streams)])
+    return np.concatenate(groups)
+
+
+def _seed_major_sigma0(disc, n_samples, seeds, burn_in) -> np.ndarray:
+    """steady_sigma0 as the seed-major stepper gave it, folded one chunk
+    of STEP_CHUNK states at a time."""
+    states = _seed_major_states(disc, seeds, burn_in, n_samples - 2)
+    gram = states[:, 0, :, None] * states[:, 0, None, :]
+    for start in range(1, n_samples - 1, STEP_CHUNK):
+        block = states[:, start:start + STEP_CHUNK].copy()
+        gram += np.matmul(block.transpose(0, 2, 1), block)
+    gram /= n_samples - 1
+    return (gram + gram.transpose(0, 2, 1)) / 2.0
+
+
+@pytest.mark.parametrize("n_seeds,helped,serial", [
+    (1, [1], [1]),
+    (2, [1, 1], [2]),
+    (3, [2, 1], [3]),
+    (10, [5, 5], [10]),
+    (64, [32, 32], [64]),
+    (65, [33, 32], [64, 1]),
+    (100, [50, 50], [64, 36]),
+    (129, [33, 32, 32, 32], [64, 64, 1]),
+])
+def test_seed_groups_are_balanced_where_a_helper_runs(monkeypatch, forks,
+                                                      n_seeds, helped, serial):
+    _, disc = systems_for(two_gen_model(), DT_BASE)
+
+    def sizes():
+        return [k for _, k, _ in steady_blocks(disc, range(n_seeds), 0, 1,
+                                               lambda x0, blocks: None)]
+
+    assert sizes() == helped
+    assert len(forks) == (n_seeds > 1)
+    assert serially(monkeypatch, sizes) == serial
+    assert len(forks) == (n_seeds > 1)
+    assert_reaped(forks)
+
+
+@pytest.mark.parametrize("n_trials", [1, 2, 3, 64, 65, 100, 129])
+def test_steady_sigma0_helper_gives_the_serial_and_seed_major_bits(
+        fixture_systems, monkeypatch, forks, n_trials):
+    _, disc = fixture_systems
+    seeds = spawn_seeds(n_trials, n_trials)
+    helped = steady_sigma0(disc, 2 * STEP_CHUNK + 9, seeds, 40)
+    assert len(forks) == (n_trials > 1)
+    serial = serially(monkeypatch, steady_sigma0, disc, 2 * STEP_CHUNK + 9,
+                      seeds, 40)
+    assert np.array_equal(helped, serial)
+    assert np.array_equal(
+        helped, _seed_major_sigma0(disc, 2 * STEP_CHUNK + 9, seeds, 40))
+    assert_reaped(forks)
+
+
+@pytest.mark.parametrize("n_steps,burn_in", [(2 * STEP_CHUNK + 5, 40),
+                                             (STEP_CHUNK, 0), (1, 10)])
+def test_time_major_steps_give_the_seed_major_bits(fixture_systems, monkeypatch,
+                                                   forks, n_steps, burn_in):
+    _, disc = fixture_systems
+    seeds = spawn_seeds(n_steps, 5)
+    ref = _seed_major_states(disc, seeds, burn_in, n_steps)
+    assert np.array_equal(_stepped_states(disc, seeds, burn_in, n_steps), ref)
+    assert np.array_equal(serially(monkeypatch, _stepped_states, disc, seeds,
+                                   burn_in, n_steps), ref)
+    assert np.array_equal(_stepped_states(disc, seeds[:1], burn_in, n_steps),
+                          ref[:1])
+    assert_reaped(forks)
+
+
+def test_caller_finishes_the_groups_of_a_killed_helper(fixture_systems,
+                                                      monkeypatch, forks):
+    # 129 seeds make four groups: the helper folds group 1, then kills
+    # itself on group 3, which the caller then folds too
+    _, disc = fixture_systems
+    seeds = spawn_seeds(3, 129)
+    caller, helper_groups, own = os.getpid(), [], []
+
+    def dying(x0, blocks):
+        if os.getpid() == caller:
+            own.append(len(x0))
+        else:
+            helper_groups.append(len(x0))
+            if len(helper_groups) == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return np.concatenate([x0[:, None]] + [b.copy() for b in blocks],
+                              axis=1)
+
+    groups = list(steady_blocks(disc, seeds, 20, 150, dying))
+    assert [(first, k) for first, k, _ in groups] == [
+        (0, 33), (33, 32), (65, 32), (97, 32)]
+    assert own == [33, 32, 32]
+    assert np.array_equal(np.concatenate([g for _, _, g in groups]),
+                          serially(monkeypatch, _stepped_states, disc, seeds,
+                                   20, 150))
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+def test_fold_error_in_the_helper_is_raised_by_the_caller(fixture_systems,
+                                                         forks):
+    # the helper dies on its group's error; the caller folds that group
+    # itself and raises the same error
+    _, disc = fixture_systems
+    caller, own = os.getpid(), []
+
+    def failing(x0, blocks):
+        if os.getpid() == caller:
+            own.append(len(x0))
+        if len(x0) == 1:
+            raise ValueError("the second group fails")
+        return len(x0)
+
+    with pytest.raises(ValueError, match="the second group fails"):
+        list(steady_blocks(disc, spawn_seeds(1, 3), 0, 10, failing))
+    assert own == [2, 1]
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+def test_closing_the_groups_early_reaps_the_helper(fixture_systems, forks):
+    _, disc = fixture_systems
+    groups = steady_blocks(disc, spawn_seeds(2, 10), 0, 10,
+                           lambda x0, blocks: len(x0))
+    assert next(groups) == (0, 5, 5)
+    groups.close()
+    assert len(forks) == 1
+    assert_reaped(forks)
