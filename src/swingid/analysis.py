@@ -36,7 +36,10 @@ class BoundReport:
     `rhs` bounds the discrete matrix (Theorem 1) and `rhs_continuous` the
     continuous one (Corollary 2).  n_discarded counts trials dropped because
     Sigma_0 came out singular or non-finite.  burn_in counts the steps of
-    the system's dt run before each trial's window.
+    the system's dt run before each trial's window.  step_spectral_radius
+    is that of the forward-Euler step the trials ran: above 1 the runs
+    grow without bound, and the means describe that growth, not a
+    stationary window, even where every trial stays finite.
     """
 
     epsilon: float
@@ -47,6 +50,7 @@ class BoundReport:
     n_trials: int
     n_discarded: int = 0
     burn_in: int = 0
+    step_spectral_radius: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
@@ -91,14 +95,16 @@ def relative_error(a_hat_d: np.ndarray, a_d: np.ndarray) -> float:
 
 
 def _sigma0_moments(sys: DiscreteSystem, n_samples: int, n_trials: int,
-                    seed: int, burn_in: int) -> tuple[float, float, int]:
+                    seed: int, burn_in: int,
+                    radius: float) -> tuple[float, float, int]:
     """Monte Carlo means of Tr Sigma_0 and ||Sigma_0^{-1}||_F^2.
 
     Each trial is a fresh steady-state window; the trials are stepped
     together by `steady_sigma0`.  Diverged (non-finite) trials and those
     above estimators.COND_THRESHOLD are discarded and counted.  Means use
     exact (fsum) aggregation so the result does not depend on accumulation
-    order.
+    order.  radius is the spectral radius of sys.a, named in the message
+    when every trial diverged.
     """
     traces: list[float] = []
     inv_norms: list[float] = []
@@ -117,7 +123,6 @@ def _sigma0_moments(sys: DiscreteSystem, n_samples: int, n_trials: int,
         traces.append(float(np.trace(sigma0)))
         inv_norms.append(float(np.sum(np.linalg.inv(sigma0) ** 2)))
     if not traces:
-        radius = float(np.max(np.abs(np.linalg.eigvals(sys.a))))
         steps = burn_in + n_samples - 1
         if diverged or steps * math.log(max(radius, 1.0)) > _DIVERGED_LOG:
             raise ValueError(
@@ -139,7 +144,9 @@ def theorem1_bound(sys: DiscreteSystem, n_samples: int, epsilon: float,
     rhs = ||B||_2 S and rhs_continuous = ||B||_F / dt S, as sum_i sigma_P_i^2 /
     M_i^2 = ||B||_F^2 / dt.  The expectations are seeded Monte Carlo means over
     `n_trials` steady-state windows of T = n_samples states after burn_in
-    steps of sys.dt (None: `default_burn_in`).
+    steps of sys.dt (None: `default_burn_in`).  The report also carries the
+    spectral radius of sys.a, which says whether those windows are
+    stationary at all.
     """
     n2 = 2 * sys.n_gen
     if n_samples <= n2 + 2:
@@ -152,14 +159,16 @@ def theorem1_bound(sys: DiscreteSystem, n_samples: int, epsilon: float,
         burn_in = default_burn_in(ContinuousSystem(
             n_gen=sys.n_gen, a_d=to_continuous(sys.a, sys.dt),
             noise_scale=sys.b_diag / math.sqrt(sys.dt)), sys.dt)
+    radius = float(np.max(np.abs(np.linalg.eigvals(sys.a))))
     b_norm = float(np.max(np.abs(sys.b_diag)))
     if b_norm == 0.0:
         # noiseless system: both bounds collapse to zero with no data needed
         return BoundReport(epsilon=epsilon, rhs=0.0, rhs_continuous=0.0,
                            trace_sigma0_mean=0.0, inv_norm_mean=0.0,
-                           n_trials=n_trials, burn_in=burn_in)
+                           n_trials=n_trials, burn_in=burn_in,
+                           step_spectral_radius=radius)
     trace_mean, inv_mean, discarded = _sigma0_moments(
-        sys, n_samples, n_trials, seed, burn_in)
+        sys, n_samples, n_trials, seed, burn_in, radius)
     rhs = b_norm / (epsilon * math.sqrt(n_samples - 1)) * math.sqrt(
         trace_mean * inv_mean)
     rhs_continuous = float(np.linalg.norm(sys.b_diag)) / sys.dt / (
@@ -167,7 +176,7 @@ def theorem1_bound(sys: DiscreteSystem, n_samples: int, epsilon: float,
     return BoundReport(epsilon=epsilon, rhs=rhs, rhs_continuous=rhs_continuous,
                        trace_sigma0_mean=trace_mean, inv_norm_mean=inv_mean,
                        n_trials=n_trials, n_discarded=discarded,
-                       burn_in=burn_in)
+                       burn_in=burn_in, step_spectral_radius=radius)
 
 
 def spectrum(a_d: np.ndarray, zero_mode_tol: float | None = None) -> SpectralReport:

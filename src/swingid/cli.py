@@ -134,6 +134,8 @@ def cmd_simulate(args) -> int:
         "n_samples": n_samples,
         "seeds": " ".join(str(s) for s in cfg.seeds),
         "files": " ".join(files),
+        "numpy_version": np.__version__,
+        "swingid_version": __version__,
     })
     print(f"wrote {len(files)} trajectories ({n_samples} samples each) to {outdir}")
     return EXIT_OK
@@ -154,41 +156,34 @@ def _fit(tag: str, cov: CovariancePair, dt: float,
          cfg: io_config.ExperimentConfig, a_prev: np.ndarray):
     """Run one estimator on data sampled every dt seconds.
 
-    Returns (result, A_hat, continuous A_hat_d); A_hat has its known-zero
-    damping entries cleared when cfg.threshold is set.
+    Returns (result, A_hat, continuous A_hat_d, why A_hat is all zero or
+    None); A_hat has its known-zero damping entries cleared when
+    cfg.threshold is set.
     """
     result = _ESTIMATORS[tag](cov, cfg, a_prev)
     a_hat = (threshold_structure(result.a_hat, cov.sigma0.shape[0] // 2)
              if cfg.threshold else result.a_hat)
-    return result, a_hat, analysis.to_continuous(a_hat, dt)
+    zero = None if np.any(a_hat) else (
+        f"{tag} fit is all zero: lambda={cfg.lam!r}, this window's "
+        f"lasso_kill_threshold={lasso_kill_threshold(cov)!r}")
+    return result, a_hat, analysis.to_continuous(a_hat, dt), zero
 
 
-def _all_zero(tag: str, a_hat: np.ndarray, cov: CovariancePair,
-              cfg: io_config.ExperimentConfig) -> str | None:
-    """What is wrong with a fit that has no nonzero entry; None otherwise."""
-    if np.any(a_hat):
+def _sample_deficit(n_samples: int, n_gen: int) -> str | None:
+    """Why n_samples states are too few for an invertible covariance, which
+    needs T > 2N+2; None where there are enough."""
+    if n_samples > 2 * n_gen + 2:
         return None
-    return (f"{tag} fit is all zero: lambda={cfg.lam!r}, this window's "
-            f"lasso_kill_threshold={lasso_kill_threshold(cov)!r}")
-
-
-def _enough_samples(n_samples: int, n_gen: int) -> bool:
-    """T > 2N+2, the fewest samples whose covariance can be invertible."""
-    return n_samples > 2 * n_gen + 2
-
-
-def _check_sample_count(n_samples: int, n_gen: int) -> None:
-    if not _enough_samples(n_samples, n_gen):
-        raise ValidationError(
-            f"sample deficit: {n_samples} samples after striding, but "
-            f"the covariance is only invertible for T > 2N+2 = {2 * n_gen + 2}",
-            field="stride")
+    return (f"sample deficit: {n_samples} samples after striding, but the "
+            f"covariance is only invertible for T > 2N+2 = {2 * n_gen + 2}")
 
 
 def cmd_estimate(args) -> int:
     cfg = _config_from_args(args)
     strided = io_config.load_trajectory(args.trajectory, cfg.stride)
-    _check_sample_count(strided.n_samples, strided.n_gen)
+    deficit = _sample_deficit(strided.n_samples, strided.n_gen)
+    if deficit:
+        raise ValidationError(deficit, field="stride")
     a_d_true = (_build_systems(cfg.model_path, n_gen=strided.n_gen)[1].a_d
                 if cfg.model_path else None)
     a_prev = (io_config.load_matrix(args.a_prev) if getattr(args, "a_prev", None)
@@ -198,8 +193,7 @@ def cmd_estimate(args) -> int:
     cov = covariances(strided)
     cond_sigma0 = float(np.linalg.cond(cov.sigma0))
     for tag in cfg.estimators:
-        result, a_hat, a_hat_d = _fit(tag, cov, strided.dt, cfg, a_prev)
-        zero = _all_zero(tag, a_hat, cov, cfg)
+        result, a_hat, a_hat_d, zero = _fit(tag, cov, strided.dt, cfg, a_prev)
         if zero:
             print(f"warning: {zero}", file=sys.stderr)
         b_hat = estimate_b(strided, a_hat)
@@ -259,46 +253,45 @@ def cmd_sweep(args) -> int:
             raise ValidationError(
                 f"sweep_values {v0!r} and {v1!r} give the same window of "
                 f"{w0[0]} samples at stride {w0[1]}", field="sweep_values")
-    n_kept = [-(-n_keep // stride) for n_keep, stride in windows]
-    folded = [w for w, n in enumerate(n_kept) if _enough_samples(n, disc.n_gen)]
+    deficits = [_sample_deficit(-(-n_keep // stride), disc.n_gen)
+                for n_keep, stride in windows]
     # deficit windows fail without covariances, so only the others are run
+    folded = [w for w, deficit in enumerate(deficits) if deficit is None]
     base_samples = max((windows[w][0] for w in folded), default=1)
     zeros = np.zeros_like(a_d_true)
 
-    def fit_group(x0, blocks) -> list[tuple]:
-        """(value, tag, k, eps, why it failed or None) of each cell of a
-        group's k-th seed, in the order the cells are printed."""
+    def fit_group(x0, blocks) -> list[list[tuple]]:
+        """Each seed's cells, (value, tag, eps, why it failed or None), in
+        the order they are printed."""
         # every state passes once, folded into the pairs of every window
         pairs = dict(zip(folded, fold_covariances(
             itertools.chain([x0[:, None]], blocks),
             [windows[w] for w in folded])))
-        cells = []
-        for k in range(len(x0)):
-            for w, (value, (_, stride)) in enumerate(zip(values, windows)):
-                for tag in cfg.estimators:
-                    try:
-                        _check_sample_count(n_kept[w], disc.n_gen)
-                        _, a_hat, a_hat_d = _fit(tag, pairs[w][k],
-                                                 disc.dt * stride, cfg, zeros)
-                        zero = _all_zero(tag, a_hat, pairs[w][k], cfg)
-                        if zero:
-                            raise ValidationError(zero, field="lam")
-                        eps = analysis.relative_error(a_hat_d, a_d_true)
-                        failed = None
-                    except (ValidationError, SingularCovarianceError,
-                            ConvergenceError) as exc:
-                        eps, failed = float("nan"), str(exc)
-                    cells.append((value, tag, k, eps, failed))
-        return cells
+
+        def cell(k: int, w: int, tag: str) -> tuple:
+            failed = deficits[w]
+            if failed is None:
+                try:
+                    _, _, a_hat_d, failed = _fit(
+                        tag, pairs[w][k], disc.dt * windows[w][1], cfg, zeros)
+                except (ValidationError, SingularCovarianceError,
+                        ConvergenceError) as exc:
+                    failed = str(exc)
+            eps = (float("nan") if failed
+                   else analysis.relative_error(a_hat_d, a_d_true))
+            return values[w], tag, eps, failed
+
+        return [[cell(k, w, tag) for w in range(len(windows))
+                 for tag in cfg.estimators] for k in range(len(x0))]
 
     rows: list[tuple[float, str, int, float]] = []
     failures = 0
     # a forked helper may fit every other group of seeds
     with closing(sim.steady_blocks(disc, cfg.seeds, burn_in, base_samples - 1,
                                    fit_group)) as groups:
-        for first, _, cells in groups:
-            for value, tag, k, eps, failed in cells:
-                seed = cfg.seeds[first + k]
+        for seed, cells in zip(cfg.seeds, itertools.chain.from_iterable(groups),
+                               strict=True):
+            for value, tag, eps, failed in cells:
                 if failed is not None:
                     print(f"cell failed (value={value}, {tag}, "
                           f"seed={seed}): {failed}", file=sys.stderr)
@@ -387,8 +380,7 @@ def cmd_bound(args) -> int:
                               field="seeds")
     dt = cfg.dt_base * cfg.stride
     disc = _build_systems(cfg.model_path, dt)[2]
-    n_samples = (args.n_samples if args.n_samples is not None
-                 else round(cfg.t_obs / dt))
+    n_samples = round(cfg.t_obs / dt)
     seed = cfg.seeds[0]
     # burn_in counts base steps; the bound steps at dt_base * stride
     burn_in = None if cfg.burn_in is None else -(-cfg.burn_in // cfg.stride)
@@ -398,6 +390,7 @@ def cmd_bound(args) -> int:
         "model": cfg.model_path,
         "model_sha256": _model_sha256(cfg.model_path),
         "dt": dt,
+        "step_spectral_radius": report.step_spectral_radius,
         "n_samples": n_samples,
         "burn_in": report.burn_in,
         "epsilon": args.epsilon,
@@ -464,8 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eig.set_defaults(func=cmd_eigen)
 
     p_bound = sub.add_parser("bound", help="error envelopes by Monte Carlo")
-    p_bound.add_argument("--n-samples", dest="n_samples", type=int,
-                         help="window length in samples (overrides t_obs)")
     p_bound.add_argument("--epsilon", type=float, default=0.1,
                          help="confidence parameter in (0,1)")
     p_bound.add_argument("--trials", type=int, default=100,

@@ -118,46 +118,39 @@ def fold_covariances(chunks, windows) -> list[list[CovariancePair]]:
     sequence in C order of the leading axes; every window must keep at
     least 2 states.  Each chunk is folded and dropped, and a window's last
     kept state carries into the next chunk, so memory does not grow with
-    the windows.  Each stride is folded once: a shorter window of that
-    stride takes the running sums at the start of the chunk where it ends
-    and adds its own part of that chunk, which gives the bits of a fold of
-    that window alone.  One chunk with stride 1 gives `covariances` bit
-    for bit.
+    the windows.  Every window has its own running fold, but windows that
+    hold one fold and keep the same rows of a chunk share one product of
+    those rows: windows of one stride share until the shorter one ends,
+    so a set of t_obs windows costs about as much as its longest window,
+    and each window keeps the bits of a fold of that window alone.  One
+    chunk with stride 1 gives `covariances` bit for bit.
     """
     windows = list(windows)
-    # windows of one stride keep the same states until the shorter one ends,
-    # so each stride is folded once, up to its longest window
-    longest = {stride: max(n for n, s in windows if s == stride)
-               for _, stride in windows}
-    # per stride: the running sums of X_t X_t^T, X_{t+1} X_t^T and
+    # per window: the running sums of X_t X_t^T, X_{t+1} X_t^T and
     # ||X_{t+1}||^2, the last state kept so far and the number kept
-    folds: dict[int, tuple] = {stride: (None, None, 0) for stride in longest}
-    # per window: its sums and count once it has ended
-    ended: list[tuple | None] = [None] * len(windows)
+    folds = [(None, None, 0)] * len(windows)
     offset = 0
     for chunk in chunks:
-        kept = {stride: chunk[..., -offset % stride:max(n - offset, 0):stride, :]
-                for stride, n in longest.items()}
-        for w, (n_keep, stride) in enumerate(windows):
-            own = chunk[..., -offset % stride:max(n_keep - offset, 0):stride, :]
-            if ended[w] is None and own.shape[-2] < kept[stride].shape[-2]:
-                # the window ends in this chunk: the stride's sums so far
-                # plus its own part of the chunk, added in the same order
-                sums, last, count = folds[stride]
-                ended[w] = (_fold(sums, last, own) if own.shape[-2] else sums,
-                            count + own.shape[-2])
-        for stride, states in kept.items():
-            sums, last, count = folds[stride]
-            if states.shape[-2]:
-                folds[stride] = (_fold(sums, last, states),
-                                 states[..., -1, :].copy(),
-                                 count + states.shape[-2])
+        # `held` keeps this chunk's starting folds alive, so that their ids
+        # name one fold each; equal ranges keep the same rows
+        held, shared = list(folds), {}
+        for w, ((n_keep, stride), fold) in enumerate(zip(windows, held)):
+            rows = range(-offset % stride,
+                         min(max(n_keep - offset, 0), chunk.shape[-2]), stride)
+            if not rows:
+                continue
+            key = id(fold), rows
+            if key not in shared:
+                sums, last, count = fold
+                kept = chunk[..., rows.start:rows.stop:rows.step, :]
+                shared[key] = (_fold(sums, last, kept),
+                               kept[..., -1, :].copy(), count + len(rows))
+            folds[w] = shared[key]
         offset += chunk.shape[-2]
     pairs = []
-    for w, (n_keep, stride) in enumerate(windows):
-        sums, count = ended[w] or (folds[stride][0], folds[stride][2])
+    for window, (sums, _, count) in zip(windows, folds):
         if count < 2:
-            raise ValueError(f"window {windows[w]} keeps {count} states, "
+            raise ValueError(f"window {window} keeps {count} states, "
                              "need at least 2")
         gram0, gram1, sq = sums
         tm1 = count - 1

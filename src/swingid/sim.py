@@ -310,14 +310,14 @@ def steady_blocks(sys: DiscreteSystem, seeds, burn_in: int, n_steps: int,
     """Steady-state runs of many seeds, stepped together a group at a time.
 
     Seed k covers the same states as `steady_trajectory(sys, n_steps + 1,
-    burn_in, seeds[k])`, from the same noise streams.  For each group
-    seeds[first:first + k] of at most STEP_GROUP seeds this runs
-    fold(x0, blocks): x0 is the (k, 2N) array of their states X_0, and
-    blocks yields (k, m, 2N) arrays holding X_1..X_{n_steps} in order,
-    STEP_CHUNK states at a time, each overwritten by the next.  Returns an
-    iterator of (first, k, fold's result), group by group, from
-    `_in_order`: a forked helper may fold every other group, so the result
-    must pickle, and closing the iterator reaps the helper.
+    burn_in, seeds[k])`, from the same noise streams.  The seeds go in
+    consecutive groups of at most STEP_GROUP, and for each group of k seeds
+    this runs fold(x0, blocks): x0 is the (k, 2N) array of their states
+    X_0, and blocks yields (k, m, 2N) arrays holding X_1..X_{n_steps} in
+    order, STEP_CHUNK states at a time, each overwritten by the next.
+    Returns an iterator of fold's results, one per group, in seed order.
+    It comes from `_in_order`: a forked helper may fold every other group,
+    so a result must pickle, and closing the iterator reaps the helper.
     """
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
@@ -326,8 +326,7 @@ def steady_blocks(sys: DiscreteSystem, seeds, burn_in: int, n_steps: int,
     bounds = _group_bounds(len(seeds))
 
     def run(group: tuple[int, int]):
-        first, end = group
-        streams = [_split_streams(s) for s in seeds[first:end]]
+        streams = [_split_streams(s) for s in seeds[slice(*group)]]
         k = len(streams)
         # a one-row product takes the matrix-vector path, which rounds
         # differently: a lone seed is stepped beside a zero row without noise
@@ -347,7 +346,7 @@ def steady_blocks(sys: DiscreteSystem, seeds, burn_in: int, n_steps: int,
                 out[...] = block[:, :k].transpose(1, 0, 2)
                 yield out
 
-        return first, k, fold(x[:k], blocks())
+        return fold(x[:k], blocks())
 
     return _in_order(lambda: zip(bounds, bounds[1:]), run)
 
@@ -366,8 +365,6 @@ def steady_sigma0(sys: DiscreteSystem, n_samples: int, trial_seeds,
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     n2 = 2 * sys.n_gen
-    seeds = list(trial_seeds)
-    out = np.empty((len(seeds), n2, n2))
 
     def sigma0(x: np.ndarray, blocks) -> np.ndarray:
         gram = x[:, :, None] * x[:, None, :]
@@ -377,11 +374,9 @@ def steady_sigma0(sys: DiscreteSystem, n_samples: int, trial_seeds,
         return (gram + gram.transpose(0, 2, 1)) / 2.0
 
     # X_{T-1} enters only Sigma_1, so the run stops one step short
-    with closing(steady_blocks(sys, seeds, burn_in, n_samples - 2,
+    with closing(steady_blocks(sys, trial_seeds, burn_in, n_samples - 2,
                                sigma0)) as groups:
-        for first, k, group in groups:
-            out[first:first + k] = group
-    return out
+        return np.concatenate([np.empty((0, n2, n2)), *groups])
 
 
 def default_burn_in(sys: ContinuousSystem, dt: float = DT_BASE) -> int:

@@ -50,6 +50,9 @@ def test_simulate_writes_expected_samples(tmp_path, small_model_path):
     assert manifest["n_samples"] == "600"
     assert manifest["seeds"] == "1 2 3"
     assert len(manifest["model_sha256"]) == 64
+    # the trajectory bits depend on numpy's generator and products
+    assert manifest["numpy_version"] == np.__version__
+    assert manifest["swingid_version"] == swingid.__version__
 
 
 def test_simulate_deterministic_and_seed_dependent(tmp_path, small_model_path):
@@ -389,7 +392,8 @@ def test_all_zero_check_leaves_a_uml_cml_sweep_byte_identical(
         return _sweep_files(out)
 
     checked = sweep(tmp_path / "checked")
-    monkeypatch.setattr(cli, "_all_zero", lambda *args: None)
+    fit = cli._fit
+    monkeypatch.setattr(cli, "_fit", lambda *args: (*fit(*args)[:3], None))
     assert sweep(tmp_path / "unchecked") == checked
     assert "failed" not in capsys.readouterr().err
 
@@ -822,7 +826,7 @@ def test_eigen_dimension_mismatch(tmp_path, small_model_path, capsys):
 def test_bound_reports_both_envelopes(tmp_path, small_model_path, capsys):
     out = tmp_path / "bound.csv"
     assert run("bound", "--model", small_model_path, "--stride", "3",
-               "--n-samples", "300", "--epsilon", "0.1", "--trials", "10",
+               "--t-obs", "15", "--epsilon", "0.1", "--trials", "10",
                "--seed", "5", "--out", out) == 0
     records = load_records(out)
     assert float(records["rhs_discrete"]) > 0.0
@@ -831,13 +835,15 @@ def test_bound_reports_both_envelopes(tmp_path, small_model_path, capsys):
     assert "rhs_discrete" in printed and "rhs_continuous" in printed
 
 
-@pytest.mark.parametrize("n_samples", ["0", "-5"])
-def test_bound_rejects_nonpositive_n_samples(tmp_path, small_model_path,
-                                             n_samples, capsys):
-    # 0 once fell back to t_obs as if the flag were absent
-    assert run("bound", "--model", small_model_path, "--n-samples", n_samples,
+@pytest.mark.parametrize("t_obs,n_samples", [("0.01", 0), ("0.4", 8)],
+                         ids=["0", "8"])
+def test_bound_rejects_a_window_of_2n_plus_2_samples_or_fewer(
+        tmp_path, small_model_path, t_obs, n_samples, capsys):
+    # three generators at stride 3 (dt = 0.05 s): 2N+2 = 8 samples is too few
+    assert run("bound", "--model", small_model_path, "--t-obs", t_obs,
                "--trials", "3", "--out", tmp_path / "b.csv") == 2
-    assert "2N+2" in capsys.readouterr().err
+    assert (f"validation error: need T > 2N+2 = 8 samples, got {n_samples}"
+            in capsys.readouterr().err)
     assert not (tmp_path / "b.csv").exists()
 
 
@@ -851,7 +857,7 @@ def test_bound_applies_config_burn_in(tmp_path, small_model_path, burn_in,
     auto = tmp_path / "auto.ini"
     auto.write_text(f"[model]\npath = {small_model_path}\n\n"
                     "[generation]\nburn_in = auto\n")
-    argv = ("--stride", "3", "--n-samples", "300", "--trials", "5",
+    argv = ("--stride", "3", "--t-obs", "15", "--trials", "5",
             "--seed", "5")
     assert run("bound", "--config", cfg, *argv, "--out", tmp_path / "b.csv") == 0
     assert run("bound", "--config", auto, *argv,
@@ -887,7 +893,7 @@ def test_bound_records_burn_in_model_hash_and_versions(tmp_path,
     records = load_records(out)
     new = {"model_sha256", "burn_in", "numpy_version", "swingid_version"}
     assert [k for k in records if k not in new] == [
-        "model", "dt", "n_samples", "epsilon", "n_trials", "n_discarded",
+        "model", "dt", "step_spectral_radius", "n_samples", "epsilon", "n_trials", "n_discarded",
         "seed", "trace_sigma0_mean", "inv_norm_mean", "rhs_discrete",
         "rhs_continuous"]
     assert records["model_sha256"] == hashlib.sha256(
@@ -905,6 +911,25 @@ def test_bound_records_burn_in_model_hash_and_versions(tmp_path,
     assert run("bound", "--config", cfg, "--trials", "1", "--t-obs", "60",
                "--out", out) == 0
     assert load_records(out)["burn_in"] == "3"
+
+
+def test_bound_records_the_step_spectral_radius(tmp_path, fixture_model_path,
+                                                capsys):
+    # forward Euler on the fixture is marginal at stride 1 and unstable at
+    # stride 4, where every trial still stays finite
+    def radius(stride, t_obs):
+        out = tmp_path / f"b{stride}.csv"
+        assert run("bound", "--model", fixture_model_path, "--stride", stride,
+                   "--t-obs", t_obs, "--trials", "2", "--out", out) == 0
+        return float(load_records(out)["step_spectral_radius"])
+
+    assert abs(radius(1, 10) - 1.0) <= 1e-12
+    assert radius(4, 60) > 1.001
+    # where every trial diverges, the message names the same radius
+    unstable = radius(10, 10)
+    assert run("bound", "--model", fixture_model_path, "--stride", "10",
+               "--t-obs", "600", "--trials", "2") == 2
+    assert f"spectral radius {unstable:.6g} over" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
@@ -986,7 +1011,7 @@ OWN_FLAGS = {
     "simulate": {"--config"},
     "estimate": {"--config", "--a-prev"},
     "sweep": {"--config"},
-    "bound": {"--config", "--n-samples", "--epsilon", "--trials", "--out"},
+    "bound": {"--config", "--epsilon", "--trials", "--out"},
     "eigen": {"--model", "--against", "--zero-mode-tol", "--out"},
     "kron": {"--out"},
 }

@@ -192,6 +192,51 @@ def test_fold_shares_each_stride_with_the_bits_of_separate_folds():
             assert got.next_sq_sum == ref.next_sq_sum
             assert got.n_samples == ref.n_samples
 
+def _count_fold_calls(monkeypatch, chunks, windows) -> int:
+    calls = [0]
+    real = estimators._fold
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(estimators, "_fold", counting)
+        fold_covariances(iter(chunks), windows)
+    return calls[0]
+
+
+@pytest.mark.parametrize("sizes,windows", [
+    # the t_obs windows of configs/fixture10.ini (60 to 1,200 s at stride 3),
+    # fed X_0 alone and then 128 states at a time, as the sweep does
+    ([1] + [128] * 562 + [63],
+     [(3600, 3), (9000, 3), (18000, 3), (36000, 3), (72000, 3)]),
+    # repeats, a window ending on a chunk boundary (64 + 128 states) and
+    # one ending in the first chunk
+    ([64] + [128] * 7 + [40],
+     [(1000, 3), (1000, 3), (600, 3), (600, 3), (192, 3), (40, 3)]),
+], ids=["fixture-t-obs", "repeats-and-boundaries"])
+def test_fold_of_one_stride_costs_its_longest_window_plus_one_call_each(
+        monkeypatch, sizes, windows):
+    states = np.random.default_rng(14).standard_normal((sum(sizes), 2))
+    chunks = _chunked(states, sizes)
+    longest = _count_fold_calls(monkeypatch, chunks, [max(windows)])
+    assert (_count_fold_calls(monkeypatch, chunks, windows)
+            <= longest + len(windows) - 1)
+
+
+def test_fold_of_a_stride_set_makes_one_call_per_stride_per_chunk(
+        monkeypatch):
+    # X_0 alone is the one row every stride keeps, so that chunk takes one
+    # call; every later chunk takes one per stride
+    sizes = [1] + [128] * 20 + [31]
+    states = np.random.default_rng(15).standard_normal((sum(sizes), 4))
+    strides = (1, 2, 3, 5, 10)
+    calls = _count_fold_calls(monkeypatch, _chunked(states, sizes),
+                              [(sum(sizes), s) for s in strides])
+    assert calls == 1 + len(strides) * (len(sizes) - 1)
+
+
 def test_fold_rejects_window_with_fewer_than_two_states():
     states = np.random.default_rng(0).standard_normal((10, 2))
     with pytest.raises(ValueError, match="keeps 1 states"):

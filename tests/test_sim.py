@@ -272,13 +272,8 @@ def _stepped_states(disc, seeds, burn_in, n_steps) -> np.ndarray:
         return np.concatenate([x0[:, None]] + [b.copy() for b in blocks],
                               axis=1)
 
-    groups = []
-    for first, k, group in steady_blocks(disc, seeds, burn_in, n_steps,
-                                         states):
-        assert first == sum(len(g) for g in groups)
-        assert len(group) == k
-        groups.append(group)
-    return np.concatenate(groups)
+    return np.concatenate(list(steady_blocks(disc, seeds, burn_in, n_steps,
+                                             states)))
 
 
 @pytest.mark.parametrize("n_steps,burn_in,n_seeds", [
@@ -307,6 +302,27 @@ def test_steady_blocks_rows_do_not_depend_on_their_group(fixture_systems):
         assert np.array_equal(alone, together[k])
     assert np.array_equal(_stepped_states(disc, seeds[3:], 30, 300),
                           together[3:])
+
+
+def test_steady_blocks_results_come_in_seed_order(fixture_systems,
+                                                  monkeypatch, forks):
+    # 129 seeds make four groups with the helper and three without; each
+    # result's rows are X_0 of its own seeds, and the groups come in order
+    _, disc = fixture_systems
+    seeds = spawn_seeds(5, 2 * STEP_GROUP + 1)
+
+    def first_states():
+        groups = list(steady_blocks(disc, seeds, 30, 1,
+                                    lambda x0, blocks: x0.copy()))
+        assert len(groups) > 2
+        return np.concatenate(groups)
+
+    for got in (first_states(), serially(monkeypatch, first_states)):
+        for x0, seed in zip(got, seeds, strict=True):
+            ref = steady_start(disc, 30, sim._split_streams(seed)[0])
+            assert np.linalg.norm(x0 - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert len(forks) == 1
+    assert_reaped(forks)
 
 
 def test_steady_sigma0_lone_last_trial_is_batch_invariant(fixture_systems):
@@ -391,8 +407,8 @@ def test_seed_groups_are_balanced_where_a_helper_runs(monkeypatch, forks,
     _, disc = systems_for(two_gen_model(), DT_BASE)
 
     def sizes():
-        return [k for _, k, _ in steady_blocks(disc, range(n_seeds), 0, 1,
-                                               lambda x0, blocks: None)]
+        return list(steady_blocks(disc, range(n_seeds), 0, 1,
+                                  lambda x0, blocks: len(x0)))
 
     assert sizes() == helped
     assert len(forks) == (n_seeds > 1)
@@ -450,10 +466,9 @@ def test_caller_finishes_the_groups_of_a_killed_helper(fixture_systems,
                               axis=1)
 
     groups = list(steady_blocks(disc, seeds, 20, 150, dying))
-    assert [(first, k) for first, k, _ in groups] == [
-        (0, 33), (33, 32), (65, 32), (97, 32)]
+    assert [len(g) for g in groups] == [33, 32, 32, 32]
     assert own == [33, 32, 32]
-    assert np.array_equal(np.concatenate([g for _, _, g in groups]),
+    assert np.array_equal(np.concatenate(groups),
                           serially(monkeypatch, _stepped_states, disc, seeds,
                                    20, 150))
     assert len(forks) == 1
@@ -485,7 +500,7 @@ def test_closing_the_groups_early_reaps_the_helper(fixture_systems, forks):
     _, disc = fixture_systems
     groups = steady_blocks(disc, spawn_seeds(2, 10), 0, 10,
                            lambda x0, blocks: len(x0))
-    assert next(groups) == (0, 5, 5)
+    assert next(groups) == 5
     groups.close()
     assert len(forks) == 1
     assert_reaped(forks)
