@@ -45,8 +45,8 @@ EXIT_NUMERICAL = 3
 
 # the ExperimentConfig fields each command takes as flags; its other
 # settings come from --config or the defaults
-_ESTIMATION_FLAGS = {"model_path", "outputs", "stride", "estimators",
-                     "threshold", "nu", "lam", "eta"}
+_ESTIMATION_FLAGS = {"model_path", "outputs", "stride", "estimators", "nu",
+                     "lam", "eta"}
 CONFIG_FLAGS = {
     "simulate": {"model_path", "outputs", "seeds", "t_obs", "dt_base",
                  "burn_in"},
@@ -72,8 +72,7 @@ def _config_from_args(args) -> io_config.ExperimentConfig:
             continue
         if isinstance(value, list):
             value = " ".join(value)
-        overrides[setting.field] = (setting.read(value, setting.field)
-                                    if isinstance(value, str) else value)
+        overrides[setting.field] = setting.read(value, setting.field)
     return replace(cfg, **overrides)
 
 
@@ -116,11 +115,19 @@ def cmd_simulate(args) -> int:
             f"t_obs={cfg.t_obs} s yields {n_samples} samples at "
             f"dt_base={cfg.dt_base}; need at least 2", field="t_obs")
     burn_in = _resolve_burn_in(cfg, cont)
+    radius = analysis.step_spectral_radius(disc)
     outdir = Path(cfg.outputs)
     outdir.mkdir(parents=True, exist_ok=True)
     files = []
     for seed in cfg.seeds:
-        traj = sim.steady_trajectory(disc, n_samples, burn_in, seed)
+        # an overflowing run is reported below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = sim.steady_trajectory(disc, n_samples, burn_in, seed)
+        if not np.all(np.isfinite(traj.states)):
+            raise ValidationError(
+                f"seed {seed} gave non-finite states: the forward-Euler step "
+                f"at dt_base={cfg.dt_base!r} s has spectral radius {radius:.6g}",
+                field="dt_base")
         name = f"traj_seed{seed}.csv"
         io_config.save_trajectory(outdir / name, traj)
         files.append(name)
@@ -129,6 +136,7 @@ def cmd_simulate(args) -> int:
         "model": cfg.model_path,
         "model_sha256": _model_sha256(cfg.model_path),
         "dt_base": cfg.dt_base,
+        "step_spectral_radius": radius,
         "t_obs": cfg.t_obs,
         "burn_in": burn_in,
         "n_samples": n_samples,
@@ -157,12 +165,11 @@ def _fit(tag: str, cov: CovariancePair, dt: float,
     """Run one estimator on data sampled every dt seconds.
 
     Returns (result, A_hat, continuous A_hat_d, why A_hat is all zero or
-    None); A_hat has its known-zero damping entries cleared when
-    cfg.threshold is set.
+    None); A_hat is result.a_hat with its known-zero damping entries
+    cleared.
     """
     result = _ESTIMATORS[tag](cov, cfg, a_prev)
-    a_hat = (threshold_structure(result.a_hat, cov.sigma0.shape[0] // 2)
-             if cfg.threshold else result.a_hat)
+    a_hat = threshold_structure(result.a_hat, cov.sigma0.shape[0] // 2)
     zero = None if np.any(a_hat) else (
         f"{tag} fit is all zero: lambda={cfg.lam!r}, this window's "
         f"lasso_kill_threshold={lasso_kill_threshold(cov)!r}")
@@ -208,7 +215,6 @@ def cmd_estimate(args) -> int:
             "dt": strided.dt,
             "n_samples": strided.n_samples,
             "objective": result.objective,
-            "threshold": "true" if cfg.threshold else "false",
             "trajectory": str(args.trajectory),
         }
         for key, value in result.hyperparams.items():
@@ -474,10 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.choices[command]
         sp.add_argument("--config", help="experiment config (INI)")
         for s in [s for s in io_config.SETTINGS if s.field in names]:
-            options = ({"action": argparse.BooleanOptionalAction} if s.is_boolean
-                       else {"nargs": "+"} if s.is_list else {})
-            sp.add_argument(s.flag, dest=s.field,
-                            help=f"[{s.section}] {s.key}", **options)
+            sp.add_argument(s.flag, dest=s.field, help=f"[{s.section}] {s.key}",
+                            **({"nargs": "+"} if s.is_list else {}))
     return parser
 
 

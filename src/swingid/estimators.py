@@ -220,10 +220,12 @@ def _closed_form(cov: CovariancePair, support: np.ndarray, nu: float = 0.0,
         block = lhs[np.ix_(cols, cols)]
         cond = np.linalg.cond(block)
         if not np.isfinite(cond) or cond > COND_THRESHOLD:
+            why = (f"need T > 2N+2 = {n2 + 2} samples (have T={cov.n_samples})"
+                   if cov.n_samples <= n2 + 2 else
+                   f"the regressors are collinear over T={cov.n_samples} samples")
             raise SingularCovarianceError(
-                f"sigma0 is singular or ill-conditioned (cond={cond:.3e}), restricted "
-                f"regressor rank-deficient; need T > 2N+2 = {n2 + 2} samples "
-                f"(have T={cov.n_samples})")
+                f"sigma0 is singular or ill-conditioned (cond={cond:.3e}), "
+                f"restricted regressor rank-deficient; {why}")
         # A lhs = rhs transposed into a standard left-hand solve
         cells = np.ix_(np.all(support == cols, axis=1), cols)
         a_hat[cells] = np.linalg.solve(block.T, rhs[cells].T).T

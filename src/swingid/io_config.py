@@ -379,17 +379,9 @@ def _auto_or_int(text: str) -> int | None:
     return None if text == "auto" else int(text)
 
 
-def _boolean(text: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
-    except KeyError:
-        raise ValueError(text) from None
-
-
 # what each parser reads, for the message when it fails
 _KINDS = {float: "a number", int: "an integer", _ints: "a list of integers",
-          _floats: "a list of numbers", _auto_or_int: "'auto' or an integer",
-          _boolean: "a boolean (1/yes/true/on or 0/no/false/off)"}
+          _floats: "a list of numbers", _auto_or_int: "'auto' or an integer"}
 
 
 def _positive(value) -> bool:
@@ -422,10 +414,6 @@ class Setting(NamedTuple):
         """Whether the text is a list, its entries split by spaces or commas."""
         return self.parse in (_ints, _floats, _words)
 
-    @property
-    def is_boolean(self) -> bool:
-        return self.parse is _boolean
-
     def read(self, text: str, where: str):
         """parse(text); a failure names `where` and the field."""
         return _read(self.parse, text, where, self.field)
@@ -451,8 +439,6 @@ SETTINGS = (
             lambda v: bool(v) and set(v) <= set(ESTIMATORS) and _distinct(v),
             f"estimators must be a non-empty list from {' '.join(ESTIMATORS)}, "
             "without repeats"),
-    Setting("estimation", "threshold", "--threshold", "threshold", _boolean,
-            None, None),
     Setting("estimation", "nu", "--nu", "nu", float, _nonnegative,
             "nu must be finite and nonnegative"),
     Setting("estimation", "lambda", "--lambda", "lam", float, _nonnegative,
@@ -472,8 +458,6 @@ SETTINGS = (
 def _ini_text(value) -> str:
     if isinstance(value, tuple):
         return " ".join(map(_ini_text, value))
-    if isinstance(value, bool):
-        return str(value).lower()
     return _fmt(value) if isinstance(value, float) else str(value)
 
 
@@ -488,7 +472,6 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (1,)
     stride: int = 3
     estimators: tuple[str, ...] = (UML, CML)
-    threshold: bool = True
     nu: float = 0.0
     lam: float = 0.0
     eta: float = 0.0

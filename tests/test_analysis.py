@@ -193,12 +193,15 @@ def test_bound_names_diverged_trials(fixture_grid):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # a 600 s window grows Sigma_0 to about 1e67: finite but singular
-        with pytest.raises(ValueError, match=r"trials diverged: .* at "
+        with pytest.raises(ValueError, match=r"^all Monte Carlo trials "
+                           r"discarded \(0 of 3 with non-finite sigma0, the "
+                           r"rest singular\): the forward-Euler step at "
                            r"dt=0\.16666666666666666 s has spectral radius "
-                           r"1\.02282 over \d+ steps \(0 of 3"):
+                           r"1\.02282 over \d+ steps$"):
             theorem1_bound(disc, 3600, 0.1, 3, seed=1)
         # a 6,000 s window overflows
-        with pytest.raises(ValueError, match=r"\(3 of 3 with non-finite"):
+        with pytest.raises(ValueError, match=r"\(3 of 3 with non-finite "
+                           r"sigma0, the rest singular\)"):
             theorem1_bound(disc, 36000, 0.1, 3, seed=1)
 
 

@@ -55,6 +55,36 @@ def test_simulate_writes_expected_samples(tmp_path, small_model_path):
     assert manifest["swingid_version"] == swingid.__version__
 
 
+def test_simulate_records_the_step_spectral_radius(tmp_path, small_model_path):
+    out = tmp_path / "out"
+    assert run("simulate", "--model", small_model_path, "--t-obs", "1",
+               "--out", out) == 0
+    manifest = load_records(out / "manifest.csv")
+    keys = list(manifest)
+    assert keys[keys.index("dt_base") + 1] == "step_spectral_radius"
+    disc = systems_for(path3_model(), DT_BASE)[1]
+    assert manifest["step_spectral_radius"] == repr(
+        analysis.step_spectral_radius(disc))
+
+
+def test_simulate_unstable_step_exits_2_writing_nothing(tmp_path,
+                                                        fixture_model_path,
+                                                        capsys):
+    # forward Euler at 0.5 s is unstable on the fixture and overflows
+    # within 6,000 s
+    out = tmp_path / "out"
+    code = run("simulate", "--model", fixture_model_path, "--dt-base", "0.5",
+               "--t-obs", "6000", "--burn-in", "0", "--out", out)
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.fullmatch(r"validation error: seed 1 gave non-finite states: "
+                        r"the forward-Euler step at dt_base=0\.5 s has "
+                        r"spectral radius \d+\.\d+", err[0])
+    assert not (out / "traj_seed1.csv").exists()
+    assert not (out / "manifest.csv").exists()
+
+
 def test_simulate_deterministic_and_seed_dependent(tmp_path, small_model_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     run("simulate", "--model", small_model_path, "--t-obs", "5",
@@ -114,13 +144,30 @@ def test_estimate_outputs_and_determinism(tmp_path, small_model_path, traj_path)
 
 
 def test_estimate_thresholded_pattern(tmp_path, small_model_path, traj_path):
+    # every fit has its known zeros cleared, UML's too
     out = tmp_path / "est"
-    run("estimate", traj_path, "--model", small_model_path, "--stride", "3",
-        "--estimator", "UML", "--threshold", "--out", out)
+    assert run("estimate", traj_path, "--model", small_model_path, "--stride",
+               "3", "--estimator", "UML", "--out", out) == 0
     a_hat_d = load_matrix(out / "ahat_d_uml.csv")
     lower_right = a_hat_d[3:, 3:]
     off = lower_right - np.diag(np.diag(lower_right))
     assert np.all(off == 0.0)
+
+
+@pytest.mark.parametrize("command", ["estimate", "sweep"])
+@pytest.mark.parametrize("flag", ["--threshold", "--no-threshold"])
+def test_threshold_flags_exit_2(tmp_path, small_model_path, traj_path, capsys,
+                                command, flag):
+    # the known zeros are always cleared, so no flag turns that off
+    out = tmp_path / "o"
+    argv = [command, "--model", small_model_path, "--out", out, flag]
+    if command == "estimate":
+        argv.append(traj_path)
+    with pytest.raises(SystemExit) as info:
+        run(*argv)
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_estimate_sample_deficit(tmp_path, small_model_path, traj_path, capsys):
@@ -137,7 +184,12 @@ def test_estimate_singular_data_is_numerical_failure(tmp_path, capsys):
     rows += [f"{repr(k * 0.1)},1.0,2.0" for k in range(50)]
     path.write_text("\n".join(rows) + "\n")
     assert run("estimate", path, "--out", tmp_path / "e") == 3
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    # the CLI has already checked T > 2N+2, so the hint is not the sample
+    # rule; stride 3 keeps 17 of the 50 rows
+    assert "need T" not in err
+    assert "the regressors are collinear over T=17 samples" in err
 
 
 def test_estimate_without_truth_skips_eps(tmp_path, traj_path):
@@ -200,6 +252,7 @@ def test_estimate_meta_records_conditioning_versions_and_kill_threshold(
     for tag in tags:
         meta = load_records(out / f"ahat_d_{tag.lower()}.meta")
         assert float(meta["cond_sigma0"]) == float(np.linalg.cond(cov.sigma0))
+        assert "threshold" not in meta
         assert meta["numpy_version"] == np.__version__
         assert meta["swingid_version"] == swingid.__version__
         sparse = tag in ("LASSO", "SPARSE_LOW_RANK")
@@ -539,10 +592,11 @@ def test_sweep_manifest_records_every_setting_it_reads(tmp_path,
     out = tmp_path / "sw"
     assert run("sweep", "--model", small_model_path, "--axis", "stride",
                "--values", "1", "3", "--t-obs", "20", "--seed", "1",
-               "--no-threshold", "--out", out) == 0
+               "--estimator", "CML", "--out", out) == 0
     manifest = load_records(out / "manifest.csv")
     assert manifest["t_obs"] == "20.0"
-    assert manifest["threshold"] == "false"
+    assert manifest["estimators"] == "CML"
+    assert "threshold" not in manifest
     assert (manifest["model"], manifest["axis"], manifest["values"]) == \
         (str(small_model_path), "stride", "1.0 3.0")
     # where the tables went does not change them, so reruns elsewhere match
@@ -670,9 +724,10 @@ def test_diverging_bound_warns_in_neither_process(tmp_path, fixture_model_path):
          "3000", "--trials", "3", "--out", tmp_path / "b.csv"])
     assert done.stdout.splitlines()[-1] == "exit 2 helpers 1 reaped True"
     assert done.stderr.splitlines() == [
-        "validation error: all Monte Carlo trials diverged: the forward-Euler "
-        "step at dt=0.16666666666666666 s has spectral radius 1.02282 over "
-        "18215 steps (3 of 3 with non-finite sigma0)"]
+        "validation error: all Monte Carlo trials discarded (3 of 3 with "
+        "non-finite sigma0, the rest singular): the forward-Euler step at "
+        "dt=0.16666666666666666 s has spectral radius 1.02282 over 18215 "
+        "steps"]
 
 
 def test_bound_on_the_helper_after_a_threaded_matmul_finishes(
@@ -718,6 +773,9 @@ def test_non_finite_times_exit_2_naming_the_field(tmp_path, small_model_path,
      "[estimation] solver_tol is not a known setting"),
     ("estimation", "solver_max_iter = 100000",
      "[estimation] solver_max_iter is not a known setting"),
+    # the known zeros are always cleared
+    ("estimation", "threshold = true",
+     "[estimation] threshold is not a known setting"),
     ("generation", "seeds = 3 -1",
      "seeds must be a non-empty list of nonnegative integers"),
     ("generation", "seeds = 1, 2, 1",
@@ -878,10 +936,12 @@ def test_bound_names_diverged_trials(tmp_path, fixture_model_path, capsys):
                "--t-obs", "600", "--trials", "3", "--out", tmp_path / "b.csv")
     assert code == 2
     err = capsys.readouterr().err
-    assert ("validation error: all Monte Carlo trials diverged: the "
-            "forward-Euler step at dt=0.16666666666666666 s has spectral "
-            "radius 1.02282") in err
-    assert "singular" not in err and "Warning" not in err
+    # a 600 s window stays finite, so every trial is singular
+    assert ("validation error: all Monte Carlo trials discarded (0 of 3 "
+            "with non-finite sigma0, the rest singular): the forward-Euler "
+            "step at dt=0.16666666666666666 s has spectral radius 1.02282 "
+            "over") in err
+    assert "Warning" not in err
     assert not (tmp_path / "b.csv").exists()
 
 
@@ -925,11 +985,14 @@ def test_bound_records_the_step_spectral_radius(tmp_path, fixture_model_path,
 
     assert abs(radius(1, 10) - 1.0) <= 1e-12
     assert radius(4, 60) > 1.001
-    # where every trial diverges, the message names the same radius
+    # where every trial is discarded, the message names the same radius
     unstable = radius(10, 10)
     assert run("bound", "--model", fixture_model_path, "--stride", "10",
                "--t-obs", "600", "--trials", "2") == 2
-    assert f"spectral radius {unstable:.6g} over" in capsys.readouterr().err
+    assert (f"all Monte Carlo trials discarded (0 of 2 with non-finite "
+            f"sigma0, the rest singular): the forward-Euler step at "
+            f"dt=0.16666666666666666 s has spectral radius {unstable:.6g} over"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
@@ -1000,8 +1063,8 @@ def test_burn_in_flag_auto_overrides_the_config(tmp_path):
 CONFIG_FLAGS = {
     "simulate": {"--model", "--out", "--seed", "--t-obs", "--dt-base",
                  "--burn-in"},
-    "estimate": {"--model", "--out", "--stride", "--estimator", "--threshold",
-                 "--nu", "--lambda", "--eta"},
+    "estimate": {"--model", "--out", "--stride", "--estimator", "--nu",
+                 "--lambda", "--eta"},
     "bound": {"--model", "--seed", "--stride", "--t-obs"},
 }
 CONFIG_FLAGS["sweep"] = CONFIG_FLAGS["estimate"] | {"--seed", "--t-obs",
@@ -1019,7 +1082,7 @@ OWN_FLAGS = {
 # lists are written with commas
 FLAG_TEXTS = {"--model": "m.grid", "--dt-base": "0.02", "--t-obs": "30.5",
               "--burn-in": "120", "--seed": "1,2", "--stride": "4",
-              "--estimator": "CML,LASSO", "--threshold": "off", "--nu": "0.5",
+              "--estimator": "CML,LASSO", "--nu": "0.5",
               "--lambda": "1e-3", "--eta": "2", "--out": "res",
               "--axis": "t_obs", "--values": "3,5"}
 
@@ -1046,7 +1109,7 @@ def test_flag_reads_as_its_ini_key(tmp_path, command, flag):
     argv = [command, "--config", str(base_ini)]
     if command == "estimate":
         argv.append("traj.csv")
-    argv += [f"--no-{flag[2:]}"] if setting.is_boolean else [flag, text]
+    argv += [flag, text]
     from_flag = cli._config_from_args(cli.build_parser().parse_args(argv))
     assert from_flag == from_ini
     # the text sets a value other than the base one
@@ -1061,10 +1124,8 @@ def test_help_lists_each_flag_and_names_each_setting(command, capsys):
     assert info.value.code == 0
     text = " ".join(capsys.readouterr().out.split())
     config = CONFIG_FLAGS.get(command, set())
-    boolean = {f"--no-{s.flag[2:]}" for s in SETTINGS
-               if s.is_boolean and s.flag in config}
     assert set(re.findall(r"(?<![\w-])--[a-z][\w-]*", text)) == \
-        {"--help"} | config | boolean | OWN_FLAGS[command]
+        {"--help"} | config | OWN_FLAGS[command]
     for setting in SETTINGS:
         if setting.flag in config:
             assert f"[{setting.section}] {setting.key}" in text

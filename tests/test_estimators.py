@@ -263,8 +263,10 @@ def test_uml_identity_when_sigmas_equal():
 
 
 def test_uml_singular_covariance_error_mentions_sample_rule():
-    states = np.tile(np.array([1.0, 2.0]), (5, 1))
-    with pytest.raises(SingularCovarianceError, match="2N\\+2"):
+    # T = 4 = 2N+2 samples, at or below the sample rule, so the hint names it
+    states = np.tile(np.array([1.0, 2.0]), (4, 1))
+    with pytest.raises(SingularCovarianceError,
+                       match=r"need T > 2N\+2 = 4 samples \(have T=4\)$"):
         estimate_uml(covariances(make_traj(states)))
 
 
@@ -342,9 +344,11 @@ def test_cml_equals_uml_when_constraint_already_satisfied():
 
 
 def test_cml_rank_deficient_restricted_regressor():
+    # 12 samples are enough for 2N = 4, so the hint names collinearity
     states = np.tile(np.array([1.0, 2.0, 3.0, 4.0]), (12, 1))
     with pytest.raises(SingularCovarianceError,
-                       match=r"rank-deficient; need T > 2N\+2 = 6 samples"):
+                       match=r"rank-deficient; the regressors are collinear "
+                             r"over T=12 samples$"):
         estimate_cml(covariances(make_traj(states)))
 
 

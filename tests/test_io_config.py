@@ -679,7 +679,6 @@ seeds = 1 2 3
 [estimation]
 stride = 3
 estimators = UML CML
-threshold = true
 lambda = 0.5
 
 [outputs]
@@ -708,7 +707,7 @@ def test_load_config(tmp_path):
 def test_config_roundtrip(tmp_path):
     cfg = ExperimentConfig(model_path="m.grid", dt_base=0.01, t_obs=120.0,
                            burn_in=500, seeds=(4, 5), stride=6,
-                           estimators=("CML",), threshold=False, nu=2.5,
+                           estimators=("CML",), nu=2.5,
                            lam=0.1, eta=0.7, outputs="results",
                            sweep_variable="stride", sweep_values=(1.0, 3.0))
     default = ExperimentConfig(model_path="")
@@ -739,9 +738,7 @@ def test_readme_configuration_table_lists_every_setting():
     assert rows[0] == ("section", "key", "flag")  # the header
     rows = rows[1:]
     assert len(rows) == len(set(rows))
-    # the boolean is written --[no-]flag
-    assert set(rows) == {(s.section, s.key, f"`--[no-]{s.flag[2:]}`"
-                          if s.is_boolean else f"`{s.flag}`") for s in SETTINGS}
+    assert set(rows) == {(s.section, s.key, f"`{s.flag}`") for s in SETTINGS}
 
 
 @pytest.mark.parametrize("text,named", [
@@ -757,14 +754,6 @@ def test_config_unknown_section_or_key_is_validation_error(tmp_path, text,
         load_config(path)
     assert excinfo.value.field == "config"
     assert str(excinfo.value) == f"{path}: {named} is not a known setting"
-
-
-@pytest.mark.parametrize("word,value", [
-    ("on", True), ("Yes", True), ("off", False), ("0", False)])
-def test_config_threshold_reads_boolean_words(tmp_path, word, value):
-    path = tmp_path / "exp.ini"
-    path.write_text(f"[model]\npath = m.grid\n[estimation]\nthreshold = {word}\n")
-    assert load_config(path).threshold is value
 
 
 def test_config_missing_model(tmp_path):
@@ -835,7 +824,6 @@ def test_config_rejects_bad_solver_settings(kwargs, field):
     ("estimation", "lambda = 1e-3x", "lambda", "lam"),
     ("estimation", "eta = ?", "eta", "eta"),
     ("sweep", "values = 60 x 600", "values", "sweep_values"),
-    ("estimation", "threshold = ture", "threshold", "threshold"),
 ])
 def test_config_unparsable_value_names_file_key_and_field(tmp_path, section, line,
                                                           key, field):
