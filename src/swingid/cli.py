@@ -21,8 +21,9 @@ import argparse
 import hashlib
 import itertools
 import math
+import os
 import sys
-from contextlib import closing
+from contextlib import closing, suppress
 from dataclasses import replace
 from pathlib import Path
 
@@ -117,20 +118,37 @@ def cmd_simulate(args) -> int:
     burn_in = _resolve_burn_in(cfg, cont)
     radius = analysis.step_spectral_radius(disc)
     outdir = Path(cfg.outputs)
-    outdir.mkdir(parents=True, exist_ok=True)
-    files = []
-    for seed in cfg.seeds:
-        # an overflowing run is reported below, not warned about
-        with np.errstate(over="ignore", invalid="ignore"):
-            traj = sim.steady_trajectory(disc, n_samples, burn_in, seed)
-        if not np.all(np.isfinite(traj.states)):
-            raise ValidationError(
-                f"seed {seed} gave non-finite states: the forward-Euler step "
-                f"at dt_base={cfg.dt_base!r} s has spectral radius {radius:.6g}",
-                field="dt_base")
-        name = f"traj_seed{seed}.csv"
-        io_config.save_trajectory(outdir / name, traj)
-        files.append(name)
+    new_dirs = [d for d in (outdir, *outdir.parents) if not d.exists()]
+    # file name -> the temporary file beside it that holds its trajectory
+    parts: dict[str, Path] = {}
+    try:
+        for seed in cfg.seeds:
+            # an overflowing run is reported below, not warned about
+            with np.errstate(over="ignore", invalid="ignore"):
+                traj = sim.steady_trajectory(disc, n_samples, burn_in, seed)
+            if not np.all(np.isfinite(traj.states)):
+                raise ValidationError(
+                    f"seed {seed} gave non-finite states: the forward-Euler "
+                    f"step at dt_base={cfg.dt_base!r} s has spectral radius "
+                    f"{radius:.6g}", field="dt_base")
+            outdir.mkdir(parents=True, exist_ok=True)
+            name = f"traj_seed{seed}.csv"
+            part = outdir / f"{name}.{os.getpid()}.tmp"
+            # made exclusively, so a file already there is never overwritten
+            # and never deleted below
+            part.touch(exist_ok=False)
+            parts[name] = part
+            io_config.save_trajectory(part, traj)
+    except BaseException:
+        for part in parts.values():
+            part.unlink(missing_ok=True)
+        for d in new_dirs:  # deepest first; rmdir leaves a nonempty one
+            with suppress(OSError):
+                d.rmdir()
+        raise
+    # every seed is finite and written: only now do the files take their names
+    for name, part in parts.items():
+        part.replace(outdir / name)
     io_config.save_records(outdir / "manifest.csv", {
         "command": "simulate",
         "model": cfg.model_path,
@@ -141,11 +159,11 @@ def cmd_simulate(args) -> int:
         "burn_in": burn_in,
         "n_samples": n_samples,
         "seeds": " ".join(str(s) for s in cfg.seeds),
-        "files": " ".join(files),
+        "files": " ".join(parts),
         "numpy_version": np.__version__,
         "swingid_version": __version__,
     })
-    print(f"wrote {len(files)} trajectories ({n_samples} samples each) to {outdir}")
+    print(f"wrote {len(parts)} trajectories ({n_samples} samples each) to {outdir}")
     return EXIT_OK
 
 
@@ -195,12 +213,20 @@ def cmd_estimate(args) -> int:
                 if cfg.model_path else None)
     a_prev = (io_config.load_matrix(args.a_prev) if getattr(args, "a_prev", None)
               else np.zeros((2 * strided.n_gen,) * 2))
-    outdir = Path(cfg.outputs)
-    outdir.mkdir(parents=True, exist_ok=True)
     cov = covariances(strided)
     cond_sigma0 = float(np.linalg.cond(cov.sigma0))
-    for tag in cfg.estimators:
-        result, a_hat, a_hat_d, zero = _fit(tag, cov, strided.dt, cfg, a_prev)
+    # A forked helper may fit every other estimator.  No fit makes a
+    # threaded BLAS call, and the fork stops the thread pool that the large
+    # products of covariances() woke, so the helper's fits get a core of
+    # their own; estimate_b's products, which wake the pool again, wait for
+    # every fit.  Nothing is written before every fit has succeeded.
+    with closing(sim.in_order(
+            lambda: cfg.estimators,
+            lambda tag: _fit(tag, cov, strided.dt, cfg, a_prev))) as fitted:
+        fits = list(fitted)
+    outdir = Path(cfg.outputs)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for tag, (result, a_hat, a_hat_d, zero) in zip(cfg.estimators, fits):
         if zero:
             print(f"warning: {zero}", file=sys.stderr)
         b_hat = estimate_b(strided, a_hat)

@@ -274,9 +274,11 @@ def estimate_tikhonov(cov: CovariancePair, a_prev: np.ndarray,
                             hyperparams={"nu": nu}, objective=obj)
 
 
-def soft_threshold(x: np.ndarray, threshold: float) -> np.ndarray:
+def soft_threshold(x: np.ndarray, threshold: float,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Entrywise shrink toward zero: sign(x) * max(|x| - threshold, 0)."""
-    return np.sign(x) * np.maximum(np.abs(x) - threshold, 0.0)
+    return np.multiply(np.sign(x), np.maximum(np.abs(x) - threshold, 0.0),
+                       out=out)
 
 
 def singular_value_threshold(x: np.ndarray, threshold: float) -> np.ndarray:
@@ -284,11 +286,12 @@ def singular_value_threshold(x: np.ndarray, threshold: float) -> np.ndarray:
     return _svt_factors(x, threshold)[0]
 
 
-def _svt_factors(x: np.ndarray, threshold: float):
+def _svt_factors(x: np.ndarray, threshold: float,
+                 out: np.ndarray | None = None):
     """Singular-value soft-threshold, also returning the factors (U, s, V^T)."""
     u, s, vt = np.linalg.svd(x, full_matrices=False)
     s = np.maximum(s - threshold, 0.0)
-    return (u * s) @ vt, (u, s, vt)
+    return np.matmul(u * s, vt, out=out), (u, s, vt)
 
 
 def lasso_kill_threshold(cov: CovariancePair) -> float:
@@ -303,7 +306,7 @@ def _ls_gradient(cov: CovariancePair, a: np.ndarray) -> np.ndarray:
 def _l1_gap(a: np.ndarray, grad: np.ndarray, lam: float) -> float:
     at_zero = np.maximum(np.abs(grad) - lam, 0.0)
     at_nonzero = np.abs(grad + lam * np.sign(a))
-    return float(np.max(np.where(a == 0.0, at_zero, at_nonzero)))
+    return float(np.where(a == 0.0, at_zero, at_nonzero).max())
 
 
 def _nuclear_gap(factors, grad: np.ndarray, eta: float) -> float:
@@ -359,7 +362,8 @@ def slr_optimality_gap(cov: CovariancePair, a: np.ndarray, low: np.ndarray,
 class _Block(NamedTuple):
     """One additive block X_k of the variable and its penalty w_k R_k(X_k).
 
-    prox(V, t) returns (X_k, aux); norm(aux) is R_k(X_k) and
+    prox(V, t, out=None) returns (X_k, aux), X_k written into out if
+    given; norm(aux) is R_k(X_k) and
     gap(aux, G, w_k) the block's optimality certificate at gradient G.
     aux is X_k itself for the l1 block and the SVD factors of X_k for the
     nuclear block, so each step takes one SVD.
@@ -372,12 +376,12 @@ class _Block(NamedTuple):
 
 
 def _l1_block(lam: float) -> _Block:
-    return _Block(lam, lambda v, t: (soft_threshold(v, t),) * 2,
-                  lambda a: float(np.sum(np.abs(a))), _l1_gap)
+    return _Block(lam, lambda v, t, out=None: (soft_threshold(v, t, out),) * 2,
+                  lambda a: float(np.abs(a).sum()), _l1_gap)
 
 
 def _nuclear_block(eta: float) -> _Block:
-    return _Block(eta, _svt_factors, lambda f: float(np.sum(f[1])), _nuclear_gap)
+    return _Block(eta, _svt_factors, lambda f: float(f[1].sum()), _nuclear_gap)
 
 
 def _accelerated_prox_grad(cov: CovariancePair, blocks: tuple[_Block, ...],
@@ -400,18 +404,27 @@ def _accelerated_prox_grad(cov: CovariancePair, blocks: tuple[_Block, ...],
     iterations counts every proximal step, rejected ones included.  The gap,
     returned or raised, is the full certificate: the worst block's value.
     """
-    n2 = cov.sigma0.shape[0]
-    lip = 2.0 * (cov.n_samples - 1) * float(np.linalg.eigvalsh(cov.sigma0)[-1])
+    n2, tm1 = cov.sigma0.shape[0], cov.n_samples - 1
+    two_tm1 = 2.0 * tm1
+    lip = two_tm1 * float(np.linalg.eigvalsh(cov.sigma0)[-1])
     # lip = 0 only when every regressor X_t is zero; then G(0) = 0 and X = 0
     # is certified before any step
     step = 1.0 / (len(blocks) * lip) if lip > 0.0 else 0.0
+    # what every step would otherwise recompute: the same bits, once
+    sigma0, sigma1, two_sigma1 = cov.sigma0, cov.sigma1, 2.0 * cov.sigma1
+    tol = SOLVER_TOL * scale
+    thresholds = [step * b.weight for b in blocks]
+
+    def gradient(a):
+        # _ls_gradient, bit for bit
+        return two_tm1 * (a @ sigma0 - sigma1)
 
     def certificate(aux, grad, full=False):
         # gaps in block order up to the first that fails, or all; np.max keeps NaN
         gaps = []
         for b, aux_k in zip(blocks, aux):
             gaps.append(b.gap(aux_k, grad, b.weight))
-            if not (full or gaps[-1] <= SOLVER_TOL * scale):
+            if not (full or gaps[-1] <= tol):
                 break
         return float(np.max(gaps))
 
@@ -422,29 +435,29 @@ def _accelerated_prox_grad(cov: CovariancePair, blocks: tuple[_Block, ...],
     # a zero-threshold prox of the zero start yields its aux
     aux = [b.prox(x_k, 0.0)[1] for b, x_k in zip(blocks, x)]
     x_sum, pen = x.sum(axis=0), penalty(aux)
-    gap = certificate(aux, _ls_gradient(cov, x_sum))
+    gap = certificate(aux, gradient(x_sum))
     obj = ls_objective(cov, x_sum)
     history = [obj]
     x_prev, theta, it = x, 1.0, 0
     # negated comparisons so that a NaN gap or objective never passes
-    while not gap <= SOLVER_TOL * scale:
+    while not gap <= tol:
         if it == SOLVER_MAX_ITER:
-            gap = certificate(aux, _ls_gradient(cov, x_sum), full=True)
+            gap = certificate(aux, gradient(x_sum), full=True)
             raise ConvergenceError(f"{name} did not reach its certificate",
                                    iterations=it, objective=obj, gap=gap)
         it += 1
         theta_next = (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
         y = x + ((theta - 1.0) / theta_next) * (x - x_prev)
-        v = y - step * _ls_gradient(cov, y.sum(axis=0))
-        steps = [b.prox(v_k, step * b.weight) for b, v_k in zip(blocks, v)]
-        z = np.stack([z_k for z_k, _ in steps])
-        new_aux = [aux_k for _, aux_k in steps]
+        v = y - step * gradient(y.sum(axis=0))
+        z = np.empty_like(x)
+        new_aux = [b.prox(v_k, t, z_k)[1]
+                   for b, v_k, t, z_k in zip(blocks, v, thresholds, z)]
         # J(Z) - J(X) = (T-1) <Z - X, (Z + X) Sigma_0 - 2 Sigma_1> leaves
         # out sum ||X_{t+1}||^2, whose rounding in J itself hides the last
         # decreases and would reject every step near the minimizer
         z_sum, z_pen = z.sum(axis=0), penalty(new_aux)
-        change = (cov.n_samples - 1) * float(np.sum(
-            (z_sum - x_sum) * ((z_sum + x_sum) @ cov.sigma0 - 2.0 * cov.sigma1)))
+        change = tm1 * float(
+            ((z_sum - x_sum) * ((z_sum + x_sum) @ sigma0 - two_sigma1)).sum())
         change += z_pen - pen
         if not change <= 0.0:
             x_prev, theta = x, 1.0
@@ -452,7 +465,7 @@ def _accelerated_prox_grad(cov: CovariancePair, blocks: tuple[_Block, ...],
         x_prev, x, x_sum, pen, theta, aux = x, z, z_sum, z_pen, theta_next, new_aux
         obj += change
         history.append(obj)
-        gap = certificate(aux, _ls_gradient(cov, x_sum))
+        gap = certificate(aux, gradient(x_sum))
     return x, it, gap, obj, tuple(history)
 
 

@@ -15,7 +15,7 @@ Formats:
                   written, and read back, a block of _ROWS_PER_BLOCK rows at
                   a time, never the whole file at once.  Where os.fork
                   exists, two CPUs are usable and the data span more than
-                  one block, the forked helper of sim._in_order formats, or
+                  one block, the forked helper of sim.in_order formats, or
                   parses, blocks 1, 3, 5, ... and streams each result back
                   over a pipe, in order, while the caller does blocks 0, 2,
                   4, ... and alone writes the file.  Bytes, bits and error
@@ -57,7 +57,7 @@ import numpy as np
 
 from .estimators import CML, ESTIMATORS, UML
 from .model import GridModel, Line, ValidationError
-from .sim import DT_BASE, Trajectory, _in_order
+from .sim import DT_BASE, Trajectory, in_order
 
 
 def _fmt(x: float) -> str:
@@ -229,8 +229,8 @@ def save_trajectory(path, traj: Trajectory) -> None:
     starts = range(0, traj.n_samples, _ROWS_PER_BLOCK)
     with open(path, "w") as fh:
         fh.write(",".join(_trajectory_header(traj.n_gen)) + "\n")
-        with closing(_in_order(lambda: starts,
-                               partial(_format_rows, traj))) as texts:
+        with closing(in_order(lambda: starts,
+                              partial(_format_rows, traj))) as texts:
             fh.writelines(texts)
 
 
@@ -278,7 +278,7 @@ def load_trajectory(path, stride: int = 1) -> Trajectory:
             raise ValidationError(
                 f"{path}: need at least 2 samples to infer dt", field="t")
     parse = partial(_parse_rows, len(header), stride)
-    with closing(_in_order(partial(_data_blocks, path), parse)) as parsed:
+    with closing(in_order(partial(_data_blocks, path), parse)) as parsed:
         for i, block in enumerate(parsed):
             if block is None:
                 raise _bad_row(path, len(header), i * _ROWS_PER_BLOCK)

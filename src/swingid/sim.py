@@ -33,11 +33,18 @@ Determinism contract:
     is still drawn seed by seed.  None of this moves a bit: results are
     bit-identical on rerun, on one CPU or two, with the helper or without.
 
-The forked helper (`_in_order`) also runs trajectory text I/O in
-io_config: the caller does jobs 0, 2, 4, ..., the helper jobs 1, 3, 5, ...
-and sends each result back pickled over a pipe, in order.  If the helper
-dies, the caller does the rest of its jobs itself, and it reaps the helper
-on every exit.
+The forked helper (`in_order`) also runs trajectory text I/O in
+io_config and the fits of the `estimate` command: the caller does jobs 0,
+2, 4, ..., the helper jobs 1, 3, 5, ... and sends each result back pickled
+over a pipe, in order.  If the helper dies, the caller does the rest of
+its jobs itself, and it reaps the helper on every exit.
+
+A product with thousands of rows (Sigma_1 of a 10-minute window, or
+estimate_b's residuals) runs on OpenBLAS's thread pool, whose worker then
+spins for about 0.13 s, a core's worth of CPU that a helper on the same
+two CPUs would compete with.  A fork stops that pool (see _start_helper),
+so work handed to a helper right after such a product, with no large
+product before it ends, has the second core to itself.
 """
 
 from __future__ import annotations
@@ -190,11 +197,19 @@ def _start_helper(jobs: Callable[[], Iterable],
     flushes no buffer it inherited.  It inherits numpy's error state, so
     an np.errstate around the call holds in the helper too.
 
-    A stepping helper calls BLAS (small matmuls) after the fork.  That is
-    safe with numpy's OpenBLAS: its pthread_atfork handler stops its
-    thread pool before the fork, so the helper starts with no pool and no
-    held lock, and a threaded call in either process starts a new pool.
-    The matmuls here are below OpenBLAS's threading threshold anyway.
+    A stepping or fitting helper calls BLAS (small matmuls) after the
+    fork.  That is safe with numpy's OpenBLAS: its pthread_atfork handler
+    stops its thread pool before the fork, so the helper starts with no
+    pool and no held lock, and a threaded call in either process starts a
+    new pool.  The helpers' matmuls are below OpenBLAS's threading
+    threshold anyway.  Stopping the pool also ends its spin: after a
+    threaded product the worker busy-waits for about 0.13 s of CPU, so on
+    two CPUs a helper forked during that spin would share its core with
+    it.  On a 2-vCPU virtual machine, `estimate` with LASSO, sparse + low
+    rank and CML on the fixture's 10-minute window at stride 3 cost 0.31 s
+    of worker CPU per run (median) when it fitted between its large
+    products, and 0.15 s (the spin after its last estimate_b) with the
+    fits forked right after the covariances.
     Python 3.12 and later may still issue a DeprecationWarning for a fork
     while other threads are alive.
     """
@@ -230,7 +245,7 @@ def _stop_helper(pid: int, pipe: BinaryIO) -> None:
     os.waitpid(pid, 0)
 
 
-def _in_order(jobs: Callable[[], Iterable], work: Callable) -> Iterator:
+def in_order(jobs: Callable[[], Iterable], work: Callable) -> Iterator:
     """Yield work(job) for each job of jobs(), in order.
 
     Where a helper is allowed and there is more than one job, a forked
@@ -316,7 +331,7 @@ def steady_blocks(sys: DiscreteSystem, seeds, burn_in: int, n_steps: int,
     X_0, and blocks yields (k, m, 2N) arrays holding X_1..X_{n_steps} in
     order, STEP_CHUNK states at a time, each overwritten by the next.
     Returns an iterator of fold's results, one per group, in seed order.
-    It comes from `_in_order`: a forked helper may fold every other group,
+    It comes from `in_order`: a forked helper may fold every other group,
     so a result must pickle, and closing the iterator reaps the helper.
     """
     if burn_in < 0:
@@ -348,7 +363,7 @@ def steady_blocks(sys: DiscreteSystem, seeds, burn_in: int, n_steps: int,
 
         return fold(x[:k], blocks())
 
-    return _in_order(lambda: zip(bounds, bounds[1:]), run)
+    return in_order(lambda: zip(bounds, bounds[1:]), run)
 
 
 def steady_sigma0(sys: DiscreteSystem, n_samples: int, trial_seeds,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import re
 import signal
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import swingid
-from swingid import analysis, cli, estimators
+from swingid import analysis, cli, estimators, sim
 from swingid.cli import main
 from swingid.estimators import covariances, lasso_kill_threshold
 from swingid.io_config import (SETTINGS, load_config, load_matrix, load_records,
@@ -72,7 +73,7 @@ def test_simulate_unstable_step_exits_2_writing_nothing(tmp_path,
                                                         capsys):
     # forward Euler at 0.5 s is unstable on the fixture and overflows
     # within 6,000 s
-    out = tmp_path / "out"
+    out = tmp_path / "new" / "out"
     code = run("simulate", "--model", fixture_model_path, "--dt-base", "0.5",
                "--t-obs", "6000", "--burn-in", "0", "--out", out)
     assert code == 2
@@ -83,6 +84,45 @@ def test_simulate_unstable_step_exits_2_writing_nothing(tmp_path,
                         r"spectral radius \d+\.\d+", err[0])
     assert not (out / "traj_seed1.csv").exists()
     assert not (out / "manifest.csv").exists()
+    # neither the directory nor the parent this run would have made
+    assert not out.exists()
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-dir", "old-dir"])
+def test_simulate_with_a_later_seed_non_finite_leaves_nothing_behind(
+        tmp_path, small_model_path, monkeypatch, capsys, existing):
+    out = tmp_path / "out"
+    old = b"t,delta_1\nnot a trajectory of this run\n"
+    if existing:
+        out.mkdir()
+        (out / "traj_seed1.csv").write_bytes(old)
+    real = sim.steady_trajectory
+
+    def second_seed_overflows(disc, n_samples, burn_in, seed):
+        traj = real(disc, n_samples, burn_in, seed)
+        if seed == 2:
+            traj.states[-1, 0] = np.inf
+        return traj
+
+    monkeypatch.setattr(sim, "steady_trajectory", second_seed_overflows)
+    # 2,400 rows span three blocks, so a helper may format part of each file
+    code = run("simulate", "--model", small_model_path, "--t-obs", "40",
+               "--seed", "1", "2", "--out", out)
+    assert code == 2
+    assert "seed 2 gave non-finite states" in capsys.readouterr().err
+    if existing:
+        assert [p.name for p in out.iterdir()] == ["traj_seed1.csv"]
+        assert (out / "traj_seed1.csv").read_bytes() == old
+    else:
+        assert not out.exists()
+    # the same run without the fault writes both seeds under their names
+    monkeypatch.setattr(sim, "steady_trajectory", real)
+    assert run("simulate", "--model", small_model_path, "--t-obs", "40",
+               "--seed", "1", "2", "--out", out) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.csv", "traj_seed1.csv", "traj_seed2.csv"]
+    assert load_trajectory(out / "traj_seed1.csv").n_samples == 2400
 
 
 def test_simulate_deterministic_and_seed_dependent(tmp_path, small_model_path):
@@ -336,6 +376,149 @@ def test_estimate_computes_covariances_once(tmp_path, small_model_path,
                "SPARSE_LOW_RANK", "--lambda", "1e9", "--eta", "1e9",
                "--out", tmp_path / "e") == 0
     assert calls[0] == 1
+
+
+def test_estimate_whose_second_estimator_fails_writes_nothing(
+        tmp_path, small_model_path, traj_path, monkeypatch, capsys):
+    def failing(cov, lam, eta):
+        raise estimators.ConvergenceError("no certificate", 7, 1.0, 0.5)
+
+    monkeypatch.setattr(cli, "estimate_sparse_low_rank", failing)
+    out = tmp_path / "est"
+    code = run("estimate", traj_path, "--model", small_model_path,
+               "--estimator", "CML", "SPARSE_LOW_RANK", "--out", out)
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerical failure: no certificate (iterations=7, "
+                            "objective=1.000000e+00, gap=5.000e-01)\n")
+    assert not out.exists()
+
+
+# ---------------------------------------------- fits on the forked helper
+
+@pytest.fixture()
+def short_traj_path(tmp_path, small_model_path):
+    # 900 rows, one block: the read forks no helper, so every fork is a fit's
+    out = tmp_path / "short"
+    assert run("simulate", "--model", small_model_path, "--t-obs", "15",
+               "--seed", "7", "--out", out) == 0
+    return out / "traj_seed7.csv"
+
+
+_HELPED_ESTIMATES = {
+    "benchmark-three": ["--estimator", "LASSO", "SPARSE_LOW_RANK", "CML",
+                        "--lambda", "0.05", "--eta", "0.25"],
+    "uml-cml": ["--estimator", "UML", "CML"],
+    # lambda kills the LASSO fit, which warns
+    "all-five": ["--estimator", "UML", "CML", "TIKHONOV", "LASSO",
+                 "SPARSE_LOW_RANK", "--nu", "2", "--lambda", "1e9",
+                 "--eta", "0.25"],
+    "one": ["--estimator", "SPARSE_LOW_RANK", "--lambda", "0.05",
+            "--eta", "0.25"],
+}
+
+
+def _estimate_outputs(out, capsys, argv, code=0) -> tuple:
+    """estimate's exit code, output files, stdout and stderr."""
+    assert run("estimate", *argv, "--out", out) == code
+    files = ({p.name: p.read_bytes() for p in sorted(out.iterdir())}
+             if out.exists() else None)
+    return files, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", list(_HELPED_ESTIMATES))
+def test_estimate_on_the_helper_writes_the_serial_bytes_and_messages(
+        tmp_path, small_model_path, short_traj_path, monkeypatch, capsys,
+        forks, name):
+    argv = [short_traj_path, "--model", small_model_path,
+            "--stride", "3", *_HELPED_ESTIMATES[name]]
+    helped = _estimate_outputs(tmp_path / "helped", capsys, argv)
+    assert len(forks) == (name != "one")
+    assert serially(monkeypatch, _estimate_outputs, tmp_path / "serial",
+                    capsys, argv) == helped
+    assert len(forks) == (name != "one")
+    assert_reaped(forks)
+    files, stdout, stderr = helped
+    tags = list(itertools.takewhile(lambda a: not a.startswith("--"),
+                                    _HELPED_ESTIMATES[name][1:]))
+    assert sorted(files) == sorted(
+        pattern.format(tag.lower()) for tag in tags
+        for pattern in ("ahat_d_{}.csv", "ahat_d_{}.meta", "bhat_{}.csv"))
+    assert [line.split(":")[0] for line in stdout.splitlines()] == tags
+    # one warning per all-zero fit, in estimator order
+    assert [line.split()[:2] for line in stderr.splitlines()] == (
+        [["warning:", "LASSO"], ["warning:", "SPARSE_LOW_RANK"]]
+        if name == "all-five" else [])
+
+
+def test_estimate_helper_whose_fit_raises_gives_the_serial_failure(
+        tmp_path, small_model_path, short_traj_path, monkeypatch, capsys,
+        forks):
+    calls = []
+
+    def failing(cov, lam, eta):
+        calls.append(os.getpid())
+        raise estimators.ConvergenceError("no certificate", 7, 1.0, 0.5)
+
+    monkeypatch.setattr(cli, "estimate_sparse_low_rank", failing)
+    argv = [short_traj_path, "--model", small_model_path, "--stride", "3",
+            *_HELPED_ESTIMATES["benchmark-three"]]
+    helped = _estimate_outputs(tmp_path / "helped", capsys, argv, code=3)
+    assert len(forks) == 1
+    assert_reaped(forks)
+    # the helper's failure reached the caller only as its end; the caller
+    # fitted the same estimator and raised the error itself
+    assert calls == [os.getpid()]
+    assert helped == (None, "", "numerical failure: no certificate "
+                      "(iterations=7, objective=1.000000e+00, gap=5.000e-01)\n")
+    assert serially(monkeypatch, _estimate_outputs, tmp_path / "serial",
+                    capsys, argv, 3) == helped
+
+
+def test_estimate_finishes_the_fit_of_a_helper_killed_mid_run(
+        tmp_path, small_model_path, short_traj_path, monkeypatch, capsys,
+        forks):
+    argv = [short_traj_path, "--model", small_model_path, "--stride", "3",
+            *_HELPED_ESTIMATES["benchmark-three"]]
+    serial = serially(monkeypatch, _estimate_outputs, tmp_path / "serial",
+                      capsys, argv)
+    caller, real = os.getpid(), cli.estimate_sparse_low_rank
+
+    def dying(cov, lam, eta):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(cov, lam, eta)
+
+    monkeypatch.setattr(cli, "estimate_sparse_low_rank", dying)
+    assert _estimate_outputs(tmp_path / "helped", capsys, argv) == serial
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+def test_estimate_fits_every_estimator_before_the_first_b_hat(
+        tmp_path, small_model_path, short_traj_path, monkeypatch):
+    # estimate_b's large product wakes OpenBLAS's threads, which would spin
+    # beside the helper's fits
+    events = []
+    real_fit, real_b = cli._fit, cli.estimate_b
+
+    def fit(tag, *args):
+        result = real_fit(tag, *args)
+        events.append(("fit", tag))
+        return result
+
+    def b_hat(traj, a_hat):
+        events.append(("b_hat",))
+        return real_b(traj, a_hat)
+
+    monkeypatch.setattr(cli, "_fit", fit)
+    monkeypatch.setattr(cli, "estimate_b", b_hat)
+    argv = _HELPED_ESTIMATES["benchmark-three"]
+    assert serially(monkeypatch, run, "estimate", short_traj_path, "--model",
+                    small_model_path, *argv, "--out", tmp_path / "e") == 0
+    tags = argv[1:4]
+    assert events == [("fit", tag) for tag in tags] + [("b_hat",)] * len(tags)
 
 
 # ------------------------------------------------------------------------ sweep
