@@ -332,20 +332,17 @@ def cmd_sweep(args) -> int:
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     outdir = Path(cfg.outputs)
     outdir.mkdir(parents=True, exist_ok=True)
-    table = ["axis_value,estimator,seed,eps"]
-    table += [f"{repr(v)},{tag},{seed},{repr(eps)}"
-              for v, tag, seed, eps in rows]
-    (outdir / "sweep.csv").write_text("\n".join(table) + "\n")
-    mean_table = ["axis_value,estimator,mean_eps,n_seeds"]
-    for value in values:
+    (outdir / "sweep.csv").write_text(io_config.csv_text(
+        [("axis_value", "estimator", "seed", "eps"), *rows]))
+    mean_table = [("axis_value", "estimator", "mean_eps", "n_seeds")]
+    for value in map(float, values):
         for tag in sorted(cfg.estimators):
             cell = [eps for v, t, _, eps in rows
-                    if v == float(value) and t == tag and not math.isnan(eps)]
+                    if v == value and t == tag and not math.isnan(eps)]
             if cell:
                 mean_table.append(
-                    f"{repr(float(value))},{tag},"
-                    f"{repr(math.fsum(cell) / len(cell))},{len(cell)}")
-    (outdir / "sweep_mean.csv").write_text("\n".join(mean_table) + "\n")
+                    (value, tag, math.fsum(cell) / len(cell), len(cell)))
+    (outdir / "sweep_mean.csv").write_text(io_config.csv_text(mean_table))
     # every setting but the output directory, so reruns elsewhere match
     settings = cfg.records()
     del settings["outputs"]
@@ -354,7 +351,7 @@ def cmd_sweep(args) -> int:
         "model": cfg.model_path,
         "model_sha256": _model_sha256(cfg.model_path),
         "axis": cfg.sweep_variable,
-        "values": " ".join(repr(float(v)) for v in values),
+        "values": io_config.ini_text(tuple(map(float, values))),
         **settings,
         "burn_in": burn_in,
         "failed_cells": failures,
@@ -373,9 +370,8 @@ def cmd_eigen(args) -> int:
         raise ValidationError("matrix must be square with even dimension",
                               field="matrix")
     report = analysis.spectrum(a_hat_d, args.zero_mode_tol)
-    lines = ["re,im,source"]
-    lines += [f"{repr(ev.real)},{repr(ev.imag)},estimate"
-              for ev in report.eigenvalues]
+    rows = [("re", "im", "source")]
+    rows += [(ev.real, ev.imag, "estimate") for ev in report.eigenvalues]
     distance = None
     if args.model:
         cont = _build_systems(args.model, n_gen=a_hat_d.shape[0] // 2)[1]
@@ -389,11 +385,10 @@ def cmd_eigen(args) -> int:
     else:
         truth = None
     if truth is not None:
-        lines += [f"{repr(ev.real)},{repr(ev.imag)},truth"
-                  for ev in truth.eigenvalues]
+        rows += [(ev.real, ev.imag, "truth") for ev in truth.eigenvalues]
         distance = analysis.spectral_distance(report.eigenvalues,
                                               truth.eigenvalues)
-    text = "\n".join(lines) + "\n"
+    text = io_config.csv_text(rows)
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -401,7 +396,7 @@ def cmd_eigen(args) -> int:
     crit = " ".join(f"{ev.real:+.6f}{ev.imag:+.6f}j" for ev in report.critical)
     print(f"critical: {crit}")
     if distance is not None:
-        print(f"spectral_distance,{repr(distance)}")
+        print(io_config.csv_text([("spectral_distance", distance)]), end="")
     return EXIT_OK
 
 
@@ -438,8 +433,9 @@ def cmd_bound(args) -> int:
     }
     if args.out:
         io_config.save_records(args.out, records)
-    for key in ("rhs_discrete", "rhs_continuous"):
-        print(f"{key},{repr(records[key])}")
+    print(io_config.csv_text((key, records[key])
+                             for key in ("rhs_discrete", "rhs_continuous")),
+          end="")
     return EXIT_OK
 
 
@@ -453,8 +449,8 @@ def cmd_kron(args) -> int:
         print(f"wrote {reduced.shape[0]}x{reduced.shape[1]} reduced Laplacian "
               f"to {args.out}")
     else:
-        for row in reduced:
-            print(",".join(repr(v) for v in row))
+        # the rows of --out's file, without its comment line
+        print(io_config.csv_text(reduced.tolist()), end="")
     return EXIT_OK
 
 

@@ -1201,6 +1201,15 @@ def test_kron_on_fixture(tmp_path, fixture_model_path):
     assert np.allclose(reduced @ np.ones(10), 0.0, atol=1e-9)
 
 
+def test_kron_prints_what_it_writes(tmp_path, capsys, fixture_model_path):
+    assert run("kron", fixture_model_path, "--out", tmp_path / "red.csv") == 0
+    capsys.readouterr()
+    assert run("kron", fixture_model_path) == 0
+    printed = tmp_path / "printed.csv"
+    printed.write_text(capsys.readouterr().out)
+    assert np.array_equal(load_matrix(printed), load_matrix(tmp_path / "red.csv"))
+
+
 def test_kron_no_loads_returns_input_laplacian(tmp_path, small_model_path):
     out = tmp_path / "red.csv"
     assert run("kron", small_model_path, "--out", out) == 0

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from swingid import io_config, sim
 from swingid.io_config import (_ROWS_PER_BLOCK, SETTINGS, ExperimentConfig,
-                               load_config, load_matrix, load_model,
+                               csv_text, load_config, load_matrix, load_model,
                                load_records, load_trajectory, save_config,
                                save_matrix, save_model, save_records,
                                save_trajectory)
@@ -645,6 +645,37 @@ def test_matrix_roundtrip(tmp_path):
     path = tmp_path / "m.csv"
     save_matrix(path, m, comment="test matrix")
     assert np.array_equal(load_matrix(path), m)
+
+
+@pytest.mark.parametrize("cell, text", [
+    (0.1, "0.1"),
+    (np.float64(4.064629951719237), "4.064629951719237"),
+    (np.float32(0.1), "0.10000000149011612"),  # repr of the widened double
+    (3, "3"),
+    (np.int64(-7), "-7"),
+    (True, "True"),
+    ("UML", "UML"),
+    ("", ""),
+    (float("nan"), "nan"),
+    (float("inf"), "inf"),
+    (-0.0, "-0.0"),
+])
+def test_csv_text_cells(cell, text):
+    assert csv_text([[cell]]) == f"{text}\n"
+    assert csv_text([("key", cell, 1.0)]) == f"key,{text},1.0\n"
+
+
+def test_csv_text_comment_lines_come_first():
+    rows = [("re", "im"), (np.float64(-0.5), 1.0)]
+    assert csv_text(rows, comment="two\nlines") == \
+        "# two\n# lines\nre,im\n-0.5,1.0\n"
+    assert csv_text(rows, comment="") == csv_text(rows) == "re,im\n-0.5,1.0\n"
+
+
+def test_int_matrix_writes_floats(tmp_path):
+    path = tmp_path / "m.csv"
+    save_matrix(path, np.eye(2, dtype=int))
+    assert path.read_text() == "1.0,0.0\n0.0,1.0\n"
 
 
 def test_matrix_ragged_rejected(tmp_path):

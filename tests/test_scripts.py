@@ -5,7 +5,9 @@ from __future__ import annotations
 import importlib.util
 import math
 
-from conftest import REPO_ROOT
+from swingid.io_config import save_model
+
+from conftest import FIXTURE_MODEL, REPO_ROOT
 
 
 def _load_script(name: str):
@@ -56,3 +58,10 @@ def test_run_spectral_check_writes_both_spectra(tmp_path, capsys):
     assert len(critical) == 2
     distance = float(printed.split("spectral_distance,")[1].split()[0])
     assert 0.0 < distance < 1.0
+
+
+def test_make_fixture_writes_the_shipped_model(tmp_path):
+    script = _load_script("make_fixture")
+    path = tmp_path / "fixture10.grid"
+    save_model(path, script.make_fixture(12))
+    assert path.read_bytes() == FIXTURE_MODEL.read_bytes()
