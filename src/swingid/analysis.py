@@ -17,9 +17,8 @@ import numpy as np
 
 from . import estimators
 from .estimators import covariances
-from .model import ContinuousSystem, DiscreteSystem
-from .sim import (default_burn_in, simulate, spawn_seeds, steady_sigma0,
-                  steady_start)
+from .model import DiscreteSystem
+from .sim import simulate, spawn_seeds, steady_sigma0, steady_start
 
 # simulate, steady_start and covariances are no longer called here but stay
 # bound: perfbench/smoke.py checks that the tracer patches these sites
@@ -134,8 +133,7 @@ def _sigma0_moments(sys: DiscreteSystem, n_samples: int, n_trials: int,
 
 
 def theorem1_bound(sys: DiscreteSystem, n_samples: int, epsilon: float,
-                   n_trials: int, seed: int, *,
-                   burn_in: int | None = None) -> BoundReport:
+                   n_trials: int, seed: int, *, burn_in: int) -> BoundReport:
     """Envelopes on ||A_hat - A||_F (rhs, Theorem 1) and ||A_hat_d - A_d||_F
     (rhs_continuous, Corollary 2), each holding with probability >= 1 - epsilon.
 
@@ -143,9 +141,10 @@ def theorem1_bound(sys: DiscreteSystem, n_samples: int, epsilon: float,
     rhs = ||B||_2 S and rhs_continuous = ||B||_F / dt S, as sum_i sigma_P_i^2 /
     M_i^2 = ||B||_F^2 / dt.  The expectations are seeded Monte Carlo means over
     `n_trials` steady-state windows of T = n_samples states after burn_in
-    steps of sys.dt (None: `default_burn_in`).  The report also carries the
-    spectral radius of sys.a, which says whether those windows are
-    stationary at all.
+    steps of sys.dt, a count the caller takes from the model, not from sys.a
+    (`swingid bound` runs ceil(sim.default_burn_in / stride)).  The report
+    also carries the spectral radius of sys.a, which says whether those
+    windows are stationary at all.
     """
     n2 = 2 * sys.n_gen
     if n_samples <= n2 + 2:
@@ -154,10 +153,6 @@ def theorem1_bound(sys: DiscreteSystem, n_samples: int, epsilon: float,
         raise ValueError("epsilon must lie in (0, 1)")
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
-    if burn_in is None:
-        burn_in = default_burn_in(ContinuousSystem(
-            n_gen=sys.n_gen, a_d=to_continuous(sys.a, sys.dt),
-            noise_scale=sys.b_diag / math.sqrt(sys.dt)), sys.dt)
     radius = step_spectral_radius(sys)
     b_norm = float(np.max(np.abs(sys.b_diag)))
     if b_norm == 0.0:

@@ -49,8 +49,7 @@ EXIT_NUMERICAL = 3
 _ESTIMATION_FLAGS = {"model_path", "outputs", "stride", "estimators", "nu",
                      "lam", "eta"}
 CONFIG_FLAGS = {
-    "simulate": {"model_path", "outputs", "seeds", "t_obs", "dt_base",
-                 "burn_in"},
+    "simulate": {"model_path", "outputs", "seeds", "t_obs", "burn_in"},
     "estimate": _ESTIMATION_FLAGS,
     "sweep": _ESTIMATION_FLAGS | {"seeds", "t_obs", "sweep_variable",
                                   "sweep_values"},
@@ -104,17 +103,17 @@ def _model_sha256(path: str) -> str:
 def _resolve_burn_in(cfg: io_config.ExperimentConfig, cont) -> int:
     if cfg.burn_in is not None:
         return cfg.burn_in
-    return sim.default_burn_in(cont, cfg.dt_base)
+    return sim.default_burn_in(cont)
 
 
 def cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
-    grid, cont, disc = _build_systems(cfg.model_path, cfg.dt_base)
-    n_samples = round(cfg.t_obs / cfg.dt_base)
+    grid, cont, disc = _build_systems(cfg.model_path, sim.DT_BASE)
+    n_samples = round(cfg.t_obs / sim.DT_BASE)
     if n_samples < 2:
         raise ValidationError(
             f"t_obs={cfg.t_obs} s yields {n_samples} samples at "
-            f"dt_base={cfg.dt_base}; need at least 2", field="t_obs")
+            f"dt_base={sim.DT_BASE}; need at least 2", field="t_obs")
     burn_in = _resolve_burn_in(cfg, cont)
     radius = analysis.step_spectral_radius(disc)
     outdir = Path(cfg.outputs)
@@ -127,10 +126,11 @@ def cmd_simulate(args) -> int:
             with np.errstate(over="ignore", invalid="ignore"):
                 traj = sim.steady_trajectory(disc, n_samples, burn_in, seed)
             if not np.all(np.isfinite(traj.states)):
+                # only the model can make the fixed base step unstable
                 raise ValidationError(
                     f"seed {seed} gave non-finite states: the forward-Euler "
-                    f"step at dt_base={cfg.dt_base!r} s has spectral radius "
-                    f"{radius:.6g}", field="dt_base")
+                    f"step at dt_base={sim.DT_BASE!r} s has spectral radius "
+                    f"{radius:.6g}", field="model_path")
             outdir.mkdir(parents=True, exist_ok=True)
             name = f"traj_seed{seed}.csv"
             part = outdir / f"{name}.{os.getpid()}.tmp"
@@ -153,7 +153,7 @@ def cmd_simulate(args) -> int:
         "command": "simulate",
         "model": cfg.model_path,
         "model_sha256": _model_sha256(cfg.model_path),
-        "dt_base": cfg.dt_base,
+        "dt_base": sim.DT_BASE,
         "step_spectral_radius": radius,
         "t_obs": cfg.t_obs,
         "burn_in": burn_in,
@@ -265,20 +265,20 @@ def cmd_sweep(args) -> int:
     if cfg.sweep_variable is None:
         raise ValidationError("sweep axis not defined (--axis or [sweep] section)",
                               field="sweep_variable")
-    grid, cont, disc = _build_systems(cfg.model_path, cfg.dt_base)
+    grid, cont, disc = _build_systems(cfg.model_path, sim.DT_BASE)
     a_d_true = cont.a_d
     burn_in = _resolve_burn_in(cfg, cont)
     values = sorted(cfg.sweep_values)
     # one (n_keep, stride) window per axis value, all cut from the first
     # n_keep base-step states of one steady run per seed
     if cfg.sweep_variable == "t_obs":
-        windows = [(round(v / cfg.dt_base), cfg.stride) for v in values]
+        windows = [(round(v / sim.DT_BASE), cfg.stride) for v in values]
     else:
         # int(2.5) would run stride 2 under the label 2.5
         if not all(v >= 1 and float(v).is_integer() for v in values):
             raise ValidationError("stride values must be integers >= 1",
                                   field="sweep_values")
-        windows = [(round(cfg.t_obs / cfg.dt_base), int(v)) for v in values]
+        windows = [(round(cfg.t_obs / sim.DT_BASE), int(v)) for v in values]
     # two values that round to one window would run the same cells twice
     for (v0, w0), (v1, w1) in itertools.combinations(zip(values, windows), 2):
         if w0 == w1:
@@ -343,7 +343,8 @@ def cmd_sweep(args) -> int:
                 mean_table.append(
                     (value, tag, math.fsum(cell) / len(cell), len(cell)))
     (outdir / "sweep_mean.csv").write_text(io_config.csv_text(mean_table))
-    # every setting but the output directory, so reruns elsewhere match
+    # every setting but the output directory, so reruns elsewhere match,
+    # and the base step after the model path
     settings = cfg.records()
     del settings["outputs"]
     io_config.save_records(outdir / "manifest.csv", {
@@ -352,6 +353,8 @@ def cmd_sweep(args) -> int:
         "model_sha256": _model_sha256(cfg.model_path),
         "axis": cfg.sweep_variable,
         "values": io_config.ini_text(tuple(map(float, values))),
+        "model_path": settings.pop("model_path"),
+        "dt_base": sim.DT_BASE,
         **settings,
         "burn_in": burn_in,
         "failed_cells": failures,
@@ -405,12 +408,12 @@ def cmd_bound(args) -> int:
     if len(cfg.seeds) != 1:
         raise ValidationError(f"seeds must be one seed for bound, got {cfg.seeds}",
                               field="seeds")
-    dt = cfg.dt_base * cfg.stride
-    disc = _build_systems(cfg.model_path, dt)[2]
+    dt = sim.DT_BASE * cfg.stride
+    _, cont, disc = _build_systems(cfg.model_path, dt)
     n_samples = round(cfg.t_obs / dt)
     seed = cfg.seeds[0]
-    # burn_in counts base steps; the bound steps at dt_base * stride
-    burn_in = None if cfg.burn_in is None else -(-cfg.burn_in // cfg.stride)
+    # burn_in counts base steps; the bound steps at DT_BASE * stride
+    burn_in = -(-_resolve_burn_in(cfg, cont) // cfg.stride)
     report = analysis.theorem1_bound(disc, n_samples, args.epsilon,
                                      args.trials, seed, burn_in=burn_in)
     records = {

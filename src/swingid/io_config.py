@@ -60,7 +60,7 @@ import numpy as np
 
 from .estimators import CML, ESTIMATORS, UML
 from .model import GridModel, Line, ValidationError
-from .sim import DT_BASE, Trajectory, in_order
+from .sim import Trajectory, in_order
 
 
 def _cell(x) -> str:
@@ -418,8 +418,6 @@ class Setting(NamedTuple):
 # one row per ExperimentConfig field, in field order
 SETTINGS = (
     Setting("model", "path", "--model", "model_path", str, None, None),
-    Setting("generation", "dt_base", "--dt-base", "dt_base", float, _positive,
-            "dt_base must be finite and positive"),
     Setting("generation", "t_obs", "--t-obs", "t_obs", float, _positive,
             "t_obs must be finite and positive"),
     Setting("generation", "burn_in", "--burn-in", "burn_in", _auto_or_int,
@@ -463,7 +461,6 @@ class ExperimentConfig:
     """Everything needed to reproduce a simulate/estimate/sweep run."""
 
     model_path: str
-    dt_base: float = DT_BASE
     t_obs: float = 600.0
     burn_in: int | None = None  # None selects the stationarity default
     seeds: tuple[int, ...] = (1,)

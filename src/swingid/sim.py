@@ -394,12 +394,13 @@ def steady_sigma0(sys: DiscreteSystem, n_samples: int, trial_seeds,
         return np.concatenate([np.empty((0, n2, n2)), *groups])
 
 
-def default_burn_in(sys: ContinuousSystem, dt: float = DT_BASE) -> int:
-    """Steps covering twice the slowest mode's time constant, rounded up.
+def default_burn_in(sys: ContinuousSystem) -> int:
+    """Base steps covering twice the slowest mode's time constant, rounded up.
 
     The slowest mode is the eigenvalue of a_d with the largest nonzero real
     part; the structural zero mode (uniform angle shift) never decays and is
-    excluded.
+    excluded.  A run strided by k covers that time in
+    ceil(default_burn_in(sys) / k) of its steps.
     """
     eigs = np.linalg.eigvals(sys.a_d)
     radius = max(np.max(np.abs(eigs)), 1.0)
@@ -407,4 +408,4 @@ def default_burn_in(sys: ContinuousSystem, dt: float = DT_BASE) -> int:
     if not decaying:
         return 0
     slowest = max(ev.real for ev in decaying)
-    return math.ceil(2.0 / abs(slowest) / dt)
+    return math.ceil(2.0 / abs(slowest) / DT_BASE)

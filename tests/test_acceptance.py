@@ -59,7 +59,7 @@ def _steady_traj(disc: DiscreteSystem, n_samples: int, seed: int,
 def sweep(fixture_grid):
     """50-seed fixture sweep: eps per estimator per t_obs, spectra at 600 s."""
     cont, disc = systems_for(fixture_grid, DT_BASE)
-    burn_in = default_burn_in(cont, DT_BASE)
+    burn_in = default_burn_in(cont)
     n_base = round(T_GRID[-1] / DT_BASE)
     dt_eff = STRIDE * DT_BASE
     true_spec = spectrum(cont.a_d)
@@ -102,7 +102,7 @@ def test_criterion_01_structural_exactness(fixture_grid):
     for model, n_samples in cases:
         cont, disc = systems_for(model, DT_BASE)
         traj = _steady_traj(disc, n_samples, seed=3,
-                            burn_in=default_burn_in(cont, DT_BASE))
+                            burn_in=default_burn_in(cont))
         a_hat = estimate_uml(covariances(traj)).a_hat
         n = disc.n_gen
         pattern = np.hstack([np.eye(n), DT_BASE * np.eye(n)])
@@ -182,11 +182,13 @@ def test_criterion_06_error_bound_holds():
     n_samples, epsilon, n_trials = 1000, 0.1, 500
     start = time.perf_counter()
     results = []
-    for model in (single_gen_model(m=2.0, d=1.0), path3_model()):
+    # each bound's Monte Carlo burn-in is fixed, so rhs keeps its value
+    for model, bound_burn_in in ((single_gen_model(m=2.0, d=1.0), 241),
+                                 (path3_model(), 746)):
         cont, disc = systems_for(model, DT_BASE)
-        burn_in = default_burn_in(cont, DT_BASE)
+        burn_in = default_burn_in(cont)
         rhs = theorem1_bound(disc, n_samples, epsilon, n_trials=200,
-                             seed=777).rhs
+                             seed=777, burn_in=bound_burn_in).rhs
         violations = 0
         for trial_seed in spawn_seeds(1234, n_trials):
             traj = _steady_traj(disc, n_samples, trial_seed, burn_in)
@@ -206,7 +208,7 @@ def test_criterion_06_error_bound_holds():
 
 def test_criterion_07_noise_scale_recovery(fixture_grid):
     cont, disc = systems_for(fixture_grid, DT_BASE)
-    burn_in = default_burn_in(cont, DT_BASE)
+    burn_in = default_burn_in(cont)
     n = disc.n_gen
     worst_rel, worst_zero = 0.0, 0.0
     for seed in range(1, 11):

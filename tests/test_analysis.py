@@ -68,17 +68,12 @@ def test_relative_error_rejects_zero_reference():
 
 def test_bound_collapses_without_noise():
     _, disc = systems_for(single_gen_model(sigma=0.0), DT_BASE)
-    report = theorem1_bound(disc, 100, 0.1, 5, seed=0)
+    report = theorem1_bound(disc, 100, 0.1, 5, seed=0, burn_in=120)
     assert report.rhs == report.rhs_continuous == 0.0
 
 
 def test_bound_reports_the_burn_in_it_used():
     _, disc = systems_for(path3_model(), 3 * DT_BASE)
-    auto = theorem1_bound(disc, 200, 0.1, 3, seed=1)
-    # the default burn-in, given explicitly, gives the same report
-    assert auto.burn_in > 0
-    assert theorem1_bound(disc, 200, 0.1, 3, seed=1,
-                          burn_in=auto.burn_in) == auto
     assert theorem1_bound(disc, 200, 0.1, 3, seed=1, burn_in=7).burn_in == 7
     _, quiet = systems_for(single_gen_model(sigma=0.0), DT_BASE)
     assert theorem1_bound(quiet, 100, 0.1, 5, seed=0, burn_in=4).burn_in == 4
@@ -86,8 +81,8 @@ def test_bound_reports_the_burn_in_it_used():
 
 def test_bound_scales_inversely_with_epsilon():
     _, disc = systems_for(single_gen_model(sigma=0.01), DT_BASE)
-    a = theorem1_bound(disc, 200, 0.1, 10, seed=1)
-    b = theorem1_bound(disc, 200, 0.05, 10, seed=1)
+    a = theorem1_bound(disc, 200, 0.1, 10, seed=1, burn_in=120)
+    b = theorem1_bound(disc, 200, 0.05, 10, seed=1, burn_in=120)
     # identical seed means identical Monte Carlo expectations
     assert b.trace_sigma0_mean == a.trace_sigma0_mean
     assert b.rhs == pytest.approx(2.0 * a.rhs)
@@ -96,7 +91,7 @@ def test_bound_scales_inversely_with_epsilon():
 def test_bound_rhs_assembled_from_reported_expectations():
     _, disc = systems_for(single_gen_model(sigma=0.01), DT_BASE)
     T, eps = 200, 0.1
-    report = theorem1_bound(disc, T, eps, 10, seed=2)
+    report = theorem1_bound(disc, T, eps, 10, seed=2, burn_in=120)
     b_norm = np.max(disc.b_diag)
     expected = b_norm / (eps * math.sqrt(T - 1)) * math.sqrt(
         report.trace_sigma0_mean * report.inv_norm_mean)
@@ -106,11 +101,11 @@ def test_bound_rhs_assembled_from_reported_expectations():
 def test_bound_validates_arguments():
     _, disc = systems_for(single_gen_model(), DT_BASE)
     with pytest.raises(ValueError, match="2N\\+2"):
-        theorem1_bound(disc, 4, 0.1, 5, seed=0)
+        theorem1_bound(disc, 4, 0.1, 5, seed=0, burn_in=120)
     with pytest.raises(ValueError, match="epsilon"):
-        theorem1_bound(disc, 100, 1.5, 5, seed=0)
+        theorem1_bound(disc, 100, 1.5, 5, seed=0, burn_in=120)
     with pytest.raises(ValueError, match="n_trials"):
-        theorem1_bound(disc, 100, 0.1, 0, seed=0)
+        theorem1_bound(disc, 100, 0.1, 0, seed=0, burn_in=120)
 
 
 def test_bound_discards_match_a_serial_recount(monkeypatch):
@@ -141,13 +136,14 @@ def test_bound_discards_match_a_serial_recount(monkeypatch):
 def test_bound_bit_identical_on_rerun():
     _, disc = systems_for(path3_model(), 3 * DT_BASE)
     n_trials = STEP_GROUP + 5
-    first = theorem1_bound(disc, 400, 0.1, n_trials, seed=9)
-    assert theorem1_bound(disc, 400, 0.1, n_trials, seed=9) == first
+    first = theorem1_bound(disc, 400, 0.1, n_trials, seed=9, burn_in=249)
+    assert theorem1_bound(disc, 400, 0.1, n_trials, seed=9,
+                          burn_in=249) == first
 
 
 def test_corollary_collapses_without_noise():
     _, disc = systems_for(two_gen_model(sigma=(0.0, 0.0)), DT_BASE)
-    report = theorem1_bound(disc, 100, 0.1, 5, seed=0)
+    report = theorem1_bound(disc, 100, 0.1, 5, seed=0, burn_in=240)
     assert report.rhs_continuous == 0.0
     assert report.trace_sigma0_mean == report.inv_norm_mean == 0.0
 
@@ -157,9 +153,9 @@ def test_corollary_depends_only_on_observation_window():
     # means only through t_obs = (T-1) dt
     model = single_gen_model(m=2.0, sigma=0.01)
     factors = []
-    for dt, n_samples in ((0.05, 101), (0.025, 201)):
+    for dt, n_samples, burn_in in ((0.05, 101, 80), (0.025, 201, 161)):
         report = theorem1_bound(systems_for(model, dt)[1], n_samples, 0.1, 7,
-                                seed=3)
+                                seed=3, burn_in=burn_in)
         factors.append(report.rhs_continuous / math.sqrt(
             report.trace_sigma0_mean * report.inv_norm_mean))
     assert factors[0] == pytest.approx(factors[1], rel=1e-14)
@@ -169,7 +165,7 @@ def test_corollary_consistent_with_theorem_for_single_generator():
     # at N=1 ||B||_F = ||B||_2, so the two bounds differ exactly by dt
     dt = 0.05
     _, disc = systems_for(single_gen_model(m=2.0, sigma=0.01), dt)
-    report = theorem1_bound(disc, 500, 0.1, 7, seed=4)
+    report = theorem1_bound(disc, 500, 0.1, 7, seed=4, burn_in=80)
     assert report.rhs_continuous == pytest.approx(report.rhs / dt, rel=1e-15)
 
 
@@ -178,7 +174,8 @@ def test_rhs_continuous_is_corollary2_formula(fixture_grid, stride):
     # Corollary 2 written with the grid's sigma_P and M, on the report's means
     dt, n_samples, eps = stride * DT_BASE, 200, 0.1
     disc = systems_for(fixture_grid, dt)[1]
-    report = theorem1_bound(disc, n_samples, eps, 3, seed=1)
+    report = theorem1_bound(disc, n_samples, eps, 3, seed=1,
+                            burn_in=-(-2151 // stride))
     power = sum((fixture_grid.noise_sigma[g] / fixture_grid.inertia[g]) ** 2
                 for g in fixture_grid.generator_ids)
     expected = (1.0 / eps) * math.sqrt(
@@ -198,11 +195,11 @@ def test_bound_names_diverged_trials(fixture_grid):
                            r"rest singular\): the forward-Euler step at "
                            r"dt=0\.16666666666666666 s has spectral radius "
                            r"1\.02282 over \d+ steps$"):
-            theorem1_bound(disc, 3600, 0.1, 3, seed=1)
+            theorem1_bound(disc, 3600, 0.1, 3, seed=1, burn_in=216)
         # a 6,000 s window overflows
         with pytest.raises(ValueError, match=r"\(3 of 3 with non-finite "
                            r"sigma0, the rest singular\)"):
-            theorem1_bound(disc, 36000, 0.1, 3, seed=1)
+            theorem1_bound(disc, 36000, 0.1, 3, seed=1, burn_in=216)
 
 
 def test_bound_report_validation():

@@ -20,7 +20,7 @@ from swingid.io_config import (SETTINGS, load_config, load_matrix, load_records,
                                load_trajectory, save_matrix, save_model,
                                save_trajectory)
 from swingid.model import ValidationError
-from swingid.sim import DT_BASE, simulate, subsample
+from swingid.sim import DT_BASE, default_burn_in, simulate, subsample
 
 from conftest import (assert_reaped, path3_model, serially, systems_for,
                       two_gen_model)
@@ -68,25 +68,30 @@ def test_simulate_records_the_step_spectral_radius(tmp_path, small_model_path):
         analysis.step_spectral_radius(disc))
 
 
-def test_simulate_unstable_step_exits_2_writing_nothing(tmp_path,
-                                                        fixture_model_path,
-                                                        capsys):
-    # forward Euler at 0.5 s is unstable on the fixture and overflows
-    # within 6,000 s
+def test_simulate_unstable_step_exits_2_writing_nothing(tmp_path, capsys):
+    # at D/M = 200 the speed rows' Euler factor is 1 - 200/60, about -2.3,
+    # so the 1/60 s step overflows within 60 s
+    stiff = tmp_path / "stiff.grid"
+    save_model(stiff, two_gen_model(d=(200.0, 200.0)))
     out = tmp_path / "new" / "out"
-    code = run("simulate", "--model", fixture_model_path, "--dt-base", "0.5",
-               "--t-obs", "6000", "--burn-in", "0", "--out", out)
-    assert code == 2
+    argv = ["simulate", "--model", str(stiff), "--t-obs", "60", "--burn-in",
+            "0", "--out", str(out)]
+    assert run(*argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert re.fullmatch(r"validation error: seed 1 gave non-finite states: "
-                        r"the forward-Euler step at dt_base=0\.5 s has "
-                        r"spectral radius \d+\.\d+", err[0])
+                        r"the forward-Euler step at "
+                        r"dt_base=0\.016666666666666666 s has spectral "
+                        r"radius \d+\.\d+", err[0])
     assert not (out / "traj_seed1.csv").exists()
     assert not (out / "manifest.csv").exists()
     # neither the directory nor the parent this run would have made
     assert not out.exists()
     assert not out.parent.exists()
+    # the step is fixed, so the error names the model
+    with pytest.raises(ValidationError) as info:
+        cli.cmd_simulate(cli.build_parser().parse_args(argv))
+    assert info.value.field == "model_path"
 
 
 @pytest.mark.parametrize("existing", [False, True], ids=["new-dir", "old-dir"])
@@ -782,6 +787,10 @@ def test_sweep_manifest_records_every_setting_it_reads(tmp_path,
     assert "threshold" not in manifest
     assert (manifest["model"], manifest["axis"], manifest["values"]) == \
         (str(small_model_path), "stride", "1.0 3.0")
+    # the base step is a constant, recorded after the model path
+    keys = list(manifest)
+    assert keys[keys.index("model_path") + 1] == "dt_base"
+    assert manifest["dt_base"] == repr(DT_BASE)
     # where the tables went does not change them, so reruns elsewhere match
     assert "outputs" not in manifest
 
@@ -947,7 +956,9 @@ def test_non_finite_times_exit_2_naming_the_field(tmp_path, small_model_path,
 
 
 @pytest.mark.parametrize("section,line,message", [
-    ("generation", "dt_base = nan", "dt_base must be finite and positive"),
+    # the base step is the constant sim.DT_BASE, not a setting
+    ("generation", "dt_base = 0.016666666666666666",
+     "[generation] dt_base is not a known setting"),
     ("estimation", "lamda = 5", "[estimation] lamda is not a known setting"),
     # the conditioning and solver limits are constants, not settings
     ("estimation", "cond_threshold = 1e12",
@@ -1113,6 +1124,24 @@ def test_bound_applies_config_burn_in(tmp_path, small_model_path, burn_in,
             != records["rhs_discrete"])
 
 
+@pytest.mark.parametrize("burn_in,stride,steps", [
+    ("auto", 1, 2151), ("auto", 3, 717), ("auto", 4, 538), ("auto", 10, 216),
+    ("7", 3, 3)])
+def test_bound_runs_the_base_step_burn_in_over_the_stride(
+        tmp_path, fixture_model_path, fixture_systems, burn_in, stride, steps):
+    # burn_in counts base steps, auto included; the bound steps at
+    # stride * DT_BASE, so it runs ceil(burn_in / stride) steps
+    if burn_in == "auto":
+        assert steps == -(-default_burn_in(fixture_systems[0]) // stride)
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[model]\npath = {fixture_model_path}\n\n"
+                   f"[generation]\nburn_in = {burn_in}\n")
+    out = tmp_path / "b.csv"
+    assert run("bound", "--config", cfg, "--stride", stride, "--t-obs", "10",
+               "--trials", "2", "--out", out) == 0
+    assert load_records(out)["burn_in"] == str(steps)
+
+
 def test_bound_names_diverged_trials(tmp_path, fixture_model_path, capsys):
     # the forward-Euler step at stride 10 (1/6 s) is unstable on the fixture
     code = run("bound", "--model", fixture_model_path, "--stride", "10",
@@ -1145,15 +1174,10 @@ def test_bound_records_burn_in_model_hash_and_versions(tmp_path,
     assert records["swingid_version"] == swingid.__version__
     # the default burn-in, in steps of the bound's dt (stride 3)
     disc = systems_for(path3_model(), 3 * DT_BASE)[1]
-    report = analysis.theorem1_bound(disc, 1200, 0.1, 1, int(records["seed"]))
-    assert records["burn_in"] == str(report.burn_in)
+    report = analysis.theorem1_bound(disc, 1200, 0.1, 1, int(records["seed"]),
+                                     burn_in=249)
+    assert records["burn_in"] == "249"
     assert records["rhs_discrete"] == repr(report.rhs)
-    cfg = tmp_path / "exp.ini"
-    cfg.write_text(f"[model]\npath = {small_model_path}\n\n"
-                   "[generation]\nburn_in = 7\n")
-    assert run("bound", "--config", cfg, "--trials", "1", "--t-obs", "60",
-               "--out", out) == 0
-    assert load_records(out)["burn_in"] == "3"
 
 
 def test_bound_records_the_step_spectral_radius(tmp_path, fixture_model_path,
@@ -1250,11 +1274,18 @@ def test_burn_in_flag_auto_overrides_the_config(tmp_path):
     assert cli._config_from_args(args).burn_in is None
 
 
+def test_removed_base_step_flag_exits_2(capsys):
+    # the base step is the constant sim.DT_BASE, not a setting
+    with pytest.raises(SystemExit) as info:
+        main(["simulate", "--model", "m.grid", "--dt-base", "0.02"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --dt-base 0.02" in capsys.readouterr().err
+
+
 # each command's config flags, written out so that a flag added to or taken
 # from a command shows up here
 CONFIG_FLAGS = {
-    "simulate": {"--model", "--out", "--seed", "--t-obs", "--dt-base",
-                 "--burn-in"},
+    "simulate": {"--model", "--out", "--seed", "--t-obs", "--burn-in"},
     "estimate": {"--model", "--out", "--stride", "--estimator", "--nu",
                  "--lambda", "--eta"},
     "bound": {"--model", "--seed", "--stride", "--t-obs"},
@@ -1272,7 +1303,7 @@ OWN_FLAGS = {
 }
 # one text per flag, which must read as the same text under its INI key does;
 # lists are written with commas
-FLAG_TEXTS = {"--model": "m.grid", "--dt-base": "0.02", "--t-obs": "30.5",
+FLAG_TEXTS = {"--model": "m.grid", "--t-obs": "30.5",
               "--burn-in": "120", "--seed": "1,2", "--stride": "4",
               "--estimator": "CML,LASSO", "--nu": "0.5",
               "--lambda": "1e-3", "--eta": "2", "--out": "res",

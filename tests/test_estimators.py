@@ -422,7 +422,7 @@ def test_tikhonov_shrinks_toward_prior_monotonically():
 def fixture_pairs(fixture_systems):
     # 10-minute fixture windows of seeds 1 and 2 at strides 1, 3 and 10
     cont, disc = fixture_systems
-    burn_in = default_burn_in(cont, DT_BASE)
+    burn_in = default_burn_in(cont)
     trajs = [steady_trajectory(disc, round(600 / DT_BASE), burn_in, seed)
              for seed in (1, 2)]
     return [covariances(subsample(t, s)) for t in trajs for s in (1, 3, 10)]
@@ -714,7 +714,7 @@ def fixture_window(fixture_systems, seed):
     # `swingid simulate --seed SEED` does
     cont, disc = fixture_systems
     burn_seed, run_seed = spawn_seeds(seed, 2)
-    x0 = steady_start(disc, default_burn_in(cont, DT_BASE), burn_seed)
+    x0 = steady_start(disc, default_burn_in(cont), burn_seed)
     return subsample(simulate(disc, round(600 / DT_BASE) - 1, x0, run_seed), 3)
 
 

@@ -702,7 +702,6 @@ CONFIG_TEXT = """\
 path = models/fixture10.grid
 
 [generation]
-dt_base = 0.016666666666666666
 t_obs = 600
 burn_in = auto
 seeds = 1 2 3
@@ -736,7 +735,7 @@ def test_load_config(tmp_path):
 
 
 def test_config_roundtrip(tmp_path):
-    cfg = ExperimentConfig(model_path="m.grid", dt_base=0.01, t_obs=120.0,
+    cfg = ExperimentConfig(model_path="m.grid", t_obs=120.0,
                            burn_in=500, seeds=(4, 5), stride=6,
                            estimators=("CML",), nu=2.5,
                            lam=0.1, eta=0.7, outputs="results",
@@ -827,12 +826,12 @@ def test_config_validation():
     ({"lam": float("nan")}, "lam"), ({"lam": -1.0}, "lam"),
     ({"eta": float("inf")}, "eta"), ({"nu": float("nan")}, "nu"),
     ({"eta": -1.0}, "eta"), ({"nu": -0.5}, "nu"),
-    ({"dt_base": 0.0}, "dt_base"), ({"dt_base": -DT_BASE}, "dt_base"),
+    ({"t_obs": 0.0}, "t_obs"), ({"stride": 0}, "stride"),
     ({"t_obs": -600.0}, "t_obs"), ({"burn_in": -1}, "burn_in"),
     ({"sweep_values": (60.0, 0.0)}, "sweep_values"),
     ({"sweep_values": (-60.0,)}, "sweep_values"),
     ({"estimators": ("CML", "BOGUS")}, "estimators"),
-    ({"dt_base": float("nan")}, "dt_base"), ({"dt_base": float("inf")}, "dt_base"),
+    ({"seeds": ()}, "seeds"), ({"estimators": ()}, "estimators"),
     ({"t_obs": float("inf")}, "t_obs"), ({"t_obs": float("nan")}, "t_obs"),
     ({"sweep_values": (60.0, float("inf"))}, "sweep_values"),
     ({"sweep_values": (float("nan"),)}, "sweep_values"),
@@ -846,7 +845,6 @@ def test_config_rejects_bad_solver_settings(kwargs, field):
 
 
 @pytest.mark.parametrize("section,line,key,field", [
-    ("generation", "dt_base = fast", "dt_base", "dt_base"),
     ("generation", "t_obs = 10min", "t_obs", "t_obs"),
     ("generation", "burn_in = soon", "burn_in", "burn_in"),
     ("generation", "seeds = 1 two 3", "seeds", "seeds"),

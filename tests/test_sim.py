@@ -206,7 +206,7 @@ def test_spawn_seeds_deterministic_and_distinct():
 def test_default_burn_in_two_time_constants():
     cont, _ = systems_for(single_gen_model(m=1.0, d=1.0), DT_BASE)
     # slowest decaying mode is -D/M = -1, so 2 time constants = 2 s
-    assert default_burn_in(cont, DT_BASE) == 120
+    assert default_burn_in(cont) == 120
 
 
 def test_trajectory_validation():
