@@ -19,7 +19,7 @@ from .model import (ContinuousSystem, DiscreteSystem, GridModel, Line,
 from .sim import (DT_BASE, Trajectory, default_burn_in, simulate, spawn_seeds,
                   steady_sigma0, steady_start, steady_trajectory, subsample)
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "BoundReport", "ContinuousSystem", "CovariancePair", "DiscreteSystem",

@@ -416,6 +416,15 @@ def cmd_bound(args) -> int:
     burn_in = -(-_resolve_burn_in(cfg, cont) // cfg.stride)
     report = analysis.theorem1_bound(disc, n_samples, args.epsilon,
                                      args.trials, seed, burn_in=burn_in)
+    radius, steps = report.step_spectral_radius, burn_in + n_samples - 1
+    # eigvals finds the zero mode's eigenvalue 1 to about 1e-15
+    if radius > 1.0 + 1e-12:
+        # stride-k data follow A^k, whose radius is 1, not the Euler step
+        # at k * DT_BASE that the trials take
+        print(f"warning: the forward-Euler step at dt={dt!r} s has spectral "
+              f"radius {radius:.8g}, so a trial can grow "
+              f"{radius ** steps:.3g}-fold over its {steps} steps",
+              file=sys.stderr)
     records = {
         "model": cfg.model_path,
         "model_sha256": _model_sha256(cfg.model_path),

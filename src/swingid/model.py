@@ -143,7 +143,12 @@ class ContinuousSystem:
 
 @dataclass(frozen=True)
 class DiscreteSystem:
-    """One-step map x' = a x + b_diag * xi, xi standard normal."""
+    """One-step map x' = a x + b_diag * xi, xi standard normal.
+
+    Only the noisy rows (b_diag != 0) take a draw: `sim` draws one normal
+    per noisy row per step, in row order, and leaves the other rows of xi
+    at 0, so a swing model's angle rows are exactly those of a x.
+    """
 
     n_gen: int
     a: np.ndarray

@@ -5,9 +5,18 @@ normal vectors xi_t.  Data is always generated at the base step (1/60 s,
 one AC cycle) and coarser sampling rates are produced by `subsample`,
 so estimators never see the generation step directly.
 
+Noise rule: each step draws one standard normal per noisy row (b_diag[i]
+!= 0), in row order, and scales it into that row; other rows get exactly
+0.  A swing model's noise enters only its N speed rows, so a step draws N
+normals where swingid 0.1.0 drew 2N and zeroed half of them: every swing
+trajectory is a new realization since 0.2.0, while a system with noise
+on every row keeps 0.1.0's stream and bits.
+
 Randomness: numpy's default_rng (PCG64 bit generator, ziggurat normal
 transform).  Given the same integer seed the sampled noise is
-bit-identical across platforms and runs.  Independent streams are derived
+bit-identical across platforms and runs.  Draws come STEP_CHUNK steps at
+a time from Generator.standard_normal(out=...), which fills its values in
+order, so the chunking moves no draw.  Independent streams are derived
 through numpy.random.SeedSequence spawning rather than seed arithmetic:
 every seed, whether a CLI seed or a Monte Carlo trial, splits into a
 burn-in stream and a run stream in one place, `_split_streams`.
@@ -28,10 +37,16 @@ Determinism contract:
     depend on the machine: where a forked helper can run (os.fork and two
     usable CPUs), the seeds split into an even number of near-equal groups
     and the helper steps and folds every other one; elsewhere they go in
-    groups of STEP_GROUP.  Each step adds to a time-major copy of the
-    group's noise, where the states of one step are contiguous; the noise
-    is still drawn seed by seed.  None of this moves a bit: results are
-    bit-identical on rerun, on one CPU or two, with the helper or without.
+    groups of STEP_GROUP.  Each step writes A X_t into a time-major buffer,
+    where the states of one step are contiguous, and adds the scaled
+    noise; the noise is still drawn seed by seed.  None of this moves a
+    bit: results are bit-identical on rerun, on one CPU or two, with the
+    helper or without.
+  * Across versions: the noise rule decides which draw lands in which
+    row, so a trajectory, sweep cell or bound report of a swing model
+    made by swingid 0.1.0 is another realization than 0.2.0's from the
+    same seed.  The `swingid_version` of every manifest, `.meta` and
+    bound report tells them apart.
 
 The forked helper (`in_order`) also runs trajectory text I/O in
 io_config and the fits of the `estimate` command: the caller does jobs 0,
@@ -99,13 +114,24 @@ def spawn_seeds(seed: int, n: int) -> list[int]:
     return [int(c.generate_state(1)[0]) for c in children]
 
 
+def _noisy_rows(b_diag: np.ndarray) -> slice | np.ndarray:
+    """The rows that take noise (b_diag != 0), in row order: a slice where
+    they are consecutive, as a swing model's speed rows are, so that numpy
+    can write them as a strided view."""
+    rows = np.flatnonzero(b_diag)
+    if rows.size and rows[-1] - rows[0] == rows.size - 1:
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
+
+
 def simulate(sys: DiscreteSystem, n_steps: int, x0: np.ndarray,
              seed: int) -> Trajectory:
     """Run the recursion for n_steps transitions; returns n_steps+1 samples.
 
-    states[0] = x0 and states[t+1] = a states[t] + b_diag * xi_t with the
-    xi_t drawn from default_rng(seed) in a single block, so the result is
-    a deterministic function of (sys, n_steps, x0, seed).
+    states[0] = x0 and states[t+1] = a states[t] + b_diag * xi_t, where
+    xi_t holds one draw from default_rng(seed) per noisy row (b_diag != 0),
+    in row order, and 0 in every other row.  The result is a deterministic
+    function of (sys, n_steps, x0, seed).
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
@@ -113,11 +139,18 @@ def simulate(sys: DiscreteSystem, n_steps: int, x0: np.ndarray,
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n2,):
         raise ValueError(f"x0 must have shape ({n2},), got {x0.shape}")
-    states = np.empty((n_steps + 1, n2))
+    states = np.zeros((n_steps + 1, n2))
     states[0] = x0
-    # draw the noise in place, then add A X_t to each noise row
-    np.random.default_rng(seed).standard_normal(out=states[1:])
-    states[1:] *= sys.b_diag
+    # draw the noise a chunk at a time into its rows, then add A X_t to
+    # each noise row
+    rng, noisy = np.random.default_rng(seed), _noisy_rows(sys.b_diag)
+    scale = sys.b_diag[noisy]
+    draws = np.empty((min(n_steps, STEP_CHUNK), scale.size))
+    for start in range(1, n_steps + 1, STEP_CHUNK):
+        block = states[start:start + STEP_CHUNK]
+        xi = draws[:len(block)]
+        rng.standard_normal(out=xi)
+        block[:, noisy] = xi * scale
     a, step = sys.a, np.empty(n2)
     for x, nxt in zip(states[:-1], states[1:]):
         np.dot(a, x, out=step)
@@ -276,32 +309,36 @@ def in_order(jobs: Callable[[], Iterable], work: Callable) -> Iterator:
             _stop_helper(*helper)
 
 
-def _advance(sys: DiscreteSystem, x: np.ndarray, rngs, n_steps: int,
-             noise: np.ndarray, states: np.ndarray):
+def _advance(sys: DiscreteSystem, x: np.ndarray, rngs, n_steps: int):
     """Step every row of the group n_steps times, STEP_CHUNK steps at a time.
 
     x holds one current state per row and rngs one generator per row; rows
     past len(rngs) get no noise.  numpy draws only into contiguous arrays,
-    so each row's noise is drawn into its row of the seed-major buffer
-    `noise`, (rows, STEP_CHUNK, 2N), and scaled into the time-major buffer
-    `states`, (STEP_CHUNK, rows, 2N), where each step's states are
-    contiguous and the step adds to them in place.  Yields the (m, rows, 2N)
-    block of the next m states of every row; the block is a view of
-    `states`, overwritten by the next chunk.
+    so each row's draws (one per noisy state per step) go into its row of
+    the seed-major buffer `draws`, (rows, STEP_CHUNK, noisy), and are
+    scaled into the noisy columns of the time-major buffer `kicks`,
+    (STEP_CHUNK, rows, 2N), whose other columns stay 0.  Each step writes
+    A X_t into a time-major buffer of the same shape, where each step's
+    states are contiguous, and adds its kicks in place.  Yields the
+    (m, rows, 2N) block of the next m states of every row; the block is a
+    view of that buffer, overwritten by the next chunk.
     """
-    a_t = sys.a.T
-    step = np.empty_like(x)
-    for start in range(0, n_steps, noise.shape[1]):
-        m = min(noise.shape[1], n_steps - start)
-        for rng, rows in zip(rngs, noise[:, :m]):
+    a_t, noisy = sys.a.T, _noisy_rows(sys.b_diag)
+    scale = sys.b_diag[noisy]
+    draws = np.zeros((len(x), STEP_CHUNK, scale.size))
+    kicks = np.zeros((STEP_CHUNK, *x.shape))
+    states = np.empty_like(kicks)
+    for start in range(0, n_steps, STEP_CHUNK):
+        m = min(STEP_CHUNK, n_steps - start)
+        for rng, rows in zip(rngs, draws[:, :m]):
             rng.standard_normal(out=rows)
+        kicks[:m, :, noisy] = draws[:, :m].transpose(1, 0, 2) * scale
         block = states[:m]
-        np.multiply(noise[:, :m].transpose(1, 0, 2), sys.b_diag, out=block)
-        for t in range(m):
-            # X_{t+1} = A X_t + B xi_t, written over the noise row it uses
-            np.matmul(x, a_t, out=step)
-            x = block[t]
-            x += step
+        for nxt, kick in zip(block, kicks):
+            # X_{t+1} = A X_t + B xi_t
+            np.matmul(x, a_t, out=nxt)
+            nxt += kick
+            x = nxt
         yield block
         x = block[-1].copy()
 
@@ -346,18 +383,16 @@ def steady_blocks(sys: DiscreteSystem, seeds, burn_in: int, n_steps: int,
         # a one-row product takes the matrix-vector path, which rounds
         # differently: a lone seed is stepped beside a zero row without noise
         rows = max(k, 2)
-        noise = np.zeros((rows, STEP_CHUNK, n2))
-        states = np.empty((STEP_CHUNK, rows, n2))
         x = np.zeros((rows, n2))
         burn = [np.random.default_rng(b) for b, _ in streams]
-        for block in _advance(sys, x, burn, burn_in, noise, states):
+        for block in _advance(sys, x, burn, burn_in):
             x = block[-1].copy()
         run_rngs = [np.random.default_rng(r) for _, r in streams]
 
         def blocks():
-            for block in _advance(sys, x, run_rngs, n_steps, noise, states):
-                # seed-major again, in the noise rows it was stepped from
-                out = noise[:k, :len(block)]
+            seed_major = np.empty((k, STEP_CHUNK, n2))
+            for block in _advance(sys, x, run_rngs, n_steps):
+                out = seed_major[:, :len(block)]
                 out[...] = block[:, :k].transpose(1, 0, 2)
                 yield out
 

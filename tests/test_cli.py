@@ -604,24 +604,41 @@ def _sweep_files(out) -> dict[str, bytes]:
             for name in ("sweep.csv", "sweep_mean.csv", "manifest.csv")}
 
 
+def _sweep_kill_threshold(model_path, seed: int, t_obs: float,
+                          stride: int) -> float:
+    """The LASSO kill threshold of one seed's stride window in `sweep`,
+    from the same steady run and fold as the command's."""
+    _, cont, disc = cli._build_systems(str(model_path), DT_BASE)
+    window = (round(t_obs / DT_BASE), stride)
+
+    def pair(x0, blocks):
+        chunks = itertools.chain([x0[:, None]], blocks)
+        return estimators.fold_covariances(chunks, [window])[0][0]
+
+    (cov,) = sim.steady_blocks(disc, [seed], default_burn_in(cont),
+                               window[0] - 1, pair)
+    return lasso_kill_threshold(cov)
+
+
 def test_sweep_cell_with_an_all_zero_fit_fails(tmp_path, fixture_model_path,
                                                capsys):
-    # lambda is 1% of a 600 s window's kill threshold, above the 60 s one's
+    # lambda is twice the window's kill threshold, so every fit is zero
+    kill = _sweep_kill_threshold(fixture_model_path, 1, 60.0, 3)
+    lam = 2.0 * kill
     out = tmp_path / "sw"
     assert run("sweep", "--model", fixture_model_path, "--axis", "stride",
                "--values", "3", "--t-obs", "60", "--estimator", "LASSO",
-               "SPARSE_LOW_RANK", "--lambda", "1.2848", "--eta", "6.424",
-               "--seed", "1", "--out", out) == 0
+               "SPARSE_LOW_RANK", "--lambda", repr(lam), "--eta",
+               repr(5.0 * lam), "--seed", "1", "--out", out) == 0
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines == ["axis_value,estimator,seed,eps", "3.0,LASSO,1,nan",
                      "3.0,SPARSE_LOW_RANK,1,nan"]
     assert load_records(out / "manifest.csv")["failed_cells"] == "2"
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 2
-    for line, tag in zip(err, ("LASSO", "SPARSE_LOW_RANK")):
-        assert line.startswith(f"cell failed (value=3.0, {tag}, seed=1): "
-                               f"{tag} fit is all zero: lambda=1.2848, "
-                               "this window's lasso_kill_threshold=0.945")
+    assert err == [f"cell failed (value=3.0, {tag}, seed=1): {tag} fit is all "
+                   f"zero: lambda={lam!r}, this window's "
+                   f"lasso_kill_threshold={kill!r}"
+                   for tag in ("LASSO", "SPARSE_LOW_RANK")]
 
 
 def test_all_zero_check_leaves_a_uml_cml_sweep_byte_identical(
@@ -818,10 +835,11 @@ _HELPED_SWEEPS = {
     "ten-seeds": _STRIDES + ["--seed", *map(str, range(1, 11))],
     "t_obs": ["--axis", "t_obs", "--values", "10", "25", "40", "--stride", "2",
               "--estimator", "UML", "CML", "--seed", "3", "1", "2"],
-    # stride 200 leaves 18 samples; lambda kills the stride-3 LASSO fits
+    # stride 200 leaves 18 samples; lambda, set in the test above seed 1's
+    # kill threshold, kills that seed's stride-3 LASSO fit
     "failing-cells": ["--axis", "stride", "--values", "3", "200", "--t-obs",
-                      "60", "--estimator", "CML", "LASSO", "--lambda",
-                      "1.2848", "--seed", "1", "2", "3"],
+                      "60", "--estimator", "CML", "LASSO", "--seed", "1", "2",
+                      "3"],
 }
 
 
@@ -834,6 +852,9 @@ def _sweep_outputs(out, capsys, argv) -> tuple[dict[str, bytes], str]:
 def test_sweep_on_the_helper_writes_the_serial_bytes_and_messages(
         tmp_path, fixture_model_path, monkeypatch, capsys, forks, name):
     argv = ["--model", fixture_model_path, *_HELPED_SWEEPS[name]]
+    if name == "failing-cells":
+        kill = _sweep_kill_threshold(fixture_model_path, 1, 60.0, 3)
+        argv += ["--lambda", repr(2.0 * kill)]
     helped = _sweep_outputs(tmp_path / "helped", capsys, argv)
     assert len(forks) == (name != "one-seed")
     assert serially(monkeypatch, _sweep_outputs, tmp_path / "serial", capsys,
@@ -932,7 +953,8 @@ def test_bound_on_the_helper_after_a_threaded_matmul_finishes(
         before="big = np.ones((1000, 1000)); big @ big")
     lines = done.stdout.splitlines()
     assert lines[-1] == "exit 0 helpers 1 reaped True"
-    assert done.stderr == ""
+    # nothing but the warning on stride 3's unstable Euler step
+    assert done.stderr.splitlines() == [_UNSTABLE_STEP_60S[3]]
     assert serially(monkeypatch, run, *argv,
                     "--out", tmp_path / "serial.csv") == 0
     assert lines[:-1] == capsys.readouterr().out.splitlines()
@@ -1200,6 +1222,30 @@ def test_bound_records_the_step_spectral_radius(tmp_path, fixture_model_path,
             f"sigma0, the rest singular): the forward-Euler step at "
             f"dt=0.16666666666666666 s has spectral radius {unstable:.6g} over"
             in capsys.readouterr().err)
+
+
+# bound's warnings for the fixture's Euler step over a 60 s window: its
+# radius is 1 to rounding at strides 1 and 2, and above 1 at strides 3
+# and 4, where the run steps ceil(2151 / stride) + 60 / dt - 1 times
+_UNSTABLE_STEP_60S = {
+    3: "warning: the forward-Euler step at dt=0.05 s has spectral radius "
+       "1.0000384, so a trial can grow 1.08-fold over its 1916 steps",
+    4: "warning: the forward-Euler step at dt=0.06666666666666667 s has "
+       "spectral radius 1.0013616, so a trial can grow 7.07-fold over its "
+       "1437 steps",
+}
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3, 4])
+def test_bound_warns_of_an_unstable_euler_step(tmp_path, fixture_model_path,
+                                               capsys, stride):
+    # the run still exits 0 and writes its report
+    out = tmp_path / "b.csv"
+    assert run("bound", "--model", fixture_model_path, "--stride", stride,
+               "--t-obs", "60", "--trials", "2", "--out", out) == 0
+    assert capsys.readouterr().err.splitlines() == (
+        [_UNSTABLE_STEP_60S[stride]] if stride in _UNSTABLE_STEP_60S else [])
+    assert int(load_records(out)["n_trials"]) == 2
 
 
 @pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,15 @@ def test_every_exported_name_resolves():
     missing = [name for name in swingid.__all__ if not hasattr(swingid, name)]
     assert missing == []
     assert len(set(swingid.__all__)) == len(swingid.__all__)
+
+
+def test_package_version_matches_pyproject():
+    # manifests and .meta files record swingid.__version__; it names the
+    # noise stream, which changed in 0.2.0
+    pyproject = (SRC.parent / "pyproject.toml").read_text()
+    project = pyproject.split("[project]", 1)[1].split("\n[", 1)[0]
+    declared = re.findall(r'^version = "([^"]+)"$', project, re.MULTILINE)
+    assert declared == [swingid.__version__]
 
 
 def test_sources_parse_at_the_declared_python_floor():

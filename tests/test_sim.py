@@ -66,10 +66,16 @@ def test_simulate_rejects_bad_input():
 
 
 def reference_simulate(sys: DiscreteSystem, n_steps: int, x0: np.ndarray,
-                       seed: int) -> np.ndarray:
-    """The recursion with a separate noise block, one step per statement."""
+                       seed: int, every_row: bool = False) -> np.ndarray:
+    """The recursion with a separate noise block, one step per statement:
+    one draw per noisy row (b_diag != 0) per step, in row order, and 0 in
+    the other rows; with every_row, 2N draws per step scaled by b_diag,
+    zero or not, as swingid 0.1.0 drew them."""
     n2 = 2 * sys.n_gen
-    noise = np.random.default_rng(seed).standard_normal((n_steps, n2)) * sys.b_diag
+    rows = np.arange(n2) if every_row else np.flatnonzero(sys.b_diag)
+    xi = np.random.default_rng(seed).standard_normal((n_steps, rows.size))
+    noise = np.zeros((n_steps, n2))
+    noise[:, rows] = xi * sys.b_diag[rows]
     states = np.empty((n_steps + 1, n2))
     states[0] = x0
     for t in range(n_steps):
@@ -88,6 +94,36 @@ def test_simulate_matches_reference_recursion_bitwise(fixture_systems, model,
     expected = reference_simulate(disc, n_steps, x0, 7)
     # integer views also tell -0.0 from 0.0
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("n_steps", [1, 37, 2000])
+def test_system_with_noise_in_every_row_keeps_the_all_rows_stream(
+        fixture_systems, n_steps):
+    # no zero in b_diag: every row is noisy, so the stream is consumed as
+    # before the noise rule and the states keep their bits
+    _, disc = fixture_systems
+    rng = np.random.default_rng(n_steps)
+    b_diag = disc.b_diag + rng.uniform(1e-4, 1e-3, 2 * disc.n_gen)
+    noisy = DiscreteSystem(n_gen=disc.n_gen, a=disc.a, b_diag=b_diag,
+                           dt=disc.dt)
+    x0 = rng.standard_normal(2 * disc.n_gen)
+    got = simulate(noisy, n_steps, x0, seed=7).states
+    expected = reference_simulate(noisy, n_steps, x0, 7, every_row=True)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_fixture_angle_rows_take_no_noise(fixture_systems):
+    # the angle rows of X_{t+1} are exactly those of A X_t
+    _, disc = fixture_systems
+    n = disc.n_gen
+    assert np.all(disc.b_diag[:n] == 0.0) and np.all(disc.b_diag[n:] != 0.0)
+    states = steady_trajectory(disc, 3 * STEP_CHUNK + 7, 50, 11).states
+    step = np.empty(2 * n)
+    for x, nxt in zip(states[:-1], states[1:]):
+        np.dot(disc.a, x, out=step)
+        assert np.array_equal(nxt[:n].view(np.uint64),
+                              step[:n].view(np.uint64))
+        assert not np.array_equal(nxt[n:], step[n:])
 
 
 def test_steady_trajectory_matches_reference_recursion_bitwise(fixture_systems):
@@ -346,14 +382,19 @@ def test_steady_blocks_rejects_negative_burn_in(fixture_systems):
 def _seed_major_steps(disc, x, rngs, n_steps) -> np.ndarray:
     """The n_steps states after x, stepped in a seed-major buffer: each step
     adds to a strided view of its rows' noise, as steady_blocks did before
-    it stepped in a time-major copy."""
+    it stepped in a time-major copy.  Each seed draws one normal per noisy
+    state (b_diag != 0) per step."""
+    noisy = np.flatnonzero(disc.b_diag)
     buf = np.zeros((len(x), STEP_CHUNK, x.shape[1]))
+    draws = np.zeros((len(x), STEP_CHUNK, noisy.size))
     a_t, step, done = disc.a.T, np.empty_like(x), []
     for start in range(0, n_steps, STEP_CHUNK):
-        block = buf[:, :min(STEP_CHUNK, n_steps - start)]
-        for rng, rows in zip(rngs, block):
+        m = min(STEP_CHUNK, n_steps - start)
+        block = buf[:, :m]
+        for rng, rows in zip(rngs, draws[:, :m]):
             rng.standard_normal(out=rows)
-        block *= disc.b_diag
+        block[...] = 0.0
+        block[:, :, noisy] = draws[:, :m] * disc.b_diag[noisy]
         for t in range(block.shape[1]):
             np.matmul(x, a_t, out=step)
             x = block[:, t]
