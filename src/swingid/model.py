@@ -73,15 +73,17 @@ class GridModel:
             if not 0 <= g < self.n_nodes:
                 raise ValidationError(f"generator id {g} out of range",
                                       field="generator_ids")
-            if self.inertia.get(g, 0.0) <= 0.0:
-                raise ValidationError(f"M must be positive on generator {g}",
-                                      field="inertia")
-            if self.damping.get(g, 0.0) <= 0.0:
-                raise ValidationError(f"D must be positive on generator {g}",
-                                      field="damping")
-            if self.noise_sigma.get(g, -1.0) < 0.0:
+            if not 0.0 < self.inertia.get(g, 0.0) < np.inf:
                 raise ValidationError(
-                    f"sigma_P must be nonnegative on generator {g}",
+                    f"M must be positive and finite on generator {g}",
+                    field="inertia")
+            if not 0.0 < self.damping.get(g, 0.0) < np.inf:
+                raise ValidationError(
+                    f"D must be positive and finite on generator {g}",
+                    field="damping")
+            if not 0.0 <= self.noise_sigma.get(g, -1.0) < np.inf:
+                raise ValidationError(
+                    f"sigma_P must be nonnegative and finite on generator {g}",
                     field="noise_sigma")
         seen = set()
         for ln in self.lines:
@@ -94,12 +96,14 @@ class GridModel:
             if key in seen:
                 raise ValidationError(f"duplicate line {key}", field="lines")
             seen.add(key)
-            if ln.beta <= 0.0:
-                raise ValidationError(f"beta must be positive on line {key}",
-                                      field="lines")
-            if ln.gamma < 0.0:
-                raise ValidationError(f"gamma must be nonnegative on line {key}",
-                                      field="lines")
+            if not 0.0 < ln.beta < np.inf:
+                raise ValidationError(
+                    f"beta must be positive and finite on line {key}",
+                    field="lines")
+            if not 0.0 <= ln.gamma < np.inf:
+                raise ValidationError(
+                    f"gamma must be nonnegative and finite on line {key}",
+                    field="lines")
         if not self._connected():
             raise ValidationError("line graph is not connected", field="lines")
 

@@ -22,26 +22,27 @@ every seed, whether a CLI seed or a Monte Carlo trial, splits into a
 burn-in stream and a run stream in one place, `_split_streams`.
 
 Determinism contract:
-  * `simulate`, `steady_start` and `steady_trajectory` advance one
-    trajectory with one matrix-vector product per step, so a seed's
-    trajectory (and every file written from it) is bit-identical on rerun.
-  * `steady_blocks` advances a group of seeds together, one matrix product
+  * `_advance` runs every Euler step: one np.dot of a group of rows'
+    states with A^T per step.  BLAS takes its matrix-vector path (gemv) on
+    one row and its matrix-matrix path (gemm) on two or more, and the two
+    round differently.
+  * `simulate`, `steady_start` and `steady_trajectory` step one seed as
+    one row, so each step is one gemv and a seed's trajectory (and every
+    file written from it) is bit-identical on rerun.
+  * `steady_blocks` steps a group of seeds as a group of rows, one gemm
     per step, and folds each group for `steady_sigma0` and the `sweep`
     command, which keep only per-seed covariances and fits.  It draws the
-    same noise as the serial path, but the batched product rounds
-    differently from the matrix-vector one, so a seed's covariances agree
-    with those of `steady_trajectory` to about 1e-14 relative (about 1e-10
-    in a sweep's `eps`), not bitwise.  A lone seed is stepped beside an
-    idle zero row, so every product has at least two rows and a seed's
-    bits do not depend on which seeds share its group.  The groups do
-    depend on the machine: where a forked helper can run (os.fork and two
-    usable CPUs), the seeds split into an even number of near-equal groups
-    and the helper steps and folds every other one; elsewhere they go in
-    groups of STEP_GROUP.  Each step writes A X_t into a time-major buffer,
-    where the states of one step are contiguous, and adds the scaled
-    noise; the noise is still drawn seed by seed.  None of this moves a
-    bit: results are bit-identical on rerun, on one CPU or two, with the
-    helper or without.
+    same noise as `steady_trajectory`, but gemm rounds differently from
+    gemv, so a seed's covariances agree with those of `steady_trajectory`
+    to about 1e-14 relative (about 1e-10 in a sweep's `eps`), not
+    bitwise.  A lone seed is stepped beside an idle zero row, so every
+    product is a gemm and a seed's bits do not depend on which seeds
+    share its group.  The groups do depend on the machine: where a forked
+    helper can run (os.fork and two usable CPUs), the seeds split into an
+    even number of near-equal groups and the helper steps and folds every
+    other one; elsewhere they go in groups of STEP_GROUP.  None of this
+    moves a bit: results are bit-identical on rerun, on one CPU or two,
+    with the helper or without.
   * Across versions: the noise rule decides which draw lands in which
     row, so a trajectory, sweep cell or bound report of a swing model
     made by swingid 0.1.0 is another realization than 0.2.0's from the
@@ -130,8 +131,9 @@ def simulate(sys: DiscreteSystem, n_steps: int, x0: np.ndarray,
 
     states[0] = x0 and states[t+1] = a states[t] + b_diag * xi_t, where
     xi_t holds one draw from default_rng(seed) per noisy row (b_diag != 0),
-    in row order, and 0 in every other row.  The result is a deterministic
-    function of (sys, n_steps, x0, seed).
+    in row order, and 0 in every other row.  The steps are `_advance`'s on
+    the single row x0, so each is one matrix-vector product.  The result
+    is a deterministic function of (sys, n_steps, x0, seed).
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
@@ -139,22 +141,11 @@ def simulate(sys: DiscreteSystem, n_steps: int, x0: np.ndarray,
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n2,):
         raise ValueError(f"x0 must have shape ({n2},), got {x0.shape}")
-    states = np.zeros((n_steps + 1, n2))
+    states = np.empty((n_steps + 1, n2))
     states[0] = x0
-    # draw the noise a chunk at a time into its rows, then add A X_t to
-    # each noise row
-    rng, noisy = np.random.default_rng(seed), _noisy_rows(sys.b_diag)
-    scale = sys.b_diag[noisy]
-    draws = np.empty((min(n_steps, STEP_CHUNK), scale.size))
-    for start in range(1, n_steps + 1, STEP_CHUNK):
-        block = states[start:start + STEP_CHUNK]
-        xi = draws[:len(block)]
-        rng.standard_normal(out=xi)
-        block[:, noisy] = xi * scale
-    a, step = sys.a, np.empty(n2)
-    for x, nxt in zip(states[:-1], states[1:]):
-        np.dot(a, x, out=step)
-        np.add(nxt, step, out=nxt)
+    blocks = _advance(sys, x0[None, :], [np.random.default_rng(seed)], n_steps)
+    for start, block in zip(range(1, n_steps + 1, STEP_CHUNK), blocks):
+        states[start:start + len(block)] = block[:, 0]
     return Trajectory(dt=sys.dt, states=states, n_gen=sys.n_gen)
 
 
@@ -310,34 +301,31 @@ def in_order(jobs: Callable[[], Iterable], work: Callable) -> Iterator:
 
 
 def _advance(sys: DiscreteSystem, x: np.ndarray, rngs, n_steps: int):
-    """Step every row of the group n_steps times, STEP_CHUNK steps at a time.
+    """Step every row of x n_steps times, STEP_CHUNK steps at a time.
 
     x holds one current state per row and rngs one generator per row; rows
-    past len(rngs) get no noise.  numpy draws only into contiguous arrays,
-    so each row's draws (one per noisy state per step) go into its row of
-    the seed-major buffer `draws`, (rows, STEP_CHUNK, noisy), and are
-    scaled into the noisy columns of the time-major buffer `kicks`,
-    (STEP_CHUNK, rows, 2N), whose other columns stay 0.  Each step writes
-    A X_t into a time-major buffer of the same shape, where each step's
-    states are contiguous, and adds its kicks in place.  Yields the
-    (m, rows, 2N) block of the next m states of every row; the block is a
-    view of that buffer, overwritten by the next chunk.
+    past len(rngs) get no noise.  Each chunk zeroes the time-major block,
+    (m, rows, 2N), scales each row's draws (one per noisy state per step,
+    drawn into its row of the contiguous seed-major buffer `draws`) into
+    the noisy columns, and adds A X_t to each step's states, one np.dot per
+    step.  Yields each block; the next chunk overwrites it.
     """
     a_t, noisy = sys.a.T, _noisy_rows(sys.b_diag)
     scale = sys.b_diag[noisy]
-    draws = np.zeros((len(x), STEP_CHUNK, scale.size))
-    kicks = np.zeros((STEP_CHUNK, *x.shape))
-    states = np.empty_like(kicks)
+    draws = np.empty((len(rngs), STEP_CHUNK, scale.size))
+    states = np.empty((STEP_CHUNK, *x.shape))
+    step = np.empty(x.shape)
     for start in range(0, n_steps, STEP_CHUNK):
         m = min(STEP_CHUNK, n_steps - start)
+        block = states[:m]
+        block[...] = 0.0
         for rng, rows in zip(rngs, draws[:, :m]):
             rng.standard_normal(out=rows)
-        kicks[:m, :, noisy] = draws[:, :m].transpose(1, 0, 2) * scale
-        block = states[:m]
-        for nxt, kick in zip(block, kicks):
+        block[:, :len(rngs), noisy] = draws[:, :m].transpose(1, 0, 2) * scale
+        for nxt in block:
             # X_{t+1} = A X_t + B xi_t
-            np.matmul(x, a_t, out=nxt)
-            nxt += kick
+            np.dot(x, a_t, out=step)
+            nxt += step
             x = nxt
         yield block
         x = block[-1].copy()

@@ -977,6 +977,34 @@ def test_non_finite_times_exit_2_naming_the_field(tmp_path, small_model_path,
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("old,new,message", [
+    ("0,1,2.0,1.0,0.01", "0,1,nan,1.0,0.01",
+     "M must be positive and finite on generator 0"),
+    ("0,1,2.0,1.0,0.01", "0,1,2.0,inf,0.01",
+     "D must be positive and finite on generator 0"),
+    ("1,1,3.0,0.8,0.01", "1,1,3.0,0.8,inf",
+     "sigma_P must be nonnegative and finite on generator 1"),
+    ("0,1,3.0", "0,1,nan", "beta must be positive and finite on line (0, 1)"),
+    ("1,2,4.0", "1,2,4.0,inf",
+     "gamma must be nonnegative and finite on line (1, 2)"),
+], ids=["M", "D", "sigma_P", "beta", "gamma"])
+def test_non_finite_model_parameter_exits_2_naming_it(tmp_path,
+                                                      small_model_path, capsys,
+                                                      old, new, message):
+    # NaN fails every comparison and inf passes `> 0`: kron printed NaN
+    # rows and simulate failed inside numpy before the check named them
+    text = small_model_path.read_text()
+    assert f"\n{old}\n" in text
+    small_model_path.write_text(text.replace(f"\n{old}\n", f"\n{new}\n"))
+    assert run("kron", small_model_path) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"validation error: {message}\n")
+    assert run("simulate", "--model", small_model_path,
+               "--out", tmp_path / "o") == 2
+    assert f"validation error: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("section,line,message", [
     # the base step is the constant sim.DT_BASE, not a setting
     ("generation", "dt_base = 0.016666666666666666",

@@ -28,24 +28,41 @@ def test_rejects_duplicate_line():
 
 
 def test_rejects_nonpositive_beta():
-    with pytest.raises(ValidationError, match="beta must be positive"):
-        GridModel(n_nodes=2, generator_ids=(0,), inertia={0: 1}, damping={0: 1},
-                  noise_sigma={0: 0.0}, lines=(Line(0, 1, -1.0),))
+    # NaN fails every comparison and inf passes `> 0`, so both are named
+    for beta in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValidationError,
+                           match="beta must be positive") as err:
+            GridModel(n_nodes=2, generator_ids=(0,), inertia={0: 1},
+                      damping={0: 1}, noise_sigma={0: 0.0},
+                      lines=(Line(0, 1, beta),))
+        assert err.value.field == "lines"
+    for gamma in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValidationError,
+                           match="gamma must be nonnegative") as err:
+            GridModel(n_nodes=2, generator_ids=(0,), inertia={0: 1},
+                      damping={0: 1}, noise_sigma={0: 0.0},
+                      lines=(Line(0, 1, 1.0, gamma),))
+        assert err.value.field == "lines"
 
 
 def test_rejects_nonpositive_inertia_and_damping():
-    with pytest.raises(ValidationError, match="M must be positive"):
-        GridModel(n_nodes=1, generator_ids=(0,), inertia={0: 0.0},
-                  damping={0: 1}, noise_sigma={0: 0.0}, lines=())
-    with pytest.raises(ValidationError, match="D must be positive"):
-        GridModel(n_nodes=1, generator_ids=(0,), inertia={0: 1.0},
-                  damping={0: 0.0}, noise_sigma={0: 0.0}, lines=())
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValidationError, match="M must be positive") as err:
+            GridModel(n_nodes=1, generator_ids=(0,), inertia={0: bad},
+                      damping={0: 1}, noise_sigma={0: 0.0}, lines=())
+        assert err.value.field == "inertia"
+        with pytest.raises(ValidationError, match="D must be positive") as err:
+            GridModel(n_nodes=1, generator_ids=(0,), inertia={0: 1.0},
+                      damping={0: bad}, noise_sigma={0: 0.0}, lines=())
+        assert err.value.field == "damping"
 
 
 def test_rejects_negative_noise():
-    with pytest.raises(ValidationError, match="sigma_P"):
-        GridModel(n_nodes=1, generator_ids=(0,), inertia={0: 1}, damping={0: 1},
-                  noise_sigma={0: -0.1}, lines=())
+    for sigma in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValidationError, match="sigma_P") as err:
+            GridModel(n_nodes=1, generator_ids=(0,), inertia={0: 1},
+                      damping={0: 1}, noise_sigma={0: sigma}, lines=())
+        assert err.value.field == "noise_sigma"
 
 
 def test_rejects_disconnected_graph():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import signal
@@ -83,12 +84,26 @@ def reference_simulate(sys: DiscreteSystem, n_steps: int, x0: np.ndarray,
     return states
 
 
-@pytest.mark.parametrize("model", ["fixture", "path3"])
-@pytest.mark.parametrize("n_steps", [1, 2, 37, 2000])
-def test_simulate_matches_reference_recursion_bitwise(fixture_systems, model,
+def quiet_interior_system(grid) -> DiscreteSystem:
+    """grid's base-step system with no noise on an interior generator, so
+    that its noisy rows are not consecutive and _noisy_rows gives an index
+    array, not a slice."""
+    g = grid.generator_ids[len(grid.generator_ids) // 2]
+    quiet = dataclasses.replace(grid, noise_sigma={**grid.noise_sigma, g: 0.0})
+    disc = systems_for(quiet, DT_BASE)[1]
+    assert isinstance(sim._noisy_rows(disc.b_diag), np.ndarray)
+    return disc
+
+
+@pytest.mark.parametrize("model", ["fixture", "path3", "quiet"])
+@pytest.mark.parametrize("n_steps", [1, 2, 37, STEP_CHUNK - 1, STEP_CHUNK,
+                                     STEP_CHUNK + 1, 2000])
+def test_simulate_matches_reference_recursion_bitwise(fixture_systems,
+                                                      fixture_grid, model,
                                                       n_steps):
-    disc = (fixture_systems[1] if model == "fixture"
-            else systems_for(path3_model(), 3 * DT_BASE)[1])
+    disc = {"fixture": fixture_systems[1],
+            "path3": systems_for(path3_model(), 3 * DT_BASE)[1],
+            "quiet": quiet_interior_system(fixture_grid)}[model]
     x0 = np.random.default_rng(n_steps).standard_normal(2 * disc.n_gen)
     got = simulate(disc, n_steps, x0, seed=7).states
     expected = reference_simulate(disc, n_steps, x0, 7)
@@ -475,16 +490,18 @@ def test_steady_sigma0_helper_gives_the_serial_and_seed_major_bits(
 
 @pytest.mark.parametrize("n_steps,burn_in", [(2 * STEP_CHUNK + 5, 40),
                                              (STEP_CHUNK, 0), (1, 10)])
-def test_time_major_steps_give_the_seed_major_bits(fixture_systems, monkeypatch,
+def test_time_major_steps_give_the_seed_major_bits(fixture_systems,
+                                                   fixture_grid, monkeypatch,
                                                    forks, n_steps, burn_in):
-    _, disc = fixture_systems
     seeds = spawn_seeds(n_steps, 5)
-    ref = _seed_major_states(disc, seeds, burn_in, n_steps)
-    assert np.array_equal(_stepped_states(disc, seeds, burn_in, n_steps), ref)
-    assert np.array_equal(serially(monkeypatch, _stepped_states, disc, seeds,
-                                   burn_in, n_steps), ref)
-    assert np.array_equal(_stepped_states(disc, seeds[:1], burn_in, n_steps),
-                          ref[:1])
+    for disc in (fixture_systems[1], quiet_interior_system(fixture_grid)):
+        ref = _seed_major_states(disc, seeds, burn_in, n_steps)
+        assert np.array_equal(_stepped_states(disc, seeds, burn_in, n_steps),
+                              ref)
+        assert np.array_equal(serially(monkeypatch, _stepped_states, disc,
+                                       seeds, burn_in, n_steps), ref)
+        assert np.array_equal(
+            _stepped_states(disc, seeds[:1], burn_in, n_steps), ref[:1])
     assert_reaped(forks)
 
 
