@@ -106,10 +106,24 @@ def _resolve_burn_in(cfg: io_config.ExperimentConfig, cont) -> int:
     return sim.default_burn_in(cont)
 
 
+def _window_samples(t_obs: float, stride: int, field: str = "t_obs") -> int:
+    """The states a window of t_obs seconds keeps at every stride-th base
+    step: ceil(round(t_obs / DT_BASE) / stride), the rows sim.subsample and
+    io_config.load_trajectory keep of a simulate run of t_obs.  A t_obs too
+    long to count in base steps is a validation error naming field."""
+    try:
+        n_base = round(t_obs / sim.DT_BASE)
+    except OverflowError:
+        raise ValidationError(
+            f"{field}: {t_obs!r} s is too long to count in base steps of "
+            f"dt_base={sim.DT_BASE!r} s", field=field) from None
+    return -(-n_base // stride)
+
+
 def cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
     grid, cont, disc = _build_systems(cfg.model_path, sim.DT_BASE)
-    n_samples = round(cfg.t_obs / sim.DT_BASE)
+    n_samples = _window_samples(cfg.t_obs, 1)
     if n_samples < 2:
         raise ValidationError(
             f"t_obs={cfg.t_obs} s yields {n_samples} samples at "
@@ -122,9 +136,15 @@ def cmd_simulate(args) -> int:
     parts: dict[str, Path] = {}
     try:
         for seed in cfg.seeds:
-            # an overflowing run is reported below, not warned about
-            with np.errstate(over="ignore", invalid="ignore"):
-                traj = sim.steady_trajectory(disc, n_samples, burn_in, seed)
+            try:
+                # an overflowing run is reported below, not warned about
+                with np.errstate(over="ignore", invalid="ignore"):
+                    traj = sim.steady_trajectory(disc, n_samples, burn_in, seed)
+            except MemoryError:
+                raise ValidationError(
+                    f"t_obs={cfg.t_obs!r} s ({n_samples} samples) with "
+                    f"burn_in={burn_in} steps is too large to allocate",
+                    field="t_obs" if n_samples > burn_in else "burn_in") from None
             if not np.all(np.isfinite(traj.states)):
                 # only the model can make the fixed base step unstable
                 raise ValidationError(
@@ -269,24 +289,25 @@ def cmd_sweep(args) -> int:
     a_d_true = cont.a_d
     burn_in = _resolve_burn_in(cfg, cont)
     values = sorted(cfg.sweep_values)
-    # one (n_keep, stride) window per axis value, all cut from the first
-    # n_keep base-step states of one steady run per seed
+    # one (t_obs, stride) span per axis value, whose (n_keep, stride) window
+    # is cut from the first n_keep base-step states of one steady run per seed
     if cfg.sweep_variable == "t_obs":
-        windows = [(round(v / sim.DT_BASE), cfg.stride) for v in values]
+        spans, field = [(v, cfg.stride) for v in values], "sweep_values"
     else:
         # int(2.5) would run stride 2 under the label 2.5
         if not all(v >= 1 and float(v).is_integer() for v in values):
             raise ValidationError("stride values must be integers >= 1",
                                   field="sweep_values")
-        windows = [(round(cfg.t_obs / sim.DT_BASE), int(v)) for v in values]
+        spans, field = [(cfg.t_obs, int(v)) for v in values], "t_obs"
+    windows = [(_window_samples(t, 1, field), k) for t, k in spans]
     # two values that round to one window would run the same cells twice
     for (v0, w0), (v1, w1) in itertools.combinations(zip(values, windows), 2):
         if w0 == w1:
             raise ValidationError(
                 f"sweep_values {v0!r} and {v1!r} give the same window of "
                 f"{w0[0]} samples at stride {w0[1]}", field="sweep_values")
-    deficits = [_sample_deficit(-(-n_keep // stride), disc.n_gen)
-                for n_keep, stride in windows]
+    deficits = [_sample_deficit(_window_samples(t, k, field), disc.n_gen)
+                for t, k in spans]
     # deficit windows fail without covariances, so only the others are run
     folded = [w for w, deficit in enumerate(deficits) if deficit is None]
     base_samples = max((windows[w][0] for w in folded), default=1)
@@ -410,7 +431,10 @@ def cmd_bound(args) -> int:
                               field="seeds")
     dt = sim.DT_BASE * cfg.stride
     _, cont, disc = _build_systems(cfg.model_path, dt)
-    n_samples = round(cfg.t_obs / dt)
+    n_samples = _window_samples(cfg.t_obs, cfg.stride)
+    deficit = _sample_deficit(n_samples, disc.n_gen)
+    if deficit:
+        raise ValidationError(deficit, field="t_obs")
     seed = cfg.seeds[0]
     # burn_in counts base steps; the bound steps at DT_BASE * stride
     burn_in = -(-_resolve_burn_in(cfg, cont) // cfg.stride)

@@ -130,6 +130,42 @@ def test_simulate_with_a_later_seed_non_finite_leaves_nothing_behind(
     assert load_trajectory(out / "traj_seed1.csv").n_samples == 2400
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["new-dir", "old-dir"])
+def test_simulate_too_large_to_allocate_exits_2_leaving_nothing_behind(
+        tmp_path, small_model_path, monkeypatch, capsys, existing):
+    out = tmp_path / "out"
+    old = b"t,delta_1\nnot a trajectory of this run\n"
+    if existing:
+        out.mkdir()
+        (out / "traj_seed1.csv").write_bytes(old)
+    real = sim.steady_trajectory
+
+    def second_seed_runs_out_of_memory(disc, n_samples, burn_in, seed):
+        if seed == 2:
+            raise MemoryError("Unable to allocate 8.73 TiB")
+        return real(disc, n_samples, burn_in, seed)
+
+    monkeypatch.setattr(sim, "steady_trajectory", second_seed_runs_out_of_memory)
+    def argv(burn_in):
+        return ["simulate", "--model", str(small_model_path), "--t-obs", "5",
+                "--burn-in", burn_in, "--seed", "1", "2", "--out", str(out)]
+
+    assert run(*argv("7")) == 2
+    assert capsys.readouterr().err == (
+        "validation error: t_obs=5.0 s (300 samples) with burn_in=7 steps "
+        "is too large to allocate\n")
+    if existing:
+        assert [p.name for p in out.iterdir()] == ["traj_seed1.csv"]
+        assert (out / "traj_seed1.csv").read_bytes() == old
+    else:
+        assert not out.exists()
+    # the field is the longer of the two runs, the one that did not fit
+    for burn_in, field in (("7", "t_obs"), ("400", "burn_in")):
+        with pytest.raises(ValidationError) as info:
+            cli.cmd_simulate(cli.build_parser().parse_args(argv(burn_in)))
+        assert info.value.field == field
+
+
 def test_simulate_deterministic_and_seed_dependent(tmp_path, small_model_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     run("simulate", "--model", small_model_path, "--t-obs", "5",
@@ -977,6 +1013,24 @@ def test_non_finite_times_exit_2_naming_the_field(tmp_path, small_model_path,
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("argv,field", [
+    (["simulate", "--t-obs", "1e308"], "t_obs"),
+    (["bound", "--t-obs", "1e308", "--trials", "2"], "t_obs"),
+    (["sweep", "--axis", "stride", "--values", "1", "2", "--t-obs", "1e308"],
+     "t_obs"),
+    (["sweep", "--axis", "t_obs", "--values", "10", "1e308"], "sweep_values"),
+], ids=["simulate", "bound", "sweep-stride", "sweep-t_obs"])
+def test_times_too_long_to_count_exit_2_naming_the_field(
+        tmp_path, small_model_path, capsys, argv, field):
+    # 1e308 s is finite, but not in base steps of 1/60 s
+    out = tmp_path / "o"
+    assert run(*argv, "--model", small_model_path, "--out", out) == 2
+    assert capsys.readouterr() == ("", (
+        f"validation error: {field}: 1e+308 s is too long to count in base "
+        f"steps of dt_base={DT_BASE!r} s\n"))
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("old,new,message", [
     ("0,1,2.0,1.0,0.01", "0,1,nan,1.0,0.01",
      "M must be positive and finite on generator 0"),
@@ -1137,16 +1191,40 @@ def test_bound_reports_both_envelopes(tmp_path, small_model_path, capsys):
     assert "rhs_discrete" in printed and "rhs_continuous" in printed
 
 
-@pytest.mark.parametrize("t_obs,n_samples", [("0.01", 0), ("0.4", 8)],
-                         ids=["0", "8"])
+@pytest.mark.parametrize("t_obs,n_samples", [("0.01", 1), ("0.4", 8)],
+                         ids=["1", "8"])
 def test_bound_rejects_a_window_of_2n_plus_2_samples_or_fewer(
         tmp_path, small_model_path, t_obs, n_samples, capsys):
-    # three generators at stride 3 (dt = 0.05 s): 2N+2 = 8 samples is too few
-    assert run("bound", "--model", small_model_path, "--t-obs", t_obs,
-               "--trials", "3", "--out", tmp_path / "b.csv") == 2
-    assert (f"validation error: need T > 2N+2 = 8 samples, got {n_samples}"
-            in capsys.readouterr().err)
+    # three generators at stride 3: 2N+2 = 8 samples is too few, and 0.01 s
+    # rounds to one base step, which keeps one sample
+    argv = ["bound", "--model", str(small_model_path), "--t-obs", t_obs,
+            "--trials", "3", "--out", str(tmp_path / "b.csv")]
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == (
+        f"validation error: sample deficit: {n_samples} samples after "
+        "striding, but the covariance is only invertible for T > 2N+2 = 8\n")
     assert not (tmp_path / "b.csv").exists()
+    # the message estimate and sweep give, naming the window's length
+    with pytest.raises(ValidationError) as info:
+        cli.cmd_bound(cli.build_parser().parse_args(argv))
+    assert info.value.field == "t_obs"
+
+
+@pytest.mark.parametrize("t_obs,stride,n_samples", [
+    ("100", 7, 858), ("10.01", 4, 151), ("15", 3, 300), ("2.5", 1, 150)])
+def test_bound_counts_the_samples_estimate_keeps(tmp_path, small_model_path,
+                                                 t_obs, stride, n_samples):
+    # T is ceil(round(t_obs / dt_base) / stride), the rows a stride keeps of
+    # a simulate run of t_obs; rounding t_obs / (stride * dt_base) gave 857
+    # and 150 for the first two
+    assert run("simulate", "--model", small_model_path, "--t-obs", t_obs,
+               "--out", tmp_path / "sim") == 0
+    kept = load_trajectory(tmp_path / "sim" / "traj_seed1.csv", stride)
+    assert kept.n_samples == n_samples
+    assert run("bound", "--model", small_model_path, "--t-obs", t_obs,
+               "--stride", stride, "--trials", "2",
+               "--out", tmp_path / "b.csv") == 0
+    assert load_records(tmp_path / "b.csv")["n_samples"] == str(n_samples)
 
 
 @pytest.mark.parametrize("burn_in,steps", [("0", 0), ("7", 3)])
