@@ -49,7 +49,7 @@ EXIT_NUMERICAL = 3
 _ESTIMATION_FLAGS = {"model_path", "outputs", "stride", "estimators", "nu",
                      "lam", "eta"}
 CONFIG_FLAGS = {
-    "simulate": {"model_path", "outputs", "seeds", "t_obs", "burn_in"},
+    "simulate": {"model_path", "outputs", "seeds", "t_obs"},
     "estimate": _ESTIMATION_FLAGS,
     "sweep": _ESTIMATION_FLAGS | {"seeds", "t_obs", "sweep_variable",
                                   "sweep_values"},
@@ -100,12 +100,6 @@ def _model_sha256(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _resolve_burn_in(cfg: io_config.ExperimentConfig, cont) -> int:
-    if cfg.burn_in is not None:
-        return cfg.burn_in
-    return sim.default_burn_in(cont)
-
-
 def _window_samples(t_obs: float, stride: int, field: str = "t_obs") -> int:
     """The states a window of t_obs seconds keeps at every stride-th base
     step: ceil(round(t_obs / DT_BASE) / stride), the rows sim.subsample and
@@ -128,7 +122,7 @@ def cmd_simulate(args) -> int:
         raise ValidationError(
             f"t_obs={cfg.t_obs} s yields {n_samples} samples at "
             f"dt_base={sim.DT_BASE}; need at least 2", field="t_obs")
-    burn_in = _resolve_burn_in(cfg, cont)
+    burn_in = sim.default_burn_in(cont)
     radius = analysis.step_spectral_radius(disc)
     outdir = Path(cfg.outputs)
     new_dirs = [d for d in (outdir, *outdir.parents) if not d.exists()]
@@ -141,10 +135,12 @@ def cmd_simulate(args) -> int:
                 with np.errstate(over="ignore", invalid="ignore"):
                     traj = sim.steady_trajectory(disc, n_samples, burn_in, seed)
             except MemoryError:
+                # the longer run did not fit: the window or the burn-in
                 raise ValidationError(
                     f"t_obs={cfg.t_obs!r} s ({n_samples} samples) with "
                     f"burn_in={burn_in} steps is too large to allocate",
-                    field="t_obs" if n_samples > burn_in else "burn_in") from None
+                    field="t_obs" if n_samples > burn_in
+                    else "model_path") from None
             if not np.all(np.isfinite(traj.states)):
                 # only the model can make the fixed base step unstable
                 raise ValidationError(
@@ -287,7 +283,7 @@ def cmd_sweep(args) -> int:
                               field="sweep_variable")
     grid, cont, disc = _build_systems(cfg.model_path, sim.DT_BASE)
     a_d_true = cont.a_d
-    burn_in = _resolve_burn_in(cfg, cont)
+    burn_in = sim.default_burn_in(cont)
     values = sorted(cfg.sweep_values)
     # one (t_obs, stride) span per axis value, whose (n_keep, stride) window
     # is cut from the first n_keep base-step states of one steady run per seed
@@ -436,19 +432,23 @@ def cmd_bound(args) -> int:
     if deficit:
         raise ValidationError(deficit, field="t_obs")
     seed = cfg.seeds[0]
-    # burn_in counts base steps; the bound steps at DT_BASE * stride
-    burn_in = -(-_resolve_burn_in(cfg, cont) // cfg.stride)
+    # the model's burn-in counts base steps; the bound steps at
+    # DT_BASE * stride
+    burn_in = -(-sim.default_burn_in(cont) // cfg.stride)
     report = analysis.theorem1_bound(disc, n_samples, args.epsilon,
                                      args.trials, seed, burn_in=burn_in)
     radius, steps = report.step_spectral_radius, burn_in + n_samples - 1
     # eigvals finds the zero mode's eigenvalue 1 to about 1e-15
     if radius > 1.0 + 1e-12:
         # stride-k data follow A^k, whose radius is 1, not the Euler step
-        # at k * DT_BASE that the trials take
+        # at k * DT_BASE that the trials take.  Past a float's range the
+        # growth is written from its power of ten.
+        exponent = steps * math.log10(radius)
+        growth = (f"{radius ** steps:.3g}" if exponent < 308 else
+                  f"{10 ** (exponent % 1):.3g}e+{math.floor(exponent)}")
         print(f"warning: the forward-Euler step at dt={dt!r} s has spectral "
               f"radius {radius:.8g}, so a trial can grow "
-              f"{radius ** steps:.3g}-fold over its {steps} steps",
-              file=sys.stderr)
+              f"{growth}-fold over its {steps} steps", file=sys.stderr)
     records = {
         "model": cfg.model_path,
         "model_sha256": _model_sha256(cfg.model_path),

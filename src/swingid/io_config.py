@@ -371,13 +371,9 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(w) for w in _words(text))
 
 
-def _auto_or_int(text: str) -> int | None:
-    return None if text == "auto" else int(text)
-
-
 # what each parser reads, for the message when it fails
 _KINDS = {float: "a number", int: "an integer", _ints: "a list of integers",
-          _floats: "a list of numbers", _auto_or_int: "'auto' or an integer"}
+          _floats: "a list of numbers"}
 
 
 def _positive(value) -> bool:
@@ -420,9 +416,6 @@ SETTINGS = (
     Setting("model", "path", "--model", "model_path", str, None, None),
     Setting("generation", "t_obs", "--t-obs", "t_obs", float, _positive,
             "t_obs must be finite and positive"),
-    Setting("generation", "burn_in", "--burn-in", "burn_in", _auto_or_int,
-            lambda v: v is None or v >= 0,
-            "burn_in must be 'auto' or a nonnegative integer"),
     Setting("generation", "seeds", "--seed", "seeds", _ints,
             lambda v: bool(v) and min(v) >= 0 and _distinct(v),
             "seeds must be a non-empty list of nonnegative integers, "
@@ -462,7 +455,6 @@ class ExperimentConfig:
 
     model_path: str
     t_obs: float = 600.0
-    burn_in: int | None = None  # None selects the stationarity default
     seeds: tuple[int, ...] = (1,)
     stride: int = 3
     estimators: tuple[str, ...] = (UML, CML)

@@ -133,7 +133,8 @@ def simulate(sys: DiscreteSystem, n_steps: int, x0: np.ndarray,
     xi_t holds one draw from default_rng(seed) per noisy row (b_diag != 0),
     in row order, and 0 in every other row.  The steps are `_advance`'s on
     the single row x0, so each is one matrix-vector product.  The result
-    is a deterministic function of (sys, n_steps, x0, seed).
+    is a deterministic function of (sys, n_steps, x0, seed).  States too
+    many to allocate raise MemoryError, however numpy refuses them.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
@@ -141,7 +142,11 @@ def simulate(sys: DiscreteSystem, n_steps: int, x0: np.ndarray,
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n2,):
         raise ValueError(f"x0 must have shape ({n2},), got {x0.shape}")
-    states = np.empty((n_steps + 1, n2))
+    try:
+        states = np.empty((n_steps + 1, n2))
+    except ValueError:  # numpy's refusal of a size past its address space
+        raise MemoryError(f"{n_steps + 1} states of {n2} do not fit in "
+                          "memory") from None
     states[0] = x0
     blocks = _advance(sys, x0[None, :], [np.random.default_rng(seed)], n_steps)
     for start, block in zip(range(1, n_steps + 1, STEP_CHUNK), blocks):

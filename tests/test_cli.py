@@ -7,6 +7,7 @@ import re
 import signal
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -74,8 +75,8 @@ def test_simulate_unstable_step_exits_2_writing_nothing(tmp_path, capsys):
     stiff = tmp_path / "stiff.grid"
     save_model(stiff, two_gen_model(d=(200.0, 200.0)))
     out = tmp_path / "new" / "out"
-    argv = ["simulate", "--model", str(stiff), "--t-obs", "60", "--burn-in",
-            "0", "--out", str(out)]
+    argv = ["simulate", "--model", str(stiff), "--t-obs", "60",
+            "--out", str(out)]
     assert run(*argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
@@ -146,24 +147,42 @@ def test_simulate_too_large_to_allocate_exits_2_leaving_nothing_behind(
         return real(disc, n_samples, burn_in, seed)
 
     monkeypatch.setattr(sim, "steady_trajectory", second_seed_runs_out_of_memory)
-    def argv(burn_in):
-        return ["simulate", "--model", str(small_model_path), "--t-obs", "5",
-                "--burn-in", burn_in, "--seed", "1", "2", "--out", str(out)]
+    def argv(t_obs):
+        return ["simulate", "--model", str(small_model_path), "--t-obs", t_obs,
+                "--seed", "1", "2", "--out", str(out)]
 
-    assert run(*argv("7")) == 2
+    assert default_burn_in(systems_for(path3_model(), DT_BASE)[0]) == 746
+    assert run(*argv("20")) == 2
     assert capsys.readouterr().err == (
-        "validation error: t_obs=5.0 s (300 samples) with burn_in=7 steps "
+        "validation error: t_obs=20.0 s (1200 samples) with burn_in=746 steps "
         "is too large to allocate\n")
     if existing:
         assert [p.name for p in out.iterdir()] == ["traj_seed1.csv"]
         assert (out / "traj_seed1.csv").read_bytes() == old
     else:
         assert not out.exists()
-    # the field is the longer of the two runs, the one that did not fit
-    for burn_in, field in (("7", "t_obs"), ("400", "burn_in")):
+    # the field is the longer of the two runs, the one that did not fit: the
+    # window, or the burn-in, which the model sets
+    for t_obs, field in (("20", "t_obs"), ("5", "model_path")):
         with pytest.raises(ValidationError) as info:
-            cli.cmd_simulate(cli.build_parser().parse_args(argv(burn_in)))
+            cli.cmd_simulate(cli.build_parser().parse_args(argv(t_obs)))
         assert info.value.field == field
+
+
+@pytest.mark.parametrize("t_obs", ["1e15", "1e306"])
+def test_simulate_past_numpy_sizes_exits_2_naming_t_obs(
+        tmp_path, small_model_path, capsys, t_obs):
+    # numpy refuses these sizes with a ValueError before allocating anything
+    out = tmp_path / "new" / "out"
+    assert run("simulate", "--model", small_model_path, "--t-obs", t_obs,
+               "--out", out) == 2
+    captured = capsys.readouterr()
+    n_samples = round(float(t_obs) / DT_BASE)
+    assert captured.err == (
+        f"validation error: t_obs={float(t_obs)!r} s ({n_samples} samples) "
+        f"with burn_in=746 steps is too large to allocate\n")
+    assert captured.out == ""
+    assert not out.parent.exists()
 
 
 def test_simulate_deterministic_and_seed_dependent(tmp_path, small_model_path):
@@ -182,14 +201,6 @@ def test_simulate_rejects_zero_window(tmp_path, small_model_path, capsys):
                "--out", tmp_path / "o")
     assert code == 2
     assert "t_obs" in capsys.readouterr().err
-
-
-def test_simulate_rejects_unparsable_burn_in(tmp_path, small_model_path, capsys):
-    code = run("simulate", "--model", small_model_path, "--t-obs", "5",
-               "--burn-in", "abc", "--out", tmp_path / "o")
-    assert code == 2
-    assert ("validation error: burn_in is not 'auto' or an integer: "
-            "'abc'") in capsys.readouterr().err
 
 
 def test_simulate_missing_model_file(tmp_path):
@@ -1227,47 +1238,49 @@ def test_bound_counts_the_samples_estimate_keeps(tmp_path, small_model_path,
     assert load_records(tmp_path / "b.csv")["n_samples"] == str(n_samples)
 
 
-@pytest.mark.parametrize("burn_in,steps", [("0", 0), ("7", 3)])
-def test_bound_applies_config_burn_in(tmp_path, small_model_path, burn_in,
-                                      steps):
-    # burn_in counts base steps: ceil(7 / 3) = 3 steps of the strided system
-    cfg = tmp_path / "exp.ini"
-    cfg.write_text(f"[model]\npath = {small_model_path}\n\n"
-                   f"[generation]\nburn_in = {burn_in}\n")
-    auto = tmp_path / "auto.ini"
-    auto.write_text(f"[model]\npath = {small_model_path}\n\n"
-                    "[generation]\nburn_in = auto\n")
-    argv = ("--stride", "3", "--t-obs", "15", "--trials", "5",
-            "--seed", "5")
-    assert run("bound", "--config", cfg, *argv, "--out", tmp_path / "b.csv") == 0
-    assert run("bound", "--config", auto, *argv,
-               "--out", tmp_path / "a.csv") == 0
-    disc = systems_for(path3_model(), 3 * DT_BASE)[1]
-    report = analysis.theorem1_bound(disc, 300, 0.1, 5, 5, burn_in=steps)
-    records = load_records(tmp_path / "b.csv")
-    assert records["rhs_discrete"] == repr(report.rhs)
-    assert records["rhs_continuous"] == repr(report.rhs_continuous)
-    assert records["trace_sigma0_mean"] == repr(report.trace_sigma0_mean)
-    assert (load_records(tmp_path / "a.csv")["rhs_discrete"]
-            != records["rhs_discrete"])
-
-
-@pytest.mark.parametrize("burn_in,stride,steps", [
-    ("auto", 1, 2151), ("auto", 3, 717), ("auto", 4, 538), ("auto", 10, 216),
-    ("7", 3, 3)])
+# "auto" in each id is the burn-in the model sets
+@pytest.mark.parametrize("stride,steps", [
+    pytest.param(1, 2151, id="auto-1-2151"),
+    pytest.param(3, 717, id="auto-3-717"),
+    pytest.param(4, 538, id="auto-4-538"),
+    pytest.param(10, 216, id="auto-10-216")])
 def test_bound_runs_the_base_step_burn_in_over_the_stride(
-        tmp_path, fixture_model_path, fixture_systems, burn_in, stride, steps):
-    # burn_in counts base steps, auto included; the bound steps at
-    # stride * DT_BASE, so it runs ceil(burn_in / stride) steps
-    if burn_in == "auto":
-        assert steps == -(-default_burn_in(fixture_systems[0]) // stride)
-    cfg = tmp_path / "exp.ini"
-    cfg.write_text(f"[model]\npath = {fixture_model_path}\n\n"
-                   f"[generation]\nburn_in = {burn_in}\n")
+        tmp_path, fixture_model_path, fixture_systems, stride, steps):
+    # the model's burn-in counts base steps; the bound steps at
+    # stride * DT_BASE, so it runs ceil(burn-in / stride) steps
+    assert steps == -(-default_burn_in(fixture_systems[0]) // stride)
     out = tmp_path / "b.csv"
-    assert run("bound", "--config", cfg, "--stride", stride, "--t-obs", "10",
-               "--trials", "2", "--out", out) == 0
+    assert run("bound", "--model", fixture_model_path, "--stride", stride,
+               "--t-obs", "10", "--trials", "2", "--out", out) == 0
     assert load_records(out)["burn_in"] == str(steps)
+
+
+def test_bound_noiseless_unstable_step_warns_without_overflow(
+        tmp_path, fixture_grid, capsys):
+    # radius ** steps passes the largest float here; no trial runs without
+    # noise, so a 1e6 s window finishes at once
+    quiet = tmp_path / "quiet.grid"
+    save_model(quiet, replace(fixture_grid, noise_sigma=dict.fromkeys(
+        fixture_grid.noise_sigma, 0.0)))
+    out = tmp_path / "b.csv"
+    assert run("bound", "--model", quiet, "--stride", "10", "--t-obs", "1e6",
+               "--trials", "2", "--out", out) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "rhs_discrete,0.0\nrhs_continuous,0.0\n"
+    records = load_records(out)
+    assert records["rhs_discrete"] == records["rhs_continuous"] == "0.0"
+    steps = int(records["burn_in"]) + int(records["n_samples"]) - 1
+    assert steps == 216 + 6_000_000 - 1
+    radius = float(records["step_spectral_radius"])
+    (line,) = captured.err.splitlines()
+    match = re.fullmatch(
+        r"warning: the forward-Euler step at dt=0\.16666666666666666 s has "
+        r"spectral radius 1\.0228161, so a trial can grow "
+        r"(\d\.\d\d)e\+(\d+)-fold over its 6000215 steps", line)
+    assert match
+    exponent = steps * np.log10(radius)
+    assert int(match[2]) == int(exponent)
+    assert float(match[1]) == pytest.approx(10 ** (exponent % 1), rel=5e-3)
 
 
 def test_bound_names_diverged_trials(tmp_path, fixture_model_path, capsys):
@@ -1418,14 +1431,6 @@ dir = {tmp_path / 'cfg_out'}
     assert traj.n_samples == 120
 
 
-def test_burn_in_flag_auto_overrides_the_config(tmp_path):
-    cfg = tmp_path / "exp.ini"
-    cfg.write_text("[model]\npath = m.grid\n[generation]\nburn_in = 100\n")
-    args = cli.build_parser().parse_args(
-        ["simulate", "--config", str(cfg), "--burn-in", "auto"])
-    assert cli._config_from_args(args).burn_in is None
-
-
 def test_removed_base_step_flag_exits_2(capsys):
     # the base step is the constant sim.DT_BASE, not a setting
     with pytest.raises(SystemExit) as info:
@@ -1434,10 +1439,29 @@ def test_removed_base_step_flag_exits_2(capsys):
     assert "unrecognized arguments: --dt-base 0.02" in capsys.readouterr().err
 
 
+def test_removed_burn_in_flag_exits_2(capsys):
+    # the burn-in is the model's, sim.default_burn_in, not a setting
+    with pytest.raises(SystemExit) as info:
+        main(["simulate", "--model", "m.grid", "--burn-in", "7"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --burn-in 7" in capsys.readouterr().err
+
+
+def test_removed_burn_in_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[model]\npath = m.grid\n[generation]\nburn_in = auto\n")
+    out = tmp_path / "out"
+    assert run("simulate", "--config", cfg, "--out", out) == 2
+    assert capsys.readouterr().err == (
+        f"validation error: {cfg}: [generation] burn_in is not a known "
+        "setting\n")
+    assert not out.exists()
+
+
 # each command's config flags, written out so that a flag added to or taken
 # from a command shows up here
 CONFIG_FLAGS = {
-    "simulate": {"--model", "--out", "--seed", "--t-obs", "--burn-in"},
+    "simulate": {"--model", "--out", "--seed", "--t-obs"},
     "estimate": {"--model", "--out", "--stride", "--estimator", "--nu",
                  "--lambda", "--eta"},
     "bound": {"--model", "--seed", "--stride", "--t-obs"},
@@ -1456,7 +1480,7 @@ OWN_FLAGS = {
 # one text per flag, which must read as the same text under its INI key does;
 # lists are written with commas
 FLAG_TEXTS = {"--model": "m.grid", "--t-obs": "30.5",
-              "--burn-in": "120", "--seed": "1,2", "--stride": "4",
+              "--seed": "1,2", "--stride": "4",
               "--estimator": "CML,LASSO", "--nu": "0.5",
               "--lambda": "1e-3", "--eta": "2", "--out": "res",
               "--axis": "t_obs", "--values": "3,5"}

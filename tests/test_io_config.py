@@ -703,7 +703,6 @@ path = models/fixture10.grid
 
 [generation]
 t_obs = 600
-burn_in = auto
 seeds = 1 2 3
 
 [estimation]
@@ -726,7 +725,6 @@ def test_load_config(tmp_path):
     cfg = load_config(path)
     assert cfg.model_path == "models/fixture10.grid"
     assert cfg.seeds == (1, 2, 3)
-    assert cfg.burn_in is None
     assert cfg.stride == 3
     assert cfg.estimators == ("UML", "CML")
     assert cfg.lam == 0.5
@@ -736,7 +734,7 @@ def test_load_config(tmp_path):
 
 def test_config_roundtrip(tmp_path):
     cfg = ExperimentConfig(model_path="m.grid", t_obs=120.0,
-                           burn_in=500, seeds=(4, 5), stride=6,
+                           seeds=(4, 5), stride=6,
                            estimators=("CML",), nu=2.5,
                            lam=0.1, eta=0.7, outputs="results",
                            sweep_variable="stride", sweep_values=(1.0, 3.0))
@@ -827,7 +825,8 @@ def test_config_validation():
     ({"eta": float("inf")}, "eta"), ({"nu": float("nan")}, "nu"),
     ({"eta": -1.0}, "eta"), ({"nu": -0.5}, "nu"),
     ({"t_obs": 0.0}, "t_obs"), ({"stride": 0}, "stride"),
-    ({"t_obs": -600.0}, "t_obs"), ({"burn_in": -1}, "burn_in"),
+    ({"t_obs": -600.0}, "t_obs"),
+    ({"sweep_variable": "frequency", "sweep_values": (1.0,)}, "sweep_variable"),
     ({"sweep_values": (60.0, 0.0)}, "sweep_values"),
     ({"sweep_values": (-60.0,)}, "sweep_values"),
     ({"estimators": ("CML", "BOGUS")}, "estimators"),
@@ -846,7 +845,6 @@ def test_config_rejects_bad_solver_settings(kwargs, field):
 
 @pytest.mark.parametrize("section,line,key,field", [
     ("generation", "t_obs = 10min", "t_obs", "t_obs"),
-    ("generation", "burn_in = soon", "burn_in", "burn_in"),
     ("generation", "seeds = 1 two 3", "seeds", "seeds"),
     ("estimation", "stride = 2.5", "stride", "stride"),
     ("estimation", "nu = none", "nu", "nu"),

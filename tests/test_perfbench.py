@@ -60,7 +60,7 @@ def test_tracer_wraps_cli_bindings_of_the_hot_layers(tmp_path):
         tracer.op = 0
         out = tmp_path / "out"
         assert cli.main(["simulate", "--model", str(FIXTURE_MODEL), "--t-obs",
-                         "2", "--burn-in", "3", "--out", str(out)]) == 0
+                         "2", "--out", str(out)]) == 0
         assert cli.main(["estimate", str(out / "traj_seed1.csv"), "--stride",
                          "1", "--estimator", "UML", "--out", str(out)]) == 0
     finally:

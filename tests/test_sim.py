@@ -66,6 +66,15 @@ def test_simulate_rejects_bad_input():
         simulate(disc, 5, np.zeros(3), seed=0)
 
 
+@pytest.mark.parametrize("n_steps", [10**18, 10**307])
+def test_simulate_past_numpy_sizes_raises_memory_error(n_steps):
+    # numpy refuses these shapes with a ValueError ("array is too big",
+    # "Maximum allowed dimension exceeded") before it allocates anything
+    _, disc = systems_for(two_gen_model(), DT_BASE)
+    with pytest.raises(MemoryError, match=f"^{n_steps + 1} states of 4 "):
+        simulate(disc, n_steps, np.zeros(4), seed=0)
+
+
 def reference_simulate(sys: DiscreteSystem, n_steps: int, x0: np.ndarray,
                        seed: int, every_row: bool = False) -> np.ndarray:
     """The recursion with a separate noise block, one step per statement:
