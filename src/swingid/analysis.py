@@ -31,10 +31,7 @@ class BoundReport:
     `rhs` bounds the discrete matrix (Theorem 1) and `rhs_continuous` the
     continuous one (Corollary 2).  n_discarded counts trials dropped because
     Sigma_0 came out singular or non-finite.  burn_in counts the steps of
-    the system's dt run before each trial's window.  step_spectral_radius
-    is that of the forward-Euler step the trials ran: above 1 the runs
-    grow without bound, and the means describe that growth, not a
-    stationary window, even where every trial stays finite.
+    the system's dt run before each trial's window.
     """
 
     epsilon: float
@@ -45,7 +42,6 @@ class BoundReport:
     n_trials: int
     n_discarded: int = 0
     burn_in: int = 0
-    step_spectral_radius: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
@@ -89,23 +85,32 @@ def relative_error(a_hat_d: np.ndarray, a_d: np.ndarray) -> float:
     return float(np.linalg.norm(a_hat_d - a_d) / ref)
 
 
-def step_spectral_radius(sys: DiscreteSystem) -> float:
-    """Spectral radius of the one-step matrix: above 1 the runs grow."""
-    return float(np.max(np.abs(np.linalg.eigvals(sys.a))))
+def euler_step(sys: DiscreteSystem, steps: int) -> tuple[float, bool, str]:
+    """sys.a's spectral radius, whether it exceeds 1 + 1e-12 (eigvals finds
+    the zero mode's 1 to about 1e-15), and words for both: for an unstable
+    step, its growth radius ** steps over `steps` steps, from its power of
+    ten past a float's range, with counts past 15 digits as .15g floats."""
+    radius = float(np.max(np.abs(np.linalg.eigvals(sys.a))))
+    words = (f"the forward-Euler step at dt={sys.dt!r} s has spectral "
+             f"radius {radius:.8g}")
+    if radius <= 1.0 + 1e-12:
+        return radius, False, words
+    exponent = steps * math.log10(radius)
+    growth = (f"{radius ** steps:.3g}" if exponent < 308 else
+              f"{10 ** (exponent % 1):.3g}e+{math.floor(exponent):.15g}")
+    return radius, True, (f"{words}, so a trial can grow {growth}-fold over "
+                          f"its {steps:.15g} steps")
 
 
 def _sigma0_moments(sys: DiscreteSystem, n_samples: int, n_trials: int,
-                    seed: int, burn_in: int,
-                    radius: float) -> tuple[float, float, int]:
+                    seed: int, burn_in: int) -> tuple[float, float, int]:
     """Monte Carlo means of Tr Sigma_0 and ||Sigma_0^{-1}||_F^2.
 
     Each trial is a fresh steady-state window; the trials are stepped
     together by `steady_sigma0`.  Diverged (non-finite) trials and those
     above estimators.COND_THRESHOLD are discarded and counted.  Means use
     exact (fsum) aggregation so the result does not depend on accumulation
-    order.  radius is the spectral radius of sys.a, named in the message
-    when every trial is discarded.
-    """
+    order; where none is kept, the message judges sys.a with euler_step."""
     traces: list[float] = []
     inv_norms: list[float] = []
     diverged = 0
@@ -125,9 +130,8 @@ def _sigma0_moments(sys: DiscreteSystem, n_samples: int, n_trials: int,
     if not traces:
         raise ValueError(
             f"all Monte Carlo trials discarded ({diverged} of {n_trials} with "
-            f"non-finite sigma0, the rest singular): the forward-Euler step "
-            f"at dt={sys.dt!r} s has spectral radius {radius:.6g} over "
-            f"{burn_in + n_samples - 1} steps")
+            f"non-finite sigma0, the rest singular): "
+            f"{euler_step(sys, burn_in + n_samples - 1)[2]}")
     kept = len(traces)
     return math.fsum(traces) / kept, math.fsum(inv_norms) / kept, n_trials - kept
 
@@ -142,9 +146,8 @@ def theorem1_bound(sys: DiscreteSystem, n_samples: int, epsilon: float,
     M_i^2 = ||B||_F^2 / dt.  The expectations are seeded Monte Carlo means over
     `n_trials` steady-state windows of T = n_samples states after burn_in
     steps of sys.dt, a count the caller takes from the model, not from sys.a
-    (`swingid bound` runs ceil(sim.default_burn_in / stride)).  The report
-    also carries the spectral radius of sys.a, which says whether those
-    windows are stationary at all.
+    (`swingid bound` runs ceil(sim.default_burn_in / stride)); only where
+    sys.a is stable (`euler_step`) are those windows stationary.
     """
     n2 = 2 * sys.n_gen
     if n_samples <= n2 + 2:
@@ -153,16 +156,14 @@ def theorem1_bound(sys: DiscreteSystem, n_samples: int, epsilon: float,
         raise ValueError("epsilon must lie in (0, 1)")
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
-    radius = step_spectral_radius(sys)
     b_norm = float(np.max(np.abs(sys.b_diag)))
     if b_norm == 0.0:
         # noiseless system: both bounds collapse to zero with no data needed
         return BoundReport(epsilon=epsilon, rhs=0.0, rhs_continuous=0.0,
                            trace_sigma0_mean=0.0, inv_norm_mean=0.0,
-                           n_trials=n_trials, burn_in=burn_in,
-                           step_spectral_radius=radius)
+                           n_trials=n_trials, burn_in=burn_in)
     trace_mean, inv_mean, discarded = _sigma0_moments(
-        sys, n_samples, n_trials, seed, burn_in, radius)
+        sys, n_samples, n_trials, seed, burn_in)
     rhs = b_norm / (epsilon * math.sqrt(n_samples - 1)) * math.sqrt(
         trace_mean * inv_mean)
     rhs_continuous = float(np.linalg.norm(sys.b_diag)) / sys.dt / (
@@ -170,7 +171,7 @@ def theorem1_bound(sys: DiscreteSystem, n_samples: int, epsilon: float,
     return BoundReport(epsilon=epsilon, rhs=rhs, rhs_continuous=rhs_continuous,
                        trace_sigma0_mean=trace_mean, inv_norm_mean=inv_mean,
                        n_trials=n_trials, n_discarded=discarded,
-                       burn_in=burn_in, step_spectral_radius=radius)
+                       burn_in=burn_in)
 
 
 def spectrum(a_d: np.ndarray, zero_mode_tol: float | None = None) -> SpectralReport:

@@ -114,16 +114,25 @@ def _window_samples(t_obs: float, stride: int, field: str = "t_obs") -> int:
     return -(-n_base // stride)
 
 
+def _base_run(cont, n_base: int):
+    """(system at DT_BASE, burn-in, radius, words) for a run of the model's
+    burn-in and n_base states; an unstable step is the model's error."""
+    disc, burn_in = build_discrete(cont, sim.DT_BASE), sim.default_burn_in(cont)
+    radius, unstable, words = analysis.euler_step(disc, burn_in + n_base - 1)
+    if unstable:
+        raise ValidationError(f"unstable base step: {words}", field="model_path")
+    return disc, burn_in, radius, words
+
+
 def cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
-    grid, cont, disc = _build_systems(cfg.model_path, sim.DT_BASE)
+    _, cont, _ = _build_systems(cfg.model_path)
     n_samples = _window_samples(cfg.t_obs, 1)
     if n_samples < 2:
         raise ValidationError(
             f"t_obs={cfg.t_obs} s yields {n_samples} samples at "
             f"dt_base={sim.DT_BASE}; need at least 2", field="t_obs")
-    burn_in = sim.default_burn_in(cont)
-    radius = analysis.step_spectral_radius(disc)
+    disc, burn_in, radius, step = _base_run(cont, n_samples)
     outdir = Path(cfg.outputs)
     new_dirs = [d for d in (outdir, *outdir.parents) if not d.exists()]
     # file name -> the temporary file beside it that holds its trajectory
@@ -137,16 +146,14 @@ def cmd_simulate(args) -> int:
             except MemoryError:
                 # the longer run did not fit: the window or the burn-in
                 raise ValidationError(
-                    f"t_obs={cfg.t_obs!r} s ({n_samples} samples) with "
+                    f"t_obs={cfg.t_obs!r} s ({n_samples:.15g} samples) with "
                     f"burn_in={burn_in} steps is too large to allocate",
                     field="t_obs" if n_samples > burn_in
                     else "model_path") from None
             if not np.all(np.isfinite(traj.states)):
-                # only the model can make the fixed base step unstable
                 raise ValidationError(
-                    f"seed {seed} gave non-finite states: the forward-Euler "
-                    f"step at dt_base={sim.DT_BASE!r} s has spectral radius "
-                    f"{radius:.6g}", field="model_path")
+                    f"seed {seed} gave non-finite states, though {step}: "
+                    "the noise is too large for float64", field="model_path")
             outdir.mkdir(parents=True, exist_ok=True)
             name = f"traj_seed{seed}.csv"
             part = outdir / f"{name}.{os.getpid()}.tmp"
@@ -281,9 +288,8 @@ def cmd_sweep(args) -> int:
     if cfg.sweep_variable is None:
         raise ValidationError("sweep axis not defined (--axis or [sweep] section)",
                               field="sweep_variable")
-    grid, cont, disc = _build_systems(cfg.model_path, sim.DT_BASE)
+    _, cont, _ = _build_systems(cfg.model_path)
     a_d_true = cont.a_d
-    burn_in = sim.default_burn_in(cont)
     values = sorted(cfg.sweep_values)
     # one (t_obs, stride) span per axis value, whose (n_keep, stride) window
     # is cut from the first n_keep base-step states of one steady run per seed
@@ -302,11 +308,12 @@ def cmd_sweep(args) -> int:
             raise ValidationError(
                 f"sweep_values {v0!r} and {v1!r} give the same window of "
                 f"{w0[0]} samples at stride {w0[1]}", field="sweep_values")
-    deficits = [_sample_deficit(_window_samples(t, k, field), disc.n_gen)
+    deficits = [_sample_deficit(_window_samples(t, k, field), cont.n_gen)
                 for t, k in spans]
     # deficit windows fail without covariances, so only the others are run
     folded = [w for w, deficit in enumerate(deficits) if deficit is None]
     base_samples = max((windows[w][0] for w in folded), default=1)
+    disc, burn_in, _, _ = _base_run(cont, base_samples)
     zeros = np.zeros_like(a_d_true)
 
     def fit_group(x0, blocks) -> list[list[tuple]]:
@@ -425,35 +432,27 @@ def cmd_bound(args) -> int:
     if len(cfg.seeds) != 1:
         raise ValidationError(f"seeds must be one seed for bound, got {cfg.seeds}",
                               field="seeds")
-    dt = sim.DT_BASE * cfg.stride
-    _, cont, disc = _build_systems(cfg.model_path, dt)
+    _, cont, disc = _build_systems(cfg.model_path, sim.DT_BASE * cfg.stride)
     n_samples = _window_samples(cfg.t_obs, cfg.stride)
     deficit = _sample_deficit(n_samples, disc.n_gen)
     if deficit:
         raise ValidationError(deficit, field="t_obs")
     seed = cfg.seeds[0]
-    # the model's burn-in counts base steps; the bound steps at
-    # DT_BASE * stride
-    burn_in = -(-sim.default_burn_in(cont) // cfg.stride)
+    # the model's burn-in counts base steps; the bound steps stride of them
+    _, base_burn_in, _, _ = _base_run(cont, _window_samples(cfg.t_obs, 1))
+    burn_in = -(-base_burn_in // cfg.stride)
     report = analysis.theorem1_bound(disc, n_samples, args.epsilon,
                                      args.trials, seed, burn_in=burn_in)
-    radius, steps = report.step_spectral_radius, burn_in + n_samples - 1
-    # eigvals finds the zero mode's eigenvalue 1 to about 1e-15
-    if radius > 1.0 + 1e-12:
+    radius, unstable, step = analysis.euler_step(disc, burn_in + n_samples - 1)
+    if unstable:
         # stride-k data follow A^k, whose radius is 1, not the Euler step
-        # at k * DT_BASE that the trials take.  Past a float's range the
-        # growth is written from its power of ten.
-        exponent = steps * math.log10(radius)
-        growth = (f"{radius ** steps:.3g}" if exponent < 308 else
-                  f"{10 ** (exponent % 1):.3g}e+{math.floor(exponent)}")
-        print(f"warning: the forward-Euler step at dt={dt!r} s has spectral "
-              f"radius {radius:.8g}, so a trial can grow "
-              f"{growth}-fold over its {steps} steps", file=sys.stderr)
+        # at k * DT_BASE that the trials take
+        print(f"warning: {step}", file=sys.stderr)
     records = {
         "model": cfg.model_path,
         "model_sha256": _model_sha256(cfg.model_path),
-        "dt": dt,
-        "step_spectral_radius": report.step_spectral_radius,
+        "dt": disc.dt,
+        "step_spectral_radius": radius,
         "n_samples": n_samples,
         "burn_in": report.burn_in,
         "epsilon": args.epsilon,

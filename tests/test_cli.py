@@ -7,6 +7,7 @@ import re
 import signal
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -66,30 +67,96 @@ def test_simulate_records_the_step_spectral_radius(tmp_path, small_model_path):
     assert keys[keys.index("dt_base") + 1] == "step_spectral_radius"
     disc = systems_for(path3_model(), DT_BASE)[1]
     assert manifest["step_spectral_radius"] == repr(
-        analysis.step_spectral_radius(disc))
+        analysis.euler_step(disc, 1)[0])
 
 
 def test_simulate_unstable_step_exits_2_writing_nothing(tmp_path, capsys):
     # at D/M = 200 the speed rows' Euler factor is 1 - 200/60, about -2.3,
-    # so the 1/60 s step overflows within 60 s
+    # so the 1/60 s step would overflow within 60 s: it is refused first
     stiff = tmp_path / "stiff.grid"
     save_model(stiff, two_gen_model(d=(200.0, 200.0)))
     out = tmp_path / "new" / "out"
     argv = ["simulate", "--model", str(stiff), "--t-obs", "60",
             "--out", str(out)]
     assert run(*argv) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert re.fullmatch(r"validation error: seed 1 gave non-finite states: "
-                        r"the forward-Euler step at "
-                        r"dt_base=0\.016666666666666666 s has spectral "
-                        r"radius \d+\.\d+", err[0])
+    assert capsys.readouterr().err.splitlines() == [
+        "validation error: unstable base step: the forward-Euler step at "
+        "dt=0.016666666666666666 s has spectral radius 2.3333333, so a trial "
+        "can grow 1.17e+5740-fold over its 15599 steps"]
     assert not (out / "traj_seed1.csv").exists()
     assert not (out / "manifest.csv").exists()
     # neither the directory nor the parent this run would have made
     assert not out.exists()
     assert not out.parent.exists()
     # the step is fixed, so the error names the model
+    with pytest.raises(ValidationError) as info:
+        cli.cmd_simulate(cli.build_parser().parse_args(argv))
+    assert info.value.field == "model_path"
+
+
+# two-generator models whose forward-Euler base step is unstable, with the
+# radius, growth and steps of a 60 s window after the model's burn-in: at
+# D/M = 200 each speed row's Euler factor is 1 - 200/60; at D/M = 0.05 and
+# beta = 2 the swing mode -0.025 +- 2i leaves the unit circle by 1.4e-4 a
+# step, which grows a 10-minute run's speeds about 150-fold unrefused
+_UNSTABLE_BASE_STEP = {
+    "stiff": (two_gen_model(d=(200.0, 200.0)),
+              "2.3333333, so a trial can grow 1.17e+5740-fold over its 15599"),
+    "mild": (two_gen_model(d=(0.05, 0.05), beta=2.0),
+             "1.0001389, so a trial can grow 3.21-fold over its 8399"),
+}
+_WINDOW_60S = {
+    "simulate": ["--t-obs", "60"],
+    "sweep": ["--axis", "t_obs", "--values", "60", "--estimator", "CML"],
+    "bound": ["--t-obs", "60", "--trials", "2"],
+}
+
+
+@pytest.mark.parametrize("model", _UNSTABLE_BASE_STEP)
+@pytest.mark.parametrize("command", _WINDOW_60S)
+def test_unstable_base_step_is_refused_before_stepping(
+        tmp_path, monkeypatch, capsys, command, model):
+    grid, words = _UNSTABLE_BASE_STEP[model]
+    path = tmp_path / f"{model}.grid"
+    save_model(path, grid)
+    out = tmp_path / "new" / ("b.csv" if command == "bound" else "out")
+    argv = [command, "--model", str(path), *_WINDOW_60S[command],
+            "--out", str(out)]
+
+    def never(*args):
+        raise AssertionError("stepped or forked before the stability rule")
+
+    monkeypatch.setattr(sim, "_advance", never)
+    monkeypatch.setattr(sim, "_start_helper", never)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "validation error: unstable base step: the forward-Euler step "
+            f"at dt=0.016666666666666666 s has spectral radius {words} "
+            "steps\n")
+        assert not out.parent.exists()
+        with pytest.raises(ValidationError) as info:
+            getattr(cli, f"cmd_{command}")(cli.build_parser().parse_args(argv))
+    assert info.value.field == "model_path"
+
+
+def test_simulate_overflowing_noise_names_the_stable_step(tmp_path, capsys):
+    # the step passes the stability rule, so only the noise can overflow
+    loud = tmp_path / "loud.grid"
+    grid = path3_model()
+    save_model(loud, replace(grid, noise_sigma=dict.fromkeys(
+        grid.noise_sigma, 1e308)))
+    out = tmp_path / "new" / "out"
+    argv = ["simulate", "--model", str(loud), "--t-obs", "1", "--out", str(out)]
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == (
+        "validation error: seed 1 gave non-finite states, though the "
+        "forward-Euler step at dt=0.016666666666666666 s has spectral radius "
+        "1: the noise is too large for float64\n")
+    assert not out.parent.exists()
     with pytest.raises(ValidationError) as info:
         cli.cmd_simulate(cli.build_parser().parse_args(argv))
     assert info.value.field == "model_path"
@@ -169,20 +236,27 @@ def test_simulate_too_large_to_allocate_exits_2_leaving_nothing_behind(
         assert info.value.field == field
 
 
-@pytest.mark.parametrize("t_obs", ["1e15", "1e306"])
+@pytest.mark.parametrize("t_obs,count", [
+    pytest.param("1e15", "6e+16", id="1e15"),
+    pytest.param("1e306", "6e+307", id="1e306")])
 def test_simulate_past_numpy_sizes_exits_2_naming_t_obs(
-        tmp_path, small_model_path, capsys, t_obs):
-    # numpy refuses these sizes with a ValueError before allocating anything
+        tmp_path, small_model_path, capsys, t_obs, count):
+    # numpy refuses these sizes with a ValueError before allocating anything;
+    # a count past 15 digits is written as a float
     out = tmp_path / "new" / "out"
-    assert run("simulate", "--model", small_model_path, "--t-obs", t_obs,
-               "--out", out) == 2
+    argv = ["simulate", "--model", str(small_model_path), "--t-obs", t_obs,
+            "--out", str(out)]
+    assert run(*argv) == 2
     captured = capsys.readouterr()
-    n_samples = round(float(t_obs) / DT_BASE)
     assert captured.err == (
-        f"validation error: t_obs={float(t_obs)!r} s ({n_samples} samples) "
+        f"validation error: t_obs={float(t_obs)!r} s ({count} samples) "
         f"with burn_in=746 steps is too large to allocate\n")
+    assert len(captured.err) < 200
     assert captured.out == ""
     assert not out.parent.exists()
+    with pytest.raises(ValidationError) as info:
+        cli.cmd_simulate(cli.build_parser().parse_args(argv))
+    assert info.value.field == "t_obs"
 
 
 def test_simulate_deterministic_and_seed_dependent(tmp_path, small_model_path):
@@ -986,8 +1060,8 @@ def test_diverging_bound_warns_in_neither_process(tmp_path, fixture_model_path):
     assert done.stderr.splitlines() == [
         "validation error: all Monte Carlo trials discarded (3 of 3 with "
         "non-finite sigma0, the rest singular): the forward-Euler step at "
-        "dt=0.16666666666666666 s has spectral radius 1.02282 over 18215 "
-        "steps"]
+        "dt=0.16666666666666666 s has spectral radius 1.0228161, so a trial "
+        "can grow 2.9e+178-fold over its 18215 steps"]
 
 
 def test_bound_on_the_helper_after_a_threaded_matmul_finishes(
@@ -1290,10 +1364,11 @@ def test_bound_names_diverged_trials(tmp_path, fixture_model_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     # a 600 s window stays finite, so every trial is singular
-    assert ("validation error: all Monte Carlo trials discarded (0 of 3 "
-            "with non-finite sigma0, the rest singular): the forward-Euler "
-            "step at dt=0.16666666666666666 s has spectral radius 1.02282 "
-            "over") in err
+    assert err.splitlines() == [
+        "validation error: all Monte Carlo trials discarded (0 of 3 with "
+        "non-finite sigma0, the rest singular): the forward-Euler step at "
+        "dt=0.16666666666666666 s has spectral radius 1.0228161, so a trial "
+        "can grow 2.39e+37-fold over its 3815 steps"]
     assert "Warning" not in err
     assert not (tmp_path / "b.csv").exists()
 
@@ -1335,12 +1410,14 @@ def test_bound_records_the_step_spectral_radius(tmp_path, fixture_model_path,
     assert radius(4, 60) > 1.001
     # where every trial is discarded, the message names the same radius
     unstable = radius(10, 10)
+    capsys.readouterr()
     assert run("bound", "--model", fixture_model_path, "--stride", "10",
                "--t-obs", "600", "--trials", "2") == 2
-    assert (f"all Monte Carlo trials discarded (0 of 2 with non-finite "
-            f"sigma0, the rest singular): the forward-Euler step at "
-            f"dt=0.16666666666666666 s has spectral radius {unstable:.6g} over"
-            in capsys.readouterr().err)
+    assert capsys.readouterr().err == (
+        f"validation error: all Monte Carlo trials discarded (0 of 2 with "
+        f"non-finite sigma0, the rest singular): the forward-Euler step at "
+        f"dt=0.16666666666666666 s has spectral radius {unstable:.8g}, so a "
+        f"trial can grow 2.39e+37-fold over its 3815 steps\n")
 
 
 # bound's warnings for the fixture's Euler step over a 60 s window: its
