@@ -22,6 +22,7 @@ import hashlib
 import itertools
 import math
 import os
+import shutil
 import sys
 from contextlib import closing, suppress
 from dataclasses import replace
@@ -124,6 +125,12 @@ def _base_run(cont, n_base: int):
     return disc, burn_in, radius, words
 
 
+def _non_finite(seed: int, step: str) -> ValidationError:
+    return ValidationError(f"seed {seed} gave non-finite states, though {step}: "
+                           "the noise is too large for float64", field="model_path")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported, not warned of
 def cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
     _, cont, _ = _build_systems(cfg.model_path)
@@ -135,33 +142,31 @@ def cmd_simulate(args) -> int:
     disc, burn_in, radius, step = _base_run(cont, n_samples)
     outdir = Path(cfg.outputs)
     new_dirs = [d for d in (outdir, *outdir.parents) if not d.exists()]
+    # a window is streamed, not allocated, so one too long for the disk is refused
+    # here: a row is 2N + 1 values of 3 or more characters, 2N commas and "\n"
+    free = shutil.disk_usage(new_dirs[-1].parent if new_dirs else outdir).free
+    if len(cfg.seeds) * n_samples * (8 * disc.n_gen + 4) > free:
+        raise ValidationError(f"t_obs={cfg.t_obs!r} s gives {len(cfg.seeds)} file(s) "
+                              f"of {n_samples:.15g} rows, more than {free} bytes free "
+                              "can hold", field="t_obs")
     # file name -> the temporary file beside it that holds its trajectory
     parts: dict[str, Path] = {}
     try:
         for seed in cfg.seeds:
             try:
-                # an overflowing run is reported below, not warned about
-                with np.errstate(over="ignore", invalid="ignore"):
-                    traj = sim.steady_trajectory(disc, n_samples, burn_in, seed)
-            except MemoryError:
-                # the longer run did not fit: the window or the burn-in
-                raise ValidationError(
-                    f"t_obs={cfg.t_obs!r} s ({n_samples:.15g} samples) with "
-                    f"burn_in={burn_in} steps is too large to allocate",
-                    field="t_obs" if n_samples > burn_in
-                    else "model_path") from None
-            if not np.all(np.isfinite(traj.states)):
-                raise ValidationError(
-                    f"seed {seed} gave non-finite states, though {step}: "
-                    "the noise is too large for float64", field="model_path")
-            outdir.mkdir(parents=True, exist_ok=True)
-            name = f"traj_seed{seed}.csv"
-            part = outdir / f"{name}.{os.getpid()}.tmp"
-            # made exclusively, so a file already there is never overwritten
-            # and never deleted below
-            part.touch(exist_ok=False)
-            parts[name] = part
-            io_config.save_trajectory(part, traj)
+                run = sim.steady_run(disc, n_samples, burn_in, seed)
+                outdir.mkdir(parents=True, exist_ok=True)
+                name = f"traj_seed{seed}.csv"
+                part = outdir / f"{name}.{os.getpid()}.tmp"
+                # exclusive, so a file already there is never overwritten or deleted
+                part.touch(exist_ok=False)
+                parts[name] = part
+                io_config.save_trajectory(part, run)
+            except MemoryError:  # only the burn-in is allocated whole
+                raise ValidationError(f"burn_in={burn_in} steps of the model are too "
+                                      "large to allocate", field="model_path") from None
+            except FloatingPointError:
+                raise _non_finite(seed, step) from None
     except BaseException:
         for part in parts.values():
             part.unlink(missing_ok=True)
@@ -238,11 +243,10 @@ def cmd_estimate(args) -> int:
               else np.zeros((2 * strided.n_gen,) * 2))
     cov = covariances(strided)
     cond_sigma0 = float(np.linalg.cond(cov.sigma0))
-    # A forked helper may fit every other estimator.  No fit makes a
-    # threaded BLAS call, and the fork stops the thread pool that the large
-    # products of covariances() woke, so the helper's fits get a core of
-    # their own; estimate_b's products, which wake the pool again, wait for
-    # every fit.  Nothing is written before every fit has succeeded.
+    # A forked helper may fit every other estimator.  The fork stops the thread
+    # pool that covariances()'s large products woke, and no fit or estimate_b
+    # makes a threaded BLAS call, so the helper's fits get a core of their own.
+    # Nothing is written before every fit has succeeded.
     with closing(sim.in_order(
             lambda: cfg.estimators,
             lambda tag: _fit(tag, cov, strided.dt, cfg, a_prev))) as fitted:
@@ -313,12 +317,12 @@ def cmd_sweep(args) -> int:
     # deficit windows fail without covariances, so only the others are run
     folded = [w for w, deficit in enumerate(deficits) if deficit is None]
     base_samples = max((windows[w][0] for w in folded), default=1)
-    disc, burn_in, _, _ = _base_run(cont, base_samples)
+    disc, burn_in, _, step = _base_run(cont, base_samples)
     zeros = np.zeros_like(a_d_true)
 
-    def fit_group(x0, blocks) -> list[list[tuple]]:
+    def fit_group(x0, blocks) -> list[list[tuple] | None]:
         """Each seed's cells, (value, tag, eps, why it failed or None), in
-        the order they are printed."""
+        the order they are printed; None for a seed whose states overflow."""
         # every state passes once, folded into the pairs of every window
         pairs = dict(zip(folded, fold_covariances(
             itertools.chain([x0[:, None]], blocks),
@@ -337,16 +341,20 @@ def cmd_sweep(args) -> int:
                    else analysis.relative_error(a_hat_d, a_d_true))
             return values[w], tag, eps, failed
 
-        return [[cell(k, w, tag) for w in range(len(windows))
-                 for tag in cfg.estimators] for k in range(len(x0))]
+        # a non-finite state makes all later ones, so next_sq_sum, non-finite
+        return [[cell(k, w, tag) for w in range(len(windows)) for tag in cfg.estimators]
+                if all(math.isfinite(pairs[w][k].next_sq_sum) for w in folded) else None
+                for k in range(len(x0))]
 
     rows: list[tuple[float, str, int, float]] = []
     failures = 0
-    # a forked helper may fit every other group of seeds
-    with closing(sim.steady_blocks(disc, cfg.seeds, burn_in, base_samples - 1,
-                                   fit_group)) as groups:
+    # a forked helper, which inherits the error state, may fit every other group
+    with np.errstate(over="ignore", invalid="ignore"), closing(sim.steady_blocks(
+            disc, cfg.seeds, burn_in, base_samples - 1, fit_group)) as groups:
         for seed, cells in zip(cfg.seeds, itertools.chain.from_iterable(groups),
                                strict=True):
+            if cells is None:
+                raise _non_finite(seed, step)
             for value, tag, eps, failed in cells:
                 if failed is not None:
                     print(f"cell failed (value={value}, {tag}, "

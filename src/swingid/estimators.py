@@ -528,8 +528,13 @@ def estimate_b(traj: Trajectory, a_hat: np.ndarray) -> np.ndarray:
         raise ValueError(f"a_hat must be {n2}x{n2}, got {a_hat.shape}")
     if traj.n_samples < 2:
         raise ValueError("trajectory must have at least 2 samples")
-    resid = traj.states[1:] - traj.states[:-1] @ a_hat.T
-    return np.sqrt(np.mean(resid * resid, axis=0))
+    # 1,024 rows at a time, off OpenBLAS's threads, summed in row order as one pass
+    total = np.zeros(n2)
+    for x in (traj.states[i:i + 1025] for i in range(0, traj.n_samples - 1, 1024)):
+        sq = np.square(x[1:] - x[:-1] @ a_hat.T)
+        sq[0] += total
+        total = sq.sum(axis=0)
+    return np.sqrt(total / (traj.n_samples - 1))
 
 
 def threshold_structure(a_hat: np.ndarray, n_gen: int) -> np.ndarray:

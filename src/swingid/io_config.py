@@ -12,16 +12,18 @@ Formats:
   trajectory      header `t,delta_1..delta_N,omega_1..omega_N`, one row per
                   sample, `t` in seconds; dt is inferred from the t column,
                   which must be uniformly spaced.  Rows are formatted and
-                  written, and read back, a block of _ROWS_PER_BLOCK rows at
-                  a time, never the whole file at once.  Where os.fork
-                  exists, two CPUs are usable and the data span more than
-                  one block, the forked helper of sim.in_order formats, or
-                  parses, blocks 1, 3, 5, ... and streams each result back
-                  over a pipe, in order, while the caller does blocks 0, 2,
-                  4, ... and alone writes the file.  Bytes, bits and error
-                  messages are those of the serial path, which runs the
-                  same per-block routine: csv_text's format, minus its
-                  per-cell type test (+30% on 36,001 x 21 values).
+                  written, and read back, a block of _ROWS_PER_BLOCK rows at a
+                  time, never the whole file at once, and a sim.steady_run is
+                  stepped as it is written (`simulate` never holds a
+                  window).  Where os.fork exists, two CPUs are usable and the
+                  data span more than one block, the forked helper of
+                  sim.in_order formats, or parses, blocks 1, 3, 5, ... and
+                  streams each result back over a pipe, in order, while the
+                  caller does blocks 0, 2, 4, ... and alone writes the file; a
+                  steady_run's helper steps it anew.  Bytes, bits and error
+                  messages are those of the serial path, which runs the same
+                  per-block routine: csv_text's format, minus its per-cell
+                  type test (+30% on 36,001 x 21 values).
                   A read with stride k keeps rows 0, k, 2k, ... and the t
                   column.  The caller holds the kept states, 8 bytes a row
                   for t, its own block, one of the helper's results and, at
@@ -52,7 +54,7 @@ import math
 from contextlib import closing
 from dataclasses import MISSING, dataclass, fields
 from functools import partial
-from itertools import islice
+from itertools import count, islice
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
@@ -60,7 +62,7 @@ import numpy as np
 
 from .estimators import CML, ESTIMATORS, UML
 from .model import GridModel, Line, ValidationError
-from .sim import Trajectory, in_order
+from .sim import SteadyRun, Trajectory, in_order
 
 
 def _cell(x) -> str:
@@ -222,21 +224,21 @@ def _trajectory_header(n: int) -> list[str]:
         + [f"omega_{i}" for i in range(1, n + 1)]
 
 
-def _format_rows(traj: Trajectory, start: int) -> str:
-    """Data rows start, start + 1, ... of one block, as file text."""
-    block = traj.states[start:start + _ROWS_PER_BLOCK]
-    t = np.arange(start, start + len(block)) * traj.dt
+def _format_rows(dt: float, block: np.ndarray, start: int) -> str:
+    """Data rows start, start + 1, ... holding block's states, as file text."""
+    t = np.arange(start, start + len(block)) * dt
     rows = np.column_stack([t, block]).tolist()
     # csv_text's cells for tolist()'s floats, without its 30% slower type test
     return "\n".join([",".join(map(repr, row)) for row in rows]) + "\n"
 
 
-def save_trajectory(path, traj: Trajectory) -> None:
-    starts = range(0, traj.n_samples, _ROWS_PER_BLOCK)
+def save_trajectory(path, traj: Trajectory | SteadyRun) -> None:
+    """traj's header, then its states block by block (a steady_run's as stepped)."""
     with open(path, "w") as fh:
         fh.write(",".join(_trajectory_header(traj.n_gen)) + "\n")
-        with closing(in_order(lambda: starts,
-                              partial(_format_rows, traj))) as texts:
+        with closing(in_order(
+                lambda: zip(traj.blocks(_ROWS_PER_BLOCK), count(0, _ROWS_PER_BLOCK)),
+                lambda job: _format_rows(traj.dt, *job))) as texts:
             fh.writelines(texts)
 
 

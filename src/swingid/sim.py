@@ -26,9 +26,9 @@ Determinism contract:
     states with A^T per step.  BLAS takes its matrix-vector path (gemv) on
     one row and its matrix-matrix path (gemm) on two or more, and the two
     round differently.
-  * `simulate`, `steady_start` and `steady_trajectory` step one seed as
-    one row, so each step is one gemv and a seed's trajectory (and every
-    file written from it) is bit-identical on rerun.
+  * `simulate`, `steady_start`, `steady_trajectory` and `steady_run`
+    step one seed as one row, so each step is one gemv and a seed's
+    trajectory (and every file written from it) is bit-identical on rerun.
   * `steady_blocks` steps a group of seeds as a group of rows, one gemm
     per step, and folds each group for `steady_sigma0` and the `sweep`
     command, which keep only per-seed covariances and fits.  It draws the
@@ -49,18 +49,12 @@ Determinism contract:
     same seed.  The `swingid_version` of every manifest, `.meta` and
     bound report tells them apart.
 
-The forked helper (`in_order`) also runs trajectory text I/O in
-io_config and the fits of the `estimate` command: the caller does jobs 0,
-2, 4, ..., the helper jobs 1, 3, 5, ... and sends each result back pickled
-over a pipe, in order.  If the helper dies, the caller does the rest of
-its jobs itself, and it reaps the helper on every exit.
-
-A product with thousands of rows (Sigma_1 of a 10-minute window, or
-estimate_b's residuals) runs on OpenBLAS's thread pool, whose worker then
-spins for about 0.13 s, a core's worth of CPU that a helper on the same
-two CPUs would compete with.  A fork stops that pool (see _start_helper),
-so work handed to a helper right after such a product, with no large
-product before it ends, has the second core to itself.
+The forked helper (`in_order`) also runs trajectory text I/O in io_config and
+the fits of the `estimate` command: the caller does jobs 0, 2, 4, ..., the
+helper jobs 1, 3, 5, ... and sends each result back pickled over a pipe, in
+order.  It calls jobs() itself, so on a `steady_run`'s blocks (`simulate` never
+holds a window) it steps the seed anew.  If the helper dies, the caller does
+the rest of its jobs itself, and it reaps the helper on every exit.
 """
 
 from __future__ import annotations
@@ -72,7 +66,7 @@ import sys as _sys  # `sys` names the stepped system below
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import BinaryIO, Callable, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -108,6 +102,18 @@ class Trajectory:
     def n_samples(self) -> int:
         return self.states.shape[0]
 
+    def blocks(self, rows: int) -> Iterator[np.ndarray]:
+        """The states, rows samples at a time, as views."""
+        return (self.states[i:i + rows] for i in range(0, self.n_samples, rows))
+
+
+class SteadyRun(NamedTuple):
+    """A window that each call of blocks(rows) steps anew, rows at a time."""
+
+    dt: float
+    n_gen: int
+    blocks: Callable[[int], Iterator[np.ndarray]]
+
 
 def spawn_seeds(seed: int, n: int) -> list[int]:
     """n reproducible, statistically independent child seeds of `seed`."""
@@ -126,15 +132,15 @@ def _noisy_rows(b_diag: np.ndarray) -> slice | np.ndarray:
 
 
 def simulate(sys: DiscreteSystem, n_steps: int, x0: np.ndarray,
-             seed: int) -> Trajectory:
+             seed: int | np.random.Generator) -> Trajectory:
     """Run the recursion for n_steps transitions; returns n_steps+1 samples.
 
     states[0] = x0 and states[t+1] = a states[t] + b_diag * xi_t, where
     xi_t holds one draw from default_rng(seed) per noisy row (b_diag != 0),
-    in row order, and 0 in every other row.  The steps are `_advance`'s on
-    the single row x0, so each is one matrix-vector product.  The result
-    is a deterministic function of (sys, n_steps, x0, seed).  States too
-    many to allocate raise MemoryError, however numpy refuses them.
+    in row order, and 0 in every other row; a Generator seed continues its
+    stream.  The steps are `_advance`'s on the single row x0, so each is one
+    matrix-vector product.  The result is a deterministic function of (sys,
+    n_steps, x0, seed).  States too many to allocate raise MemoryError.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
@@ -187,6 +193,26 @@ def _split_streams(seed: int) -> tuple[int, int]:
     return burn_seed, run_seed
 
 
+def steady_run(sys: DiscreteSystem, n_samples: int, burn_in: int,
+               seed: int) -> SteadyRun:
+    """steady_trajectory's window, never held whole: blocks() steps it anew in
+    `simulate` segments on one Generator, raising FloatingPointError if non-finite."""
+    burn_seed, run_seed = _split_streams(seed)
+    x0 = steady_start(sys, burn_in, burn_seed)
+
+    def blocks(rows: int) -> Iterator[np.ndarray]:
+        rng, x = np.random.default_rng(run_seed), x0
+        for start in range(0, n_samples, rows):
+            n_steps = min(rows, n_samples - 1 - start)
+            states = simulate(sys, n_steps, x, rng).states if n_steps else x[None]
+            block, x = states[:rows], states[-1]
+            if not np.all(np.isfinite(block)):
+                raise FloatingPointError(f"non-finite states from sample {start} on")
+            yield block
+
+    return SteadyRun(sys.dt, sys.n_gen, blocks)
+
+
 def steady_trajectory(sys: DiscreteSystem, n_samples: int, burn_in: int,
                       seed: int) -> Trajectory:
     """n_samples states from the stationary regime: burn-in, then the run.
@@ -233,12 +259,7 @@ def _start_helper(jobs: Callable[[], Iterable],
     new pool.  The helpers' matmuls are below OpenBLAS's threading
     threshold anyway.  Stopping the pool also ends its spin: after a
     threaded product the worker busy-waits for about 0.13 s of CPU, so on
-    two CPUs a helper forked during that spin would share its core with
-    it.  On a 2-vCPU virtual machine, `estimate` with LASSO, sparse + low
-    rank and CML on the fixture's 10-minute window at stride 3 cost 0.31 s
-    of worker CPU per run (median) when it fitted between its large
-    products, and 0.15 s (the spin after its last estimate_b) with the
-    fits forked right after the covariances.
+    two CPUs a helper forked during that spin would share its core.
     Python 3.12 and later may still issue a DeprecationWarning for a fork
     while other threads are alive.
     """

@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 import itertools
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
+import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -170,27 +175,35 @@ def test_simulate_with_a_later_seed_non_finite_leaves_nothing_behind(
     if existing:
         out.mkdir()
         (out / "traj_seed1.csv").write_bytes(old)
-    real = sim.steady_trajectory
+    real = sim.steady_run
 
     def second_seed_overflows(disc, n_samples, burn_in, seed):
-        traj = real(disc, n_samples, burn_in, seed)
         if seed == 2:
-            traj.states[-1, 0] = np.inf
-        return traj
+            # grows 1.38-fold a step from the origin: its first non-finite
+            # state is X_2230, in the last of the window's three blocks
+            disc, burn_in = replace(disc, a=disc.a * 1.38), 0
+            states = sim.steady_trajectory(disc, n_samples, burn_in, seed).states
+            assert np.all(np.isfinite(states[:2230]))
+            assert not np.all(np.isfinite(states[2230]))
+        return real(disc, n_samples, burn_in, seed)
 
-    monkeypatch.setattr(sim, "steady_trajectory", second_seed_overflows)
+    monkeypatch.setattr(sim, "steady_run", second_seed_overflows)
     # 2,400 rows span three blocks, so a helper may format part of each file
     code = run("simulate", "--model", small_model_path, "--t-obs", "40",
                "--seed", "1", "2", "--out", out)
     assert code == 2
-    assert "seed 2 gave non-finite states" in capsys.readouterr().err
+    step = ("the forward-Euler step at dt=0.016666666666666666 s has "
+            "spectral radius 1")
+    assert capsys.readouterr().err == (
+        f"validation error: seed 2 gave non-finite states, though {step}: "
+        "the noise is too large for float64\n")
     if existing:
         assert [p.name for p in out.iterdir()] == ["traj_seed1.csv"]
         assert (out / "traj_seed1.csv").read_bytes() == old
     else:
         assert not out.exists()
     # the same run without the fault writes both seeds under their names
-    monkeypatch.setattr(sim, "steady_trajectory", real)
+    monkeypatch.setattr(sim, "steady_run", real)
     assert run("simulate", "--model", small_model_path, "--t-obs", "40",
                "--seed", "1", "2", "--out", out) == 0
     assert sorted(p.name for p in out.iterdir()) == [
@@ -201,19 +214,20 @@ def test_simulate_with_a_later_seed_non_finite_leaves_nothing_behind(
 @pytest.mark.parametrize("existing", [False, True], ids=["new-dir", "old-dir"])
 def test_simulate_too_large_to_allocate_exits_2_leaving_nothing_behind(
         tmp_path, small_model_path, monkeypatch, capsys, existing):
+    # only the burn-in is allocated; the window is streamed to its file
     out = tmp_path / "out"
     old = b"t,delta_1\nnot a trajectory of this run\n"
     if existing:
         out.mkdir()
         (out / "traj_seed1.csv").write_bytes(old)
-    real = sim.steady_trajectory
+    real = sim.steady_run
 
     def second_seed_runs_out_of_memory(disc, n_samples, burn_in, seed):
         if seed == 2:
             raise MemoryError("Unable to allocate 8.73 TiB")
         return real(disc, n_samples, burn_in, seed)
 
-    monkeypatch.setattr(sim, "steady_trajectory", second_seed_runs_out_of_memory)
+    monkeypatch.setattr(sim, "steady_run", second_seed_runs_out_of_memory)
     def argv(t_obs):
         return ["simulate", "--model", str(small_model_path), "--t-obs", t_obs,
                 "--seed", "1", "2", "--out", str(out)]
@@ -221,42 +235,140 @@ def test_simulate_too_large_to_allocate_exits_2_leaving_nothing_behind(
     assert default_burn_in(systems_for(path3_model(), DT_BASE)[0]) == 746
     assert run(*argv("20")) == 2
     assert capsys.readouterr().err == (
-        "validation error: t_obs=20.0 s (1200 samples) with burn_in=746 steps "
-        "is too large to allocate\n")
+        "validation error: burn_in=746 steps of the model are too large to "
+        "allocate\n")
     if existing:
         assert [p.name for p in out.iterdir()] == ["traj_seed1.csv"]
         assert (out / "traj_seed1.csv").read_bytes() == old
     else:
         assert not out.exists()
-    # the field is the longer of the two runs, the one that did not fit: the
-    # window, or the burn-in, which the model sets
-    for t_obs, field in (("20", "t_obs"), ("5", "model_path")):
+    # the burn-in, which the model sets, is the one run that is allocated,
+    # whether the window is the longer run or the shorter
+    for t_obs in ("20", "5"):
         with pytest.raises(ValidationError) as info:
             cli.cmd_simulate(cli.build_parser().parse_args(argv(t_obs)))
-        assert info.value.field == field
+        assert info.value.field == "model_path"
 
 
 @pytest.mark.parametrize("t_obs,count", [
     pytest.param("1e15", "6e+16", id="1e15"),
     pytest.param("1e306", "6e+307", id="1e306")])
 def test_simulate_past_numpy_sizes_exits_2_naming_t_obs(
-        tmp_path, small_model_path, capsys, t_obs, count):
-    # numpy refuses these sizes with a ValueError before allocating anything;
-    # a count past 15 digits is written as a float
+        tmp_path, small_model_path, capsys, monkeypatch, t_obs, count):
+    # the window would be streamed, not allocated: what refuses it is the
+    # room its file needs, before any file, directory or helper exists; a
+    # count past 15 digits is written as a float
+    monkeypatch.setattr(os, "fork", None)
     out = tmp_path / "new" / "out"
     argv = ["simulate", "--model", str(small_model_path), "--t-obs", t_obs,
             "--out", str(out)]
+    started = time.perf_counter()
     assert run(*argv) == 2
+    assert time.perf_counter() - started < 1.0
     captured = capsys.readouterr()
-    assert captured.err == (
-        f"validation error: t_obs={float(t_obs)!r} s ({count} samples) "
-        f"with burn_in=746 steps is too large to allocate\n")
+    assert re.fullmatch(
+        rf"validation error: t_obs={re.escape(repr(float(t_obs)))} s gives 1 "
+        rf"file\(s\) of {re.escape(count)} rows, more than \d+ bytes free can "
+        r"hold\n", captured.err)
     assert len(captured.err) < 200
     assert captured.out == ""
     assert not out.parent.exists()
     with pytest.raises(ValidationError) as info:
         cli.cmd_simulate(cli.build_parser().parse_args(argv))
     assert info.value.field == "t_obs"
+
+
+def test_simulate_streams_the_bytes_of_a_held_trajectory(
+        tmp_path, small_model_path, monkeypatch, forks):
+    # 2,403 rows: two whole blocks and a partial third, for each of two seeds
+    argv = ["simulate", "--model", small_model_path, "--t-obs", "40.05",
+            "--seed", "3", "4"]
+    assert run(*argv, "--out", tmp_path / "helped") == 0
+    assert len(forks) == 2  # a helper per seed, which steps it anew
+    assert serially(monkeypatch, run, *argv, "--out", tmp_path / "serial") == 0
+    assert len(forks) == 2
+    assert_reaped(forks)
+    cont, disc = systems_for(path3_model(), DT_BASE)
+    for seed in (3, 4):
+        held = tmp_path / f"held{seed}.csv"
+        serially(monkeypatch, save_trajectory, held, sim.steady_trajectory(
+            disc, 2403, default_burn_in(cont), seed))
+        for side in ("helped", "serial"):
+            assert (tmp_path / side / f"traj_seed{seed}.csv").read_bytes() \
+                == held.read_bytes()
+
+
+def test_simulate_memory_does_not_grow_with_the_window(tmp_path, monkeypatch,
+                                                       fixture_model_path):
+    # the caller's Python allocations; a helper would be a process of its own
+    monkeypatch.setattr(sim, "_helper_allowed", lambda: False)
+    peaks = {}
+    for t_obs in ("1", "30", "300"):
+        tracemalloc.start()
+        try:
+            assert run("simulate", "--model", fixture_model_path, "--t-obs",
+                       t_obs, "--out", tmp_path / t_obs) == 0
+            peaks[t_obs] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["300"] <= 1.1 * peaks["30"]
+
+
+def test_simulate_without_room_for_its_files_exits_2_naming_t_obs(
+        tmp_path, small_model_path, monkeypatch, capsys):
+    # 3 seeds of 600 rows of at least 28 bytes: 50,400 bytes
+    asked = []
+
+    def little_free(path):
+        asked.append(Path(path))
+        return SimpleNamespace(free=50_399)
+
+    monkeypatch.setattr(shutil, "disk_usage", little_free)
+    out = tmp_path / "new" / "out"
+    argv = ["simulate", "--model", str(small_model_path), "--t-obs", "10",
+            "--seed", "1", "2", "3", "--out", str(out)]
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "validation error: t_obs=10.0 s gives 3 file(s) of 600 rows, more than "
+        "50399 bytes free can hold\n")
+    assert captured.out == ""
+    assert asked == [tmp_path]  # the nearest directory that exists
+    assert not out.parent.exists()
+    with pytest.raises(ValidationError) as info:
+        cli.cmd_simulate(cli.build_parser().parse_args(argv))
+    assert info.value.field == "t_obs"
+    # a byte more is room enough
+    monkeypatch.setattr(shutil, "disk_usage",
+                        lambda path: SimpleNamespace(free=50_400))
+    assert run(*argv) == 0
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-dir", "old-dir"])
+def test_simulate_on_a_full_disk_leaves_nothing_behind(
+        tmp_path, small_model_path, monkeypatch, capsys, existing):
+    out = tmp_path / "out"
+    old = b"t,delta_1\nnot a trajectory of this run\n"
+    if existing:
+        out.mkdir()
+        (out / "traj_seed1.csv").write_bytes(old)
+    real = cli.io_config._format_rows
+
+    def full_at_the_third_block(dt, block, start):
+        if start == 2048:  # a block the caller formats, helper or not
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real(dt, block, start)
+
+    monkeypatch.setattr(cli.io_config, "_format_rows", full_at_the_third_block)
+    assert run("simulate", "--model", small_model_path, "--t-obs", "40",
+               "--seed", "1", "2", "--out", out) == 2
+    assert capsys.readouterr().err == (
+        "validation error: [Errno 28] No space left on device\n")
+    if existing:
+        assert [p.name for p in out.iterdir()] == ["traj_seed1.csv"]
+        assert (out / "traj_seed1.csv").read_bytes() == old
+    else:
+        assert not out.exists()
 
 
 def test_simulate_deterministic_and_seed_dependent(tmp_path, small_model_path):
@@ -674,6 +786,31 @@ def test_sweep_stride_axis_rows_sorted(tmp_path, small_model_path):
     keys = [(float(r[0]), r[1], int(r[2])) for r in rows]
     assert keys == sorted(keys)
     assert len(rows) == 3 * 2 * 2
+
+
+def test_sweep_overflowing_noise_names_the_stable_step(tmp_path, capsys):
+    # the step passes the stability rule, so only the noise can overflow;
+    # it is reported as simulate reports it, with no numpy warning
+    loud = tmp_path / "loud.grid"
+    grid = path3_model()
+    save_model(loud, replace(grid, noise_sigma=dict.fromkeys(
+        grid.noise_sigma, 1e308)))
+    out = tmp_path / "new" / "out"
+    argv = ["sweep", "--model", str(loud), "--axis", "t_obs", "--values", "60",
+            "--seed", "1", "2", "3", "--estimator", "CML", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "validation error: seed 1 gave non-finite states, though the "
+        "forward-Euler step at dt=0.016666666666666666 s has spectral radius "
+        "1: the noise is too large for float64\n")
+    assert captured.out == ""
+    assert not out.parent.exists()
+    with pytest.raises(ValidationError) as info:
+        cli.cmd_sweep(cli.build_parser().parse_args(argv))
+    assert info.value.field == "model_path"
 
 
 def test_sweep_requires_axis(tmp_path, small_model_path, capsys):

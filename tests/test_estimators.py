@@ -760,6 +760,20 @@ def test_b_hat_recovers_noise_scale():
     assert np.allclose(b_hat[2:], disc.b_diag[2:], rtol=0.05)
 
 
+@pytest.mark.parametrize("n_steps", [1023, 1024, 2048, 2500])
+def test_b_hat_blocks_keep_the_bits_of_one_pass(n_steps):
+    # T - 1 below, equal to, a multiple of and not a multiple of the
+    # 1,024-row block: each block's squares continue the column sums in
+    # row order, as one sum along axis 0 adds them
+    rng = np.random.default_rng(n_steps)
+    states = rng.standard_normal((n_steps + 1, 20))
+    a_hat = rng.standard_normal((20, 20))
+    resid = states[1:] - states[:-1] @ a_hat.T
+    one_pass = np.sqrt(np.mean(resid * resid, axis=0))
+    got = estimate_b(Trajectory(dt=DT_BASE, states=states, n_gen=10), a_hat)
+    assert np.array_equal(got.view(np.uint64), one_pass.view(np.uint64))
+
+
 def test_b_hat_structural_rows_near_zero_with_uml():
     traj = noisy_traj(seed=28, n_steps=500)
     a_hat = estimate_uml(covariances(traj)).a_hat

@@ -15,8 +15,8 @@ from swingid.estimators import covariances
 from swingid.model import DiscreteSystem, build_continuous
 from swingid.sim import (DT_BASE, STEP_CHUNK, STEP_GROUP, Trajectory,
                          default_burn_in, simulate, spawn_seeds, steady_blocks,
-                         steady_sigma0, steady_start, steady_trajectory,
-                         subsample)
+                         steady_run, steady_sigma0, steady_start,
+                         steady_trajectory, subsample)
 
 from conftest import (assert_reaped, path3_model, serially, single_gen_model,
                       systems_for, two_gen_model)
@@ -148,6 +148,41 @@ def test_fixture_angle_rows_take_no_noise(fixture_systems):
         assert np.array_equal(nxt[:n].view(np.uint64),
                               step[:n].view(np.uint64))
         assert not np.array_equal(nxt[n:], step[n:])
+
+
+@pytest.mark.parametrize("n_samples,rows", [
+    (600, 600), (600, 1000), (600, 128), (601, 100), (600, 1)])
+def test_steady_run_blocks_are_steady_trajectory_bitwise(fixture_systems,
+                                                        n_samples, rows):
+    # segments of rows steps continue one Generator, whatever their length
+    # against STEP_CHUNK, and a last block may hold one state
+    _, disc = fixture_systems
+    run = steady_run(disc, n_samples, 300, 4)
+    expected = steady_trajectory(disc, n_samples, 300, 4).states
+    for _ in range(2):  # each call of blocks() steps the window anew
+        blocks = list(run.blocks(rows))
+        assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        got = np.concatenate(blocks)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    assert (run.dt, run.n_gen) == (disc.dt, disc.n_gen)
+
+
+def test_steady_run_raises_at_the_first_block_that_overflows(fixture_systems):
+    # twice A doubles the states each step from the origin, so they leave
+    # float64's range after about a thousand steps
+    _, disc = fixture_systems
+    grows = dataclasses.replace(disc, a=disc.a * 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = steady_trajectory(grows, 1200, 0, 4).states
+        first = np.flatnonzero(~np.all(np.isfinite(states), axis=1))[0]
+        assert 100 < first < 1100
+        bad = first // 100 * 100
+        blocks = steady_run(grows, 1200, 0, 4).blocks(100)
+        for start in range(0, bad, 100):
+            assert np.array_equal(next(blocks), states[start:start + 100])
+        with pytest.raises(FloatingPointError,
+                           match=f"^non-finite states from sample {bad} on$"):
+            next(blocks)
 
 
 def test_steady_trajectory_matches_reference_recursion_bitwise(fixture_systems):
