@@ -115,6 +115,21 @@ def _window_samples(t_obs: float, stride: int, field: str = "t_obs") -> int:
     return -(-n_base // stride)
 
 
+# sweep and bound refuse a run of more Euler steps than this in all, each
+# seed's or trial's steps counted: a step takes about 0.3-0.5 us in a group
+# of rows and 3 us alone, so the cap is one to eight hours of stepping
+MAX_STEP_ROWS = 10**10
+
+
+def _check_steps(runs: int, steps: int, field: str) -> None:
+    """Refuse `runs` runs of `steps` Euler steps each that come to more than
+    MAX_STEP_ROWS, naming the field that set the window."""
+    if runs * steps > MAX_STEP_ROWS:
+        raise ValidationError(
+            f"{field}: {runs} run(s) of {steps:.15g} Euler steps, more than the "
+            f"{MAX_STEP_ROWS} steps in all a sweep or bound may take", field=field)
+
+
 def _base_run(cont, n_base: int):
     """(system at DT_BASE, burn-in, radius, words) for a run of the model's
     burn-in and n_base states; an unstable step is the model's error."""
@@ -248,7 +263,7 @@ def cmd_estimate(args) -> int:
     # makes a threaded BLAS call, so the helper's fits get a core of their own.
     # Nothing is written before every fit has succeeded.
     with closing(sim.in_order(
-            lambda: cfg.estimators,
+            cfg.estimators,
             lambda tag: _fit(tag, cov, strided.dt, cfg, a_prev))) as fitted:
         fits = list(fitted)
     outdir = Path(cfg.outputs)
@@ -318,6 +333,7 @@ def cmd_sweep(args) -> int:
     folded = [w for w, deficit in enumerate(deficits) if deficit is None]
     base_samples = max((windows[w][0] for w in folded), default=1)
     disc, burn_in, _, step = _base_run(cont, base_samples)
+    _check_steps(len(cfg.seeds), burn_in + base_samples - 1, field)
     zeros = np.zeros_like(a_d_true)
 
     def fit_group(x0, blocks) -> list[list[tuple] | None]:
@@ -449,6 +465,7 @@ def cmd_bound(args) -> int:
     # the model's burn-in counts base steps; the bound steps stride of them
     _, base_burn_in, _, _ = _base_run(cont, _window_samples(cfg.t_obs, 1))
     burn_in = -(-base_burn_in // cfg.stride)
+    _check_steps(args.trials, burn_in + n_samples - 1, "t_obs")
     report = analysis.theorem1_bound(disc, n_samples, args.epsilon,
                                      args.trials, seed, burn_in=burn_in)
     radius, unstable, step = analysis.euler_step(disc, burn_in + n_samples - 1)

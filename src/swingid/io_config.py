@@ -15,21 +15,20 @@ Formats:
                   written, and read back, a block of _ROWS_PER_BLOCK rows at a
                   time, never the whole file at once, and a sim.steady_run is
                   stepped as it is written (`simulate` never holds a
-                  window).  Where os.fork exists, two CPUs are usable and the
-                  data span more than one block, the forked helper of
-                  sim.in_order formats, or parses, blocks 1, 3, 5, ... and
-                  streams each result back over a pipe, in order, while the
-                  caller does blocks 0, 2, 4, ... and alone writes the file; a
-                  steady_run's helper steps it anew.  Bytes, bits and error
-                  messages are those of the serial path, which runs the same
+                  window).  The caller steps or reads every block and alone
+                  writes the file.  Where os.fork exists, two CPUs are
+                  usable and the data span more than one block, it sends
+                  blocks 1, 3, 5, ... to the forked helper of sim.in_order,
+                  which only formats, or parses, them and streams each
+                  result back, in order.  Bytes, bits and error messages
+                  are those of the serial path, which runs the same
                   per-block routine: csv_text's format, minus its per-cell
                   type test (+30% on 36,001 x 21 values).
                   A read with stride k keeps rows 0, k, 2k, ... and the t
                   column.  The caller holds the kept states, 8 bytes a row
-                  for t, its own block, one of the helper's results and, at
-                  the end, one copy of the kept states.  The helper reads
-                  the file through its own handle and holds one block and
-                  its result besides the pages it shares with the caller.
+                  for t, two blocks, one of the helper's results and, at
+                  the end, one copy of the kept states; the helper one
+                  block and its result.
                   Numbers are read by numpy's text parser, which rounds
                   correctly like float(): decimal or exponent notation with
                   optional sign and surrounding blanks, and nan/inf (both
@@ -54,9 +53,9 @@ import math
 from contextlib import closing
 from dataclasses import MISSING, dataclass, fields
 from functools import partial
-from itertools import count, islice
+from itertools import chain, count, islice
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -188,16 +187,6 @@ def load_model(path) -> GridModel:
 # rows at a time, which bounds the text either holds in memory
 _ROWS_PER_BLOCK = 1024
 
-def _data_blocks(path: Path) -> Iterator[tuple[int, list[str]]]:
-    """(i, data lines i*_ROWS_PER_BLOCK, ...) for each block of a trajectory
-    file, blank lines skipped, through a handle of its own: a helper's
-    inherited descriptor would share the caller's offset."""
-    with open(path, errors="surrogateescape") as fh:
-        lines = filter(str.strip, fh)
-        next(lines, None)  # the header
-        yield from enumerate(
-            iter(lambda: list(islice(lines, _ROWS_PER_BLOCK)), []))
-
 
 def _bad_row(path: Path, width: int, start: int) -> ValidationError:
     """The error naming the first data line, from data row `start` on, that
@@ -237,7 +226,7 @@ def save_trajectory(path, traj: Trajectory | SteadyRun) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(_trajectory_header(traj.n_gen)) + "\n")
         with closing(in_order(
-                lambda: zip(traj.blocks(_ROWS_PER_BLOCK), count(0, _ROWS_PER_BLOCK)),
+                zip(traj.blocks(_ROWS_PER_BLOCK), count(0, _ROWS_PER_BLOCK)),
                 lambda job: _format_rows(traj.dt, *job))) as texts:
             fh.writelines(texts)
 
@@ -282,19 +271,22 @@ def load_trajectory(path, stride: int = 1) -> Trajectory:
             raise ValidationError(
                 f"{path}:1: header must be t,delta_1..delta_N,omega_1..omega_N, "
                 f"got {','.join(header)}", field="header")
-        if len(list(islice(lines, 2))) < 2:
+        ahead = list(islice(lines, 2))
+        if len(ahead) < 2:
             raise ValidationError(
                 f"{path}: need at least 2 samples to infer dt", field="t")
-    parse = partial(_parse_rows, len(header), stride)
-    with closing(in_order(partial(_data_blocks, path), parse)) as parsed:
-        for i, block in enumerate(parsed):
-            if block is None:
-                raise _bad_row(path, len(header), i * _ROWS_PER_BLOCK)
-            block_t, block_kept, block_finite = block
-            # reported once every row has parsed, as a bad row comes first
-            finite = finite and block_finite
-            times.append(block_t)
-            kept.append(block_kept)
+        lines = chain(ahead, lines)
+        blocks = iter(lambda: list(islice(lines, _ROWS_PER_BLOCK)), [])
+        parse = partial(_parse_rows, len(header), stride)
+        with closing(in_order(enumerate(blocks), parse)) as parsed:
+            for i, block in enumerate(parsed):
+                if block is None:
+                    raise _bad_row(path, len(header), i * _ROWS_PER_BLOCK)
+                block_t, block_kept, block_finite = block
+                # reported once every row has parsed, as a bad row comes first
+                finite = finite and block_finite
+                times.append(block_t)
+                kept.append(block_kept)
     if not finite:
         raise ValidationError(f"{path}: NaN or infinite values", field="row")
     t = np.concatenate(times)

@@ -50,11 +50,11 @@ Determinism contract:
     bound report tells them apart.
 
 The forked helper (`in_order`) also runs trajectory text I/O in io_config and
-the fits of the `estimate` command: the caller does jobs 0, 2, 4, ..., the
-helper jobs 1, 3, 5, ... and sends each result back pickled over a pipe, in
-order.  It calls jobs() itself, so on a `steady_run`'s blocks (`simulate` never
-holds a window) it steps the seed anew.  If the helper dies, the caller does
-the rest of its jobs itself, and it reaps the helper on every exit.
+the fits of the `estimate` command.  The caller draws every job (it steps each
+`steady_run` block and reads each line once), pickles jobs 1, 3, 5, ... to the
+helper and runs jobs 0, 2, 4, ...; the helper only formats, parses, fits or
+steps what it is sent and pickles each result back, in order.  If the helper
+dies, the caller runs the rest of the jobs, and it reaps the helper on every exit.
 """
 
 from __future__ import annotations
@@ -63,9 +63,9 @@ import math
 import os
 import pickle
 import sys as _sys  # `sys` names the stepped system below
-from contextlib import closing
+from contextlib import closing, suppress
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -242,15 +242,15 @@ def _helper_allowed() -> bool:
         return (os.cpu_count() or 1) >= 2
 
 
-def _start_helper(jobs: Callable[[], Iterable],
-                  work: Callable) -> tuple[int, BinaryIO] | None:
-    """Fork a helper that runs work on every odd-numbered job of jobs().
+def _start_helper(work: Callable) -> tuple[int, BinaryIO, BinaryIO] | None:
+    """Fork a helper that runs work on each job it is sent.
 
-    Returns its pid and the read end of a pipe that carries the results,
-    pickled one after another in order; None if the fork fails.  The
-    helper leaves only through os._exit, so it runs no exit handler and
-    flushes no buffer it inherited.  It inherits numpy's error state, so
-    an np.errstate around the call holds in the helper too.
+    Returns its pid, the write end of a pipe that takes the jobs and the
+    read end of one that brings back the results, each pickled one after
+    another in order; None if the fork fails.  The helper leaves only by a
+    kill or, once its jobs pipe ends, through os._exit, so it runs no exit
+    handler and flushes no buffer it inherited.  It inherits numpy's error
+    state, so an np.errstate around the call holds in the helper too.
 
     A stepping or fitting helper calls BLAS (small matmuls) after the
     fork.  That is safe with numpy's OpenBLAS: its pthread_atfork handler
@@ -266,61 +266,69 @@ def _start_helper(jobs: Callable[[], Iterable],
     for stream in (_sys.stdout, _sys.stderr):
         if stream is not None:  # None where the process has no such fd
             stream.flush()
-    read_fd, write_fd = os.pipe()
+    job_read, job_write = os.pipe()
+    result_read, result_write = os.pipe()
     try:
         pid = os.fork()
     except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
+        for fd in (job_read, job_write, result_read, result_write):
+            os.close(fd)
         return None
     if pid == 0:
-        code = 1
         try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                for job in islice(jobs(), 1, None, 2):
-                    pickle.dump(work(job), pipe, pickle.HIGHEST_PROTOCOL)
-                    pipe.flush()
-            code = 0
+            os.close(job_write)  # so that the jobs pipe ends if the caller dies
+            os.close(result_read)
+            jobs, results = open(job_read, "rb"), open(result_write, "wb")
+            while True:
+                pickle.dump(work(pickle.load(jobs)), results, pickle.HIGHEST_PROTOCOL)
+                results.flush()
         finally:
-            os._exit(code)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
+            os._exit(1)
+    os.close(job_read)
+    os.close(result_write)
+    return pid, open(job_write, "wb"), open(result_read, "rb")
 
 
-def _stop_helper(pid: int, pipe: BinaryIO) -> None:
-    """Close the helper's pipe, end the helper if it still runs, reap it."""
-    pipe.close()
+def _stop_helper(pid: int, jobs: BinaryIO, results: BinaryIO) -> None:
+    """Close both pipes, dropping any part of a job that a dead helper's
+    pipe refuses, then end the helper if it still runs and reap it."""
+    with suppress(BrokenPipeError):
+        jobs.close()
+    results.close()
     os.kill(pid, _SIGKILL)  # still this process's child until reaped
     os.waitpid(pid, 0)
 
 
-def in_order(jobs: Callable[[], Iterable], work: Callable) -> Iterator:
-    """Yield work(job) for each job of jobs(), in order.
+def in_order(jobs: Iterable, work: Callable) -> Iterator:
+    """Yield work(job) for each job, in order, drawing each job once.
 
-    Where a helper is allowed and there is more than one job, a forked
-    helper runs work on jobs 1, 3, 5, ... of its own call of jobs() while
-    the caller runs jobs 0, 2, 4, ...; if the helper stops early, the
-    caller runs the rest of its jobs too.  Closing the generator closes
-    the pipe and reaps the helper.
+    Where a helper is allowed and there is more than one job, the caller
+    draws them two at a time and sends the second to a forked helper
+    before it runs the first: the helper runs jobs 1, 3, 5, ... and the
+    caller jobs 0, 2, 4, ..., and the rest of them if the helper stops
+    early.  Closing the generator closes the pipes and reaps the helper.
     """
-    mine = iter(jobs())
-    ahead = list(islice(mine, 2))
-    helper = (_start_helper(jobs, work)
-              if len(ahead) == 2 and _helper_allowed() else None)
+    jobs = iter(jobs)
+    pair = list(islice(jobs, 2))
+    helper = _start_helper(work) if len(pair) == 2 and _helper_allowed() else None
     try:
-        for i, job in enumerate(chain(ahead, mine)):
-            if i == 1:
-                ahead.clear()  # so that no job is held after its turn
-            if helper is not None and i % 2:
+        while pair:
+            if helper is not None and len(pair) == 2:
+                # a dead helper refuses it, and its result reads as ended
+                with suppress(BrokenPipeError):
+                    pickle.dump(pair[1], helper[1], pickle.HIGHEST_PROTOCOL)
+                    helper[1].flush()
+            yield work(pair.pop(0))
+            if helper is not None and pair:
                 try:
-                    yield pickle.load(helper[1])
-                    continue
-                except (EOFError, pickle.UnpicklingError):
-                    # the helper ended before sending this result whole
+                    yield pickle.load(helper[2])
+                    pair.clear()  # so that no job is held after its turn
+                except (EOFError, pickle.UnpicklingError):  # no whole result came
                     _stop_helper(*helper)
                     helper = None
-            yield work(job)
+            if pair:
+                yield work(pair.pop())
+            pair = list(islice(jobs, 2))
     finally:
         if helper is not None:
             _stop_helper(*helper)
@@ -412,7 +420,7 @@ def steady_blocks(sys: DiscreteSystem, seeds, burn_in: int, n_steps: int,
 
         return fold(x[:k], blocks())
 
-    return in_order(lambda: zip(bounds, bounds[1:]), run)
+    return in_order(zip(bounds, bounds[1:]), run)
 
 
 def steady_sigma0(sys: DiscreteSystem, n_samples: int, trial_seeds,

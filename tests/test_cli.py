@@ -284,7 +284,7 @@ def test_simulate_streams_the_bytes_of_a_held_trajectory(
     argv = ["simulate", "--model", small_model_path, "--t-obs", "40.05",
             "--seed", "3", "4"]
     assert run(*argv, "--out", tmp_path / "helped") == 0
-    assert len(forks) == 2  # a helper per seed, which steps it anew
+    assert len(forks) == 2  # a helper per seed, which only formats
     assert serially(monkeypatch, run, *argv, "--out", tmp_path / "serial") == 0
     assert len(forks) == 2
     assert_reaped(forks)
@@ -1619,6 +1619,93 @@ def test_kron_no_loads_returns_input_laplacian(tmp_path, small_model_path):
     reduced = load_matrix(out)
     expected = np.array([[3.0, -3.0, 0.0], [-3.0, 7.0, -4.0], [0.0, -4.0, 4.0]])
     assert np.allclose(reduced, expected)
+
+
+# -------------------------------------------- the step cap of sweep and bound
+
+_STEP_CAP_WORDS = ("Euler steps, more than the 10000000000 steps in all a "
+                   "sweep or bound may take")
+
+
+@pytest.mark.parametrize("argv,field,runs", [
+    pytest.param(["bound", "--t-obs", "1e9", "--trials", "2"], "t_obs",
+                 "2 run(s) of 20000000716", id="bound"),
+    pytest.param(["sweep", "--axis", "stride", "--values", "3",
+                  "--t-obs", "1e306"], "t_obs", "1 run(s) of 6e+307",
+                 id="sweep-stride"),
+    pytest.param(["sweep", "--axis", "t_obs", "--values", "60", "1e12",
+                  "--seed", "1", "2", "3"], "sweep_values",
+                 "3 run(s) of 60000000002150", id="sweep-t_obs"),
+])
+def test_a_run_past_the_step_cap_exits_2_before_stepping(
+        tmp_path, fixture_model_path, monkeypatch, capsys, argv, field, runs):
+    # seeds or trials x (burn-in + window steps); bound's trials step
+    # ceil(2151 / 3) burn-in steps and 2e10 - 1 more at stride 3
+    def never(*args):
+        raise AssertionError("forked or stepped past the step cap")
+
+    monkeypatch.setattr(os, "fork", never)
+    monkeypatch.setattr(sim, "_advance", never)
+    out = tmp_path / "new" / "out"
+    started = time.perf_counter()
+    assert run(*argv, "--model", fixture_model_path, "--out", out) == 2
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"validation error: {field}: {runs} {_STEP_CAP_WORDS}\n")
+    assert not out.parent.exists()
+    parsed = cli.build_parser().parse_args(
+        [str(a) for a in (*argv, "--model", fixture_model_path, "--out", out)])
+    with pytest.raises(ValidationError) as info:
+        parsed.func(parsed)
+    assert info.value.field == field
+
+
+def test_the_step_cap_admits_a_run_of_exactly_its_steps(
+        tmp_path, small_model_path, monkeypatch, capsys):
+    # 2 trials of ceil(746 / 3) burn-in steps and 199 window steps at stride 3
+    argv = ["bound", "--model", small_model_path, "--t-obs", "10",
+            "--trials", "2"]
+    monkeypatch.setattr(cli, "MAX_STEP_ROWS", 2 * (249 + 199))
+    assert run(*argv) == 0
+    monkeypatch.setattr(cli, "MAX_STEP_ROWS", 2 * (249 + 199) - 1)
+    capsys.readouterr()
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == (
+        "validation error: t_obs: 2 run(s) of 448 Euler steps, more than the "
+        "895 steps in all a sweep or bound may take\n")
+
+
+class _Counted(Exception):
+    pass
+
+
+def test_benchmark_runs_and_studies_stay_far_under_the_step_cap(
+        tmp_path, fixture_model_path, fixture_systems, monkeypatch):
+    # the benchmark's stride sweep over 10 seeds and 100-trial bound, both
+    # counted and stopped before they step
+    counted = []
+
+    def count(runs, steps, field):
+        counted.append(runs * steps)
+        raise _Counted
+
+    monkeypatch.setattr(cli, "_check_steps", count)
+    seeds = [str(s) for s in range(1, 12)]
+    for argv in (["sweep", "--axis", "stride", "--values", "1", "2", "3", "5",
+                  "10", "--t-obs", "600", "--estimator", "UML", "CML",
+                  "--seed", *seeds[:10], "--out", tmp_path / "sweep"],
+                 ["bound", "--stride", "3", "--t-obs", "600", "--trials",
+                  "100", "--seed", seeds[10]]):
+        with pytest.raises(_Counted):
+            run(*argv, "--model", fixture_model_path)
+    burn_in = default_burn_in(fixture_systems[0])
+    assert counted == [10 * (burn_in + 35999), 100 * (-(-burn_in // 3) + 11999)]
+    # acceptance criteria 3-5 (50 seeds of 20 minutes) and 6 (500 trials of
+    # 1,000 samples) through the library, were they run as one command
+    counted += [50 * (burn_in + 72000 - 1), 500 * (746 + 1000 - 1)]
+    assert max(counted) * 1000 < cli.MAX_STEP_ROWS
 
 
 # ------------------------------------------------------- config + flag override

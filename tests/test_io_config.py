@@ -559,15 +559,19 @@ def test_caller_error_ends_a_busy_helper_without_waiting(tmp_path, monkeypatch,
 
 
 class HalfPickle:
-    """The helper's pickle, except that a helper writes half of its first
-    result and then kills itself."""
+    """pickle, except that a helper (any process but the test's) writes
+    half of its first result and then kills itself; the caller's jobs go
+    out whole."""
 
     UnpicklingError = pickle.UnpicklingError
     HIGHEST_PROTOCOL = pickle.HIGHEST_PROTOCOL
     load = staticmethod(pickle.load)
+    caller = os.getpid()
 
-    @staticmethod
-    def dump(obj, file, protocol):
+    @classmethod
+    def dump(cls, obj, file, protocol):
+        if os.getpid() == cls.caller:
+            return pickle.dump(obj, file, protocol)
         data = pickle.dumps(obj, protocol)
         file.write(data[:len(data) // 2])
         file.flush()
@@ -587,6 +591,70 @@ def test_result_cut_short_by_the_helper_is_redone_by_the_caller(
     assert same_trajectory(load_trajectory(tmp_path / "states.csv", 3), serial)
     assert len(forks) == made + 2
     assert_reaped(forks)
+
+
+def test_caller_finishes_the_blocks_after_a_send_to_a_dead_helper(
+        tmp_path, monkeypatch, forks):
+    # a block of 1,024 x 40 states pickles to 328 KB, more than a pipe holds,
+    # so the send of block 3 cannot finish into the pipe of a helper that
+    # killed itself after sending block 1's text
+    rng = np.random.default_rng(11)
+    traj = Trajectory(dt=DT_BASE, n_gen=20,
+                      states=rng.standard_normal((5 * _B + 3, 40)))
+    serial = tmp_path / "serial.csv"
+    serially(monkeypatch, save_trajectory, serial, traj)
+    caller, refused = os.getpid(), []
+
+    class DiesAfterItsFirstResult:
+        UnpicklingError = pickle.UnpicklingError
+        HIGHEST_PROTOCOL = pickle.HIGHEST_PROTOCOL
+        load = staticmethod(pickle.load)
+
+        @staticmethod
+        def dump(obj, file, protocol):
+            if os.getpid() != caller:
+                pickle.dump(obj, file, protocol)
+                file.flush()
+                os.kill(os.getpid(), signal.SIGKILL)
+            try:
+                pickle.dump(obj, file, protocol)
+            except BrokenPipeError:
+                refused.append(obj[1])  # the first row of the refused block
+                raise
+
+    own = helper_dies_at(monkeypatch, "_format_rows", None)  # never dies
+    monkeypatch.setattr(sim, "pickle", DiesAfterItsFirstResult)
+    helped = tmp_path / "helped.csv"
+    save_trajectory(helped, traj)
+    assert refused == [3 * _B]
+    assert own == [0, 2 * _B, 3 * _B, 4 * _B, 5 * _B]
+    assert helped.read_bytes() == serial.read_bytes()
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+def test_streamed_save_steps_the_window_once_in_the_caller(tmp_path,
+                                                          monkeypatch, forks):
+    # 3,074 rows make four blocks, each stepped by one call of the stepper;
+    # a helper that stepped the window too would log its own pid
+    _, disc = systems_for(path3_model(), DT_BASE)
+    run = sim.steady_run(disc, 3 * _B + 2, 50, 7)
+    log, real = tmp_path / "steps.txt", sim._advance
+
+    def logged(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args)
+
+    monkeypatch.setattr(sim, "_advance", logged)
+    helped, serial = tmp_path / "helped.csv", tmp_path / "serial.csv"
+    save_trajectory(helped, run)
+    assert len(forks) == 1
+    assert_reaped(forks)
+    assert log.read_text().split() == [str(os.getpid())] * 4
+    serially(monkeypatch, save_trajectory, serial, run)
+    assert helped.read_bytes() == serial.read_bytes()
+    assert helped.read_bytes().count(b"\n") == 3 * _B + 3
 
 
 @pytest.mark.parametrize("n_samples", [2, _B - 1, _B])

@@ -3,7 +3,9 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import pickle
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -595,6 +597,63 @@ def test_fold_error_in_the_helper_is_raised_by_the_caller(fixture_systems,
         list(steady_blocks(disc, spawn_seeds(1, 3), 0, 10, failing))
     assert own == [2, 1]
     assert len(forks) == 1
+    assert_reaped(forks)
+
+
+def test_in_order_draws_each_job_once_in_the_caller(tmp_path, monkeypatch,
+                                                   forks):
+    caller, draws, runs = os.getpid(), tmp_path / "draws", tmp_path / "runs"
+
+    def logged(path, line):
+        with open(path, "a") as fh:
+            fh.write(f"{line}\n")
+
+    def jobs():
+        for job in range(7):
+            logged(draws, f"{os.getpid()} {job}")
+            yield job
+
+    def work(job):
+        logged(runs, f"{os.getpid()} {job}")
+        return job * job
+
+    assert list(sim.in_order(jobs(), work)) == [job * job for job in range(7)]
+    assert len(forks) == 1
+    assert_reaped(forks)
+    assert draws.read_text().splitlines() == [f"{caller} {job}"
+                                              for job in range(7)]
+    # the helper ran the odd jobs, and the caller the even ones
+    ran = sorted((int(job), int(pid)) for pid, job in
+                 map(str.split, runs.read_text().splitlines()))
+    assert [job for job, _ in ran] == list(range(7))
+    assert [pid == caller for _, pid in ran] == [True, False] * 3 + [True]
+    runs.unlink()
+    assert serially(monkeypatch, list, sim.in_order(jobs(), work)) == [
+        job * job for job in range(7)]
+    assert len(forks) == 1
+
+
+def test_helper_leaves_once_its_jobs_pipe_ends(forks):
+    # as when the caller dies without stopping it: no copy of the jobs
+    # pipe's write end may stay open in the helper
+    pid, jobs, results = sim._start_helper(abs)
+    pickle.dump(-3, jobs)
+    jobs.flush()
+    assert pickle.load(results) == 3
+    jobs.close()
+    deadline, reaped = time.monotonic() + 10.0, False
+    try:
+        while not reaped:
+            reaped = os.waitpid(pid, os.WNOHANG) != (0, 0)
+            assert reaped or time.monotonic() < deadline, (
+                "the helper outlived its jobs pipe")
+            time.sleep(0.01)
+    finally:
+        results.close()
+        if not reaped:  # a failing run leaves no helper behind
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    assert forks == [pid]
     assert_reaped(forks)
 
 
