@@ -17,7 +17,7 @@ from .model import (ContinuousSystem, DiscreteSystem, GridModel, Line,
                     ValidationError, build_continuous, build_discrete,
                     build_laplacian, kron_reduce)
 from .sim import (DT_BASE, Trajectory, default_burn_in, simulate, spawn_seeds,
-                  steady_sigma0, steady_start, steady_trajectory, subsample)
+                  steady_start, steady_trajectory, subsample)
 
 __version__ = "0.2.0"
 
@@ -29,6 +29,6 @@ __all__ = [
     "estimate_cml", "estimate_lasso", "estimate_sparse_low_rank",
     "estimate_tikhonov", "estimate_uml", "fold_covariances", "kron_reduce",
     "relative_error", "simulate", "spawn_seeds", "spectral_distance",
-    "spectrum", "steady_sigma0", "steady_start", "steady_trajectory",
-    "subsample", "theorem1_bound", "threshold_structure", "to_continuous",
+    "spectrum", "steady_start", "steady_trajectory", "subsample",
+    "theorem1_bound", "threshold_structure", "to_continuous",
 ]

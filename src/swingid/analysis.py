@@ -11,6 +11,7 @@ seeded Monte Carlo so that bound checks are reproducible.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from . import estimators
 from .estimators import covariances
 from .model import DiscreteSystem
-from .sim import simulate, spawn_seeds, steady_sigma0, steady_start
+from .sim import simulate, spawn_seeds, steady_blocks, steady_start
 
 # simulate, steady_start and covariances are no longer called here but stay
 # bound: perfbench/smoke.py checks that the tracer patches these sites
@@ -102,31 +103,53 @@ def euler_step(sys: DiscreteSystem, steps: int) -> tuple[float, bool, str]:
                           f"its {steps:.15g} steps")
 
 
+def _steady_sigma0(n_samples: int, x: np.ndarray, blocks) -> np.ndarray:
+    """Each row's Sigma_0 over its X_0..X_{T-2}, as a steady_blocks fold of
+    T-2 steps (T = n_samples): the symmetrised Gram matrix over T-1."""
+    gram = x[:, :, None] * x[:, None, :]
+    for block in blocks:
+        gram += np.matmul(block.transpose(0, 2, 1), block)
+    gram /= n_samples - 1
+    return (gram + gram.transpose(0, 2, 1)) / 2.0
+
+
 def _sigma0_moments(sys: DiscreteSystem, n_samples: int, n_trials: int,
                     seed: int, burn_in: int) -> tuple[float, float, int]:
     """Monte Carlo means of Tr Sigma_0 and ||Sigma_0^{-1}||_F^2.
 
-    Each trial is a fresh steady-state window; the trials are stepped
-    together by `steady_sigma0`.  Diverged (non-finite) trials and those
-    above estimators.COND_THRESHOLD are discarded and counted.  Means use
-    exact (fsum) aggregation so the result does not depend on accumulation
-    order; where none is kept, the message judges sys.a with euler_step."""
-    traces: list[float] = []
-    inv_norms: list[float] = []
-    diverged = 0
-    # an overflowing trial is counted below, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        sigma0s = steady_sigma0(sys, n_samples, spawn_seeds(seed, n_trials),
-                                burn_in)
-    for sigma0 in sigma0s:
-        if not np.all(np.isfinite(sigma0)):
-            diverged += 1
-            continue
-        cond = np.linalg.cond(sigma0)
-        if not np.isfinite(cond) or cond > estimators.COND_THRESHOLD:
-            continue
-        traces.append(float(np.trace(sigma0)))
-        inv_norms.append(float(np.sum(np.linalg.inv(sigma0) ** 2)))
+    Each trial is a fresh steady-state window; `steady_blocks` steps them a
+    group at a time, and `terms` reduces each group as it is folded, so one
+    group's Sigma_0 is held at a time.  Trials non-finite (diverged) or
+    above estimators.COND_THRESHOLD are discarded and counted.  Exact (fsum)
+    means do not depend on accumulation order; where none is kept, the
+    message judges sys.a with euler_step."""
+    caller_errors = np.geterr()  # cond and inv warn as they would for the caller
+
+    def terms(x: np.ndarray, blocks) -> tuple[list[float], list[float], int]:
+        traces, inv_norms, diverged = [], [], 0
+        sigma0s = _steady_sigma0(n_samples, x, blocks)
+        with np.errstate(**caller_errors):
+            for sigma0 in sigma0s:
+                if not np.all(np.isfinite(sigma0)):
+                    diverged += 1
+                    continue
+                cond = np.linalg.cond(sigma0)
+                if not np.isfinite(cond) or cond > estimators.COND_THRESHOLD:
+                    continue
+                traces.append(float(np.trace(sigma0)))
+                inv_norms.append(float(np.sum(np.linalg.inv(sigma0) ** 2)))
+        return traces, inv_norms, diverged
+
+    traces, inv_norms, diverged = [], [], 0
+    # an overflowing trial is counted, not warned about (a forked helper
+    # inherits this state); X_{T-1} enters only Sigma_1, so runs stop short
+    with np.errstate(over="ignore", invalid="ignore"), closing(steady_blocks(
+            sys, spawn_seeds(seed, n_trials), burn_in, n_samples - 2,
+            terms)) as groups:
+        for group_traces, group_inv_norms, group_diverged in groups:
+            traces += group_traces
+            inv_norms += group_inv_norms
+            diverged += group_diverged
     if not traces:
         raise ValueError(
             f"all Monte Carlo trials discarded ({diverged} of {n_trials} with "

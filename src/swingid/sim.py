@@ -30,8 +30,8 @@ Determinism contract:
     step one seed as one row, so each step is one gemv and a seed's
     trajectory (and every file written from it) is bit-identical on rerun.
   * `steady_blocks` steps a group of seeds as a group of rows, one gemm
-    per step, and folds each group for `steady_sigma0` and the `sweep`
-    command, which keep only per-seed covariances and fits.  It draws the
+    per step, and folds each group for the `bound` and `sweep` commands,
+    which keep only per-seed moments and fits.  It draws the
     same noise as `steady_trajectory`, but gemm rounds differently from
     gemv, so a seed's covariances agree with those of `steady_trajectory`
     to about 1e-14 relative (about 1e-10 in a sweep's `eps`), not
@@ -63,7 +63,7 @@ import math
 import os
 import pickle
 import sys as _sys  # `sys` names the stepped system below
-from contextlib import closing, suppress
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import islice
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
@@ -79,6 +79,7 @@ DT_BASE = 1.0 / 60.0
 # noise this many steps at a time, which bounds its working memory
 STEP_GROUP = 64
 STEP_CHUNK = 128
+SEED_BATCH = 1024  # spawn_seeds holds at most this many SeedSequences
 
 
 @dataclass(frozen=True)
@@ -116,9 +117,12 @@ class SteadyRun(NamedTuple):
 
 
 def spawn_seeds(seed: int, n: int) -> list[int]:
-    """n reproducible, statistically independent child seeds of `seed`."""
-    children = np.random.SeedSequence(seed).spawn(n)
-    return [int(c.generate_state(1)[0]) for c in children]
+    """n reproducible, statistically independent child seeds of `seed`,
+    spawned SEED_BATCH at a time: spawn continues its child counter, so
+    they are the seeds of one spawn(n) without holding its n children."""
+    root = np.random.SeedSequence(seed)
+    return [int(child.generate_state(1)[0]) for start in range(0, n, SEED_BATCH)
+            for child in root.spawn(min(SEED_BATCH, n - start))]
 
 
 def _noisy_rows(b_diag: np.ndarray) -> slice | np.ndarray:
@@ -346,8 +350,8 @@ def _advance(sys: DiscreteSystem, x: np.ndarray, rngs, n_steps: int):
     """
     a_t, noisy = sys.a.T, _noisy_rows(sys.b_diag)
     scale = sys.b_diag[noisy]
-    draws = np.empty((len(rngs), STEP_CHUNK, scale.size))
-    states = np.empty((STEP_CHUNK, *x.shape))
+    draws = np.empty((len(rngs), min(STEP_CHUNK, n_steps), scale.size))
+    states = np.empty((min(STEP_CHUNK, n_steps), *x.shape))
     step = np.empty(x.shape)
     for start in range(0, n_steps, STEP_CHUNK):
         m = min(STEP_CHUNK, n_steps - start)
@@ -407,12 +411,12 @@ def steady_blocks(sys: DiscreteSystem, seeds, burn_in: int, n_steps: int,
         rows = max(k, 2)
         x = np.zeros((rows, n2))
         burn = [np.random.default_rng(b) for b, _ in streams]
-        for block in _advance(sys, x, burn, burn_in):
-            x = block[-1].copy()
+        for x in _advance(sys, x, burn, burn_in):  # no burn-in block outlives it
+            x = x[-1].copy()
         run_rngs = [np.random.default_rng(r) for _, r in streams]
 
         def blocks():
-            seed_major = np.empty((k, STEP_CHUNK, n2))
+            seed_major = np.empty((k, min(STEP_CHUNK, n_steps), n2))
             for block in _advance(sys, x, run_rngs, n_steps):
                 out = seed_major[:, :len(block)]
                 out[...] = block[:, :k].transpose(1, 0, 2)
@@ -421,34 +425,6 @@ def steady_blocks(sys: DiscreteSystem, seeds, burn_in: int, n_steps: int,
         return fold(x[:k], blocks())
 
     return in_order(zip(bounds, bounds[1:]), run)
-
-
-def steady_sigma0(sys: DiscreteSystem, n_samples: int, trial_seeds,
-                  burn_in: int) -> np.ndarray:
-    """Per-trial Sigma_0 of steady-state windows, without any trajectory.
-
-    Trial k covers the same window as `steady_trajectory(sys, n_samples,
-    burn_in, trial_seeds[k])` from the same noise streams, and returns the
-    symmetrised Gram matrix of its states X_0..X_{T-2} over T-1, shape
-    (len(trial_seeds), 2N, 2N).  Trials advance together through
-    `steady_blocks`; each chunk of states is folded into the Gram matrices
-    and dropped, so memory does not grow with n_samples.
-    """
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
-    n2 = 2 * sys.n_gen
-
-    def sigma0(x: np.ndarray, blocks) -> np.ndarray:
-        gram = x[:, :, None] * x[:, None, :]
-        for block in blocks:
-            gram += np.matmul(block.transpose(0, 2, 1), block)
-        gram /= n_samples - 1
-        return (gram + gram.transpose(0, 2, 1)) / 2.0
-
-    # X_{T-1} enters only Sigma_1, so the run stops one step short
-    with closing(steady_blocks(sys, trial_seeds, burn_in, n_samples - 2,
-                               sigma0)) as groups:
-        return np.concatenate([np.empty((0, n2, n2)), *groups])
 
 
 def default_burn_in(sys: ContinuousSystem) -> int:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 from itertools import permutations
 
@@ -16,7 +17,7 @@ from swingid.estimators import covariances
 from swingid.model import build_continuous, build_discrete
 from swingid.sim import DT_BASE, STEP_GROUP, spawn_seeds, steady_trajectory
 
-from conftest import (grid_models, path3_model, single_gen_model,
+from conftest import (grid_models, path3_model, serially, single_gen_model,
                       systems_for, two_gen_model)
 
 
@@ -139,6 +140,28 @@ def test_bound_bit_identical_on_rerun():
     first = theorem1_bound(disc, 400, 0.1, n_trials, seed=9, burn_in=249)
     assert theorem1_bound(disc, 400, 0.1, n_trials, seed=9,
                           burn_in=249) == first
+
+
+def test_bound_memory_does_not_grow_with_the_trials(fixture_systems,
+                                                    monkeypatch):
+    # each group is reduced to its trials' two terms as it is folded, so only
+    # one group's Sigma_0 (64 of 20 x 20) is held, beside one chunk's step
+    # buffers; holding all 4,000 trials' Sigma_0, as a stack and then as a
+    # copy, took about 26 MB
+    _, disc = fixture_systems
+
+    def bound(n_trials):
+        return theorem1_bound(disc, 40, 0.1, n_trials, seed=5, burn_in=200)
+
+    serially(monkeypatch, bound, 3)  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        report = serially(monkeypatch, bound, 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_trials == 4000
+    assert peak < 4 * 2**20
 
 
 def test_corollary_collapses_without_noise():

@@ -422,7 +422,7 @@ def test_helper_writes_and_reads_the_serial_bytes_and_bits(
     assert_reaped(forks)
 
 
-@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 def test_helper_skips_blank_lines_across_block_boundaries(
         tmp_path, monkeypatch, forks, newline):
     n_samples = 3 * _B + 2

@@ -1,23 +1,26 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
 import pickle
 import signal
 import time
+import tracemalloc
+from contextlib import closing
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swingid import sim
+from swingid import analysis, sim
 from swingid.estimators import covariances
 from swingid.model import DiscreteSystem, build_continuous
 from swingid.sim import (DT_BASE, STEP_CHUNK, STEP_GROUP, Trajectory,
                          default_burn_in, simulate, spawn_seeds, steady_blocks,
-                         steady_run, steady_sigma0, steady_start,
+                         steady_run, steady_start,
                          steady_trajectory, subsample)
 
 from conftest import (assert_reaped, path3_model, serially, single_gen_model,
@@ -300,6 +303,26 @@ def test_spawn_seeds_deterministic_and_distinct():
     assert spawn_seeds(6, 10) != a
 
 
+@pytest.mark.parametrize("n", [0, 1, sim.SEED_BATCH - 1, sim.SEED_BATCH,
+                               sim.SEED_BATCH + 1, 3000])
+def test_spawn_seeds_in_batches_give_the_one_shot_seeds(n):
+    one_shot = [int(c.generate_state(1)[0])
+                for c in np.random.SeedSequence(11).spawn(n)]
+    assert spawn_seeds(11, n) == one_shot
+
+
+def test_spawn_seeds_holds_one_batch_of_sequences():
+    # 20,000 child SeedSequences held at once peaked at about 8.5 MiB
+    tracemalloc.start()
+    try:
+        seeds = spawn_seeds(3, 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(seeds) == 20_000
+    assert peak < 3 * 2**20
+
+
 def test_default_burn_in_two_time_constants():
     cont, _ = systems_for(single_gen_model(m=1.0, d=1.0), DT_BASE)
     # slowest decaying mode is -D/M = -1, so 2 time constants = 2 s
@@ -325,8 +348,18 @@ def test_steady_trajectory_splits_seed_into_burn_in_and_run_streams():
     assert np.array_equal(traj.states, expected.states)
 
 
+def _steady_sigma0(disc, n_samples, seeds, burn_in) -> np.ndarray:
+    """Every trial's Sigma_0 from the fold `bound` gives steady_blocks,
+    shape (len(seeds), 2N, 2N)."""
+    fold = functools.partial(analysis._steady_sigma0, n_samples)
+    # X_{T-1} enters only Sigma_1, so the bound's runs stop one step short
+    with closing(steady_blocks(disc, seeds, burn_in, n_samples - 2,
+                               fold)) as groups:
+        return np.concatenate(list(groups))
+
+
 def _assert_sigma0_matches_serial(disc, n_samples, burn_in, seeds):
-    got = steady_sigma0(disc, n_samples, seeds, burn_in)
+    got = _steady_sigma0(disc, n_samples, seeds, burn_in)
     assert got.shape == (len(seeds), 2 * disc.n_gen, 2 * disc.n_gen)
     for sigma0, seed in zip(got, seeds):
         ref = covariances(steady_trajectory(disc, n_samples, burn_in, seed)).sigma0
@@ -356,11 +389,13 @@ def test_steady_sigma0_matches_serial_across_several_groups():
 
 
 def test_steady_sigma0_rejects_bad_input():
+    # the bound refuses a window too short for Sigma_0, and steady_blocks a
+    # negative burn-in
     _, disc = systems_for(two_gen_model(), DT_BASE)
-    with pytest.raises(ValueError, match="n_samples"):
-        steady_sigma0(disc, 1, [1], 0)
+    with pytest.raises(ValueError, match="samples, got 1"):
+        analysis.theorem1_bound(disc, 1, 0.5, 1, 0, burn_in=0)
     with pytest.raises(ValueError, match="burn_in"):
-        steady_sigma0(disc, 10, [1], -1)
+        analysis.theorem1_bound(disc, 10, 0.5, 1, 0, burn_in=-1)
 
 
 def _stepped_states(disc, seeds, burn_in, n_steps) -> np.ndarray:
@@ -427,8 +462,8 @@ def test_steady_sigma0_lone_last_trial_is_batch_invariant(fixture_systems):
     # same bits as beside trial 65
     _, disc = fixture_systems
     seeds = spawn_seeds(65, STEP_GROUP + 2)
-    lone = steady_sigma0(disc, 200, seeds[:STEP_GROUP + 1], 50)[STEP_GROUP]
-    paired = steady_sigma0(disc, 200, seeds, 50)[STEP_GROUP]
+    lone = _steady_sigma0(disc, 200, seeds[:STEP_GROUP + 1], 50)[STEP_GROUP]
+    paired = _steady_sigma0(disc, 200, seeds, 50)[STEP_GROUP]
     assert np.array_equal(lone, paired)
 
 
@@ -483,7 +518,7 @@ def _seed_major_states(disc, seeds, burn_in, n_steps) -> np.ndarray:
 
 
 def _seed_major_sigma0(disc, n_samples, seeds, burn_in) -> np.ndarray:
-    """steady_sigma0 as the seed-major stepper gave it, folded one chunk
+    """_steady_sigma0 as the seed-major stepper gave it, folded one chunk
     of STEP_CHUNK states at a time."""
     states = _seed_major_states(disc, seeds, burn_in, n_samples - 2)
     gram = states[:, 0, :, None] * states[:, 0, None, :]
@@ -524,9 +559,9 @@ def test_steady_sigma0_helper_gives_the_serial_and_seed_major_bits(
         fixture_systems, monkeypatch, forks, n_trials):
     _, disc = fixture_systems
     seeds = spawn_seeds(n_trials, n_trials)
-    helped = steady_sigma0(disc, 2 * STEP_CHUNK + 9, seeds, 40)
+    helped = _steady_sigma0(disc, 2 * STEP_CHUNK + 9, seeds, 40)
     assert len(forks) == (n_trials > 1)
-    serial = serially(monkeypatch, steady_sigma0, disc, 2 * STEP_CHUNK + 9,
+    serial = serially(monkeypatch, _steady_sigma0, disc, 2 * STEP_CHUNK + 9,
                       seeds, 40)
     assert np.array_equal(helped, serial)
     assert np.array_equal(
