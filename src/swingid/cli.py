@@ -115,19 +115,23 @@ def _window_samples(t_obs: float, stride: int, field: str = "t_obs") -> int:
     return -(-n_base // stride)
 
 
-# sweep and bound refuse a run of more Euler steps than this in all, each
-# seed's or trial's steps counted: a step takes about 0.3-0.5 us in a group
-# of rows and 3 us alone, so the cap is one to eight hours of stepping
+# simulate, sweep and bound refuse runs of more Euler steps than this in all,
+# burn-ins counted: a step takes about 0.3-0.5 us in a group of rows and
+# 1.4-3 us alone, so the cap is one to eight hours of stepping
 MAX_STEP_ROWS = 10**10
 
 
-def _check_steps(runs: int, steps: int, field: str) -> None:
-    """Refuse `runs` runs of `steps` Euler steps each that come to more than
-    MAX_STEP_ROWS, naming the field that set the window."""
+def _check_steps(runs: int, steps: int, burn_in: int, field: str) -> None:
+    """Refuse runs of `steps` Euler steps each, the first burn_in of them the
+    model's burn-in, past MAX_STEP_ROWS in all, naming the model where the
+    burn-ins alone pass it and otherwise the field that set the window."""
+    words = "Euler steps"
+    if runs * burn_in > MAX_STEP_ROWS:
+        field, steps, words = "model_path", burn_in, "burn-in steps of the model"
     if runs * steps > MAX_STEP_ROWS:
-        raise ValidationError(
-            f"{field}: {runs} run(s) of {steps:.15g} Euler steps, more than the "
-            f"{MAX_STEP_ROWS} steps in all a sweep or bound may take", field=field)
+        raise ValidationError(f"{field}: {runs} run(s) of {steps:.15g} {words}, more "
+                              f"than the {MAX_STEP_ROWS} steps in all one command may "
+                              "take", field=field)
 
 
 def _base_run(cont, n_base: int):
@@ -164,6 +168,7 @@ def cmd_simulate(args) -> int:
         raise ValidationError(f"t_obs={cfg.t_obs!r} s gives {len(cfg.seeds)} file(s) "
                               f"of {n_samples:.15g} rows, more than {free} bytes free "
                               "can hold", field="t_obs")
+    _check_steps(len(cfg.seeds), burn_in + n_samples - 1, burn_in, "t_obs")
     # file name -> the temporary file beside it that holds its trajectory
     parts: dict[str, Path] = {}
     try:
@@ -177,9 +182,6 @@ def cmd_simulate(args) -> int:
                 part.touch(exist_ok=False)
                 parts[name] = part
                 io_config.save_trajectory(part, run)
-            except MemoryError:  # only the burn-in is allocated whole
-                raise ValidationError(f"burn_in={burn_in} steps of the model are too "
-                                      "large to allocate", field="model_path") from None
             except FloatingPointError:
                 raise _non_finite(seed, step) from None
     except BaseException:
@@ -333,7 +335,7 @@ def cmd_sweep(args) -> int:
     folded = [w for w, deficit in enumerate(deficits) if deficit is None]
     base_samples = max((windows[w][0] for w in folded), default=1)
     disc, burn_in, _, step = _base_run(cont, base_samples)
-    _check_steps(len(cfg.seeds), burn_in + base_samples - 1, field)
+    _check_steps(len(cfg.seeds), burn_in + base_samples - 1, burn_in, field)
     zeros = np.zeros_like(a_d_true)
 
     def fit_group(x0, blocks) -> list[list[tuple] | None]:
@@ -465,7 +467,7 @@ def cmd_bound(args) -> int:
     # the model's burn-in counts base steps; the bound steps stride of them
     _, base_burn_in, _, _ = _base_run(cont, _window_samples(cfg.t_obs, 1))
     burn_in = -(-base_burn_in // cfg.stride)
-    _check_steps(args.trials, burn_in + n_samples - 1, "t_obs")
+    _check_steps(args.trials, burn_in + n_samples - 1, burn_in, "t_obs")
     report = analysis.theorem1_bound(disc, n_samples, args.epsilon,
                                      args.trials, seed, burn_in=burn_in)
     radius, unstable, step = analysis.euler_step(disc, burn_in + n_samples - 1)

@@ -175,24 +175,22 @@ def subsample(traj: Trajectory, stride: int) -> Trajectory:
 
 
 def steady_start(sys: DiscreteSystem, burn_in: int, seed: int) -> np.ndarray:
-    """Initial condition in the stationary regime: end state of a burn-in run.
-
-    burn_in = 0 returns the origin.  The caller should pass a seed distinct
-    from the main run's (see spawn_seeds) so the burn-in noise is not reused.
-    """
+    """Initial condition in the stationary regime: simulate(sys, burn_in, origin,
+    seed).states[-1] bit for bit, stepped in `simulate` segments of STEP_CHUNK
+    steps on one Generator so that one segment at a time is held (the origin
+    for burn_in = 0).  The caller should pass a seed distinct from the main
+    run's (see spawn_seeds) so the burn-in noise is not reused."""
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
-    origin = np.zeros(2 * sys.n_gen)
-    if burn_in == 0:
-        return origin
-    return simulate(sys, burn_in, origin, seed).states[-1]
+    rng, x = np.random.default_rng(seed), np.zeros(2 * sys.n_gen)
+    for start in range(0, burn_in, STEP_CHUNK):
+        x = simulate(sys, min(STEP_CHUNK, burn_in - start), x, rng).states[-1]
+    return x
 
 
 def _split_streams(seed: int) -> tuple[int, int]:
-    """The burn-in and run seeds of one trajectory seed.
-
-    Distinct child streams keep the burn-in noise out of the run's data.
-    """
+    """The burn-in and run seeds of one trajectory seed: distinct child
+    streams keep the burn-in noise out of the run's data."""
     burn_seed, run_seed = spawn_seeds(seed, 2)
     return burn_seed, run_seed
 

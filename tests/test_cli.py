@@ -214,37 +214,40 @@ def test_simulate_with_a_later_seed_non_finite_leaves_nothing_behind(
 @pytest.mark.parametrize("existing", [False, True], ids=["new-dir", "old-dir"])
 def test_simulate_too_large_to_allocate_exits_2_leaving_nothing_behind(
         tmp_path, small_model_path, monkeypatch, capsys, existing):
-    # only the burn-in is allocated; the window is streamed to its file
+    # a burn-in is stepped a segment at a time, never allocated whole: what
+    # refuses one too long is the step cap, before any step, fork or file
     out = tmp_path / "out"
     old = b"t,delta_1\nnot a trajectory of this run\n"
     if existing:
         out.mkdir()
         (out / "traj_seed1.csv").write_bytes(old)
-    real = sim.steady_run
 
-    def second_seed_runs_out_of_memory(disc, n_samples, burn_in, seed):
-        if seed == 2:
-            raise MemoryError("Unable to allocate 8.73 TiB")
-        return real(disc, n_samples, burn_in, seed)
+    def never(*args):
+        raise AssertionError("forked or stepped past the step cap")
 
-    monkeypatch.setattr(sim, "steady_run", second_seed_runs_out_of_memory)
+    monkeypatch.setattr(os, "fork", never)
+    monkeypatch.setattr(sim, "_advance", never)
+    assert default_burn_in(systems_for(path3_model(), DT_BASE)[0]) == 746
+    # two seeds' burn-ins alone pass the cap, whether the window is the
+    # longer run or the shorter
+    monkeypatch.setattr(cli, "MAX_STEP_ROWS", 2 * 746 - 1)
+
     def argv(t_obs):
         return ["simulate", "--model", str(small_model_path), "--t-obs", t_obs,
                 "--seed", "1", "2", "--out", str(out)]
 
-    assert default_burn_in(systems_for(path3_model(), DT_BASE)[0]) == 746
-    assert run(*argv("20")) == 2
-    assert capsys.readouterr().err == (
-        "validation error: burn_in=746 steps of the model are too large to "
-        "allocate\n")
-    if existing:
-        assert [p.name for p in out.iterdir()] == ["traj_seed1.csv"]
-        assert (out / "traj_seed1.csv").read_bytes() == old
-    else:
-        assert not out.exists()
-    # the burn-in, which the model sets, is the one run that is allocated,
-    # whether the window is the longer run or the shorter
     for t_obs in ("20", "5"):
+        assert run(*argv(t_obs)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "validation error: model_path: 2 run(s) of 746 burn-in steps of the "
+            "model, more than the 1491 steps in all one command may take\n")
+        if existing:
+            assert [p.name for p in out.iterdir()] == ["traj_seed1.csv"]
+            assert (out / "traj_seed1.csv").read_bytes() == old
+        else:
+            assert not out.exists()
         with pytest.raises(ValidationError) as info:
             cli.cmd_simulate(cli.build_parser().parse_args(argv(t_obs)))
         assert info.value.field == "model_path"
@@ -1621,26 +1624,42 @@ def test_kron_no_loads_returns_input_laplacian(tmp_path, small_model_path):
     assert np.allclose(reduced, expected)
 
 
-# -------------------------------------------- the step cap of sweep and bound
+# -------------------------------- the step cap of simulate, sweep and bound
 
-_STEP_CAP_WORDS = ("Euler steps, more than the 10000000000 steps in all a "
-                   "sweep or bound may take")
+_STEP_CAP_WORDS = "more than the 10000000000 steps in all one command may take"
 
 
 @pytest.mark.parametrize("argv,field,runs", [
     pytest.param(["bound", "--t-obs", "1e9", "--trials", "2"], "t_obs",
-                 "2 run(s) of 20000000716", id="bound"),
+                 "2 run(s) of 20000000716 Euler steps", id="bound"),
     pytest.param(["sweep", "--axis", "stride", "--values", "3",
-                  "--t-obs", "1e306"], "t_obs", "1 run(s) of 6e+307",
+                  "--t-obs", "1e306"], "t_obs", "1 run(s) of 6e+307 Euler steps",
                  id="sweep-stride"),
     pytest.param(["sweep", "--axis", "t_obs", "--values", "60", "1e12",
                   "--seed", "1", "2", "3"], "sweep_values",
-                 "3 run(s) of 60000000002150", id="sweep-t_obs"),
+                 "3 run(s) of 60000000002150 Euler steps", id="sweep-t_obs"),
+    pytest.param(["simulate", "--t-obs", "60"], "model_path",
+                 "1 run(s) of 59999999854 burn-in steps of the model",
+                 id="simulate-burn-in"),
+    pytest.param(["sweep", "--axis", "t_obs", "--values", "60"], "model_path",
+                 "1 run(s) of 59999999854 burn-in steps of the model",
+                 id="sweep-burn-in"),
+    pytest.param(["bound", "--t-obs", "60", "--trials", "2"], "model_path",
+                 "2 run(s) of 19999999952 burn-in steps of the model",
+                 id="bound-burn-in"),
 ])
 def test_a_run_past_the_step_cap_exits_2_before_stepping(
         tmp_path, fixture_model_path, monkeypatch, capsys, argv, field, runs):
     # seeds or trials x (burn-in + window steps); bound's trials step
-    # ceil(2151 / 3) burn-in steps and 2e10 - 1 more at stride 3
+    # ceil(2151 / 3) burn-in steps and 2e10 - 1 more at stride 3.  Where the
+    # burn-ins alone pass the cap the model is named: two weakly tied
+    # generators' slowest mode is about -2 beta / D = -2e-9 per second, so a
+    # 3,600-sample window follows 6e10 burn-in steps (a third at stride 3)
+    model = fixture_model_path
+    if field == "model_path":
+        model = tmp_path / "slow.grid"
+        save_model(model, two_gen_model(d=(0.5, 0.5), beta=5e-10))
+
     def never(*args):
         raise AssertionError("forked or stepped past the step cap")
 
@@ -1648,15 +1667,15 @@ def test_a_run_past_the_step_cap_exits_2_before_stepping(
     monkeypatch.setattr(sim, "_advance", never)
     out = tmp_path / "new" / "out"
     started = time.perf_counter()
-    assert run(*argv, "--model", fixture_model_path, "--out", out) == 2
+    assert run(*argv, "--model", model, "--out", out) == 2
     assert time.perf_counter() - started < 1.0
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"validation error: {field}: {runs} {_STEP_CAP_WORDS}\n")
+        f"validation error: {field}: {runs}, {_STEP_CAP_WORDS}\n")
     assert not out.parent.exists()
     parsed = cli.build_parser().parse_args(
-        [str(a) for a in (*argv, "--model", fixture_model_path, "--out", out)])
+        [str(a) for a in (*argv, "--model", model, "--out", out)])
     with pytest.raises(ValidationError) as info:
         parsed.func(parsed)
     assert info.value.field == field
@@ -1674,7 +1693,7 @@ def test_the_step_cap_admits_a_run_of_exactly_its_steps(
     assert run(*argv) == 2
     assert capsys.readouterr().err == (
         "validation error: t_obs: 2 run(s) of 448 Euler steps, more than the "
-        "895 steps in all a sweep or bound may take\n")
+        "895 steps in all one command may take\n")
 
 
 class _Counted(Exception):
@@ -1683,17 +1702,18 @@ class _Counted(Exception):
 
 def test_benchmark_runs_and_studies_stay_far_under_the_step_cap(
         tmp_path, fixture_model_path, fixture_systems, monkeypatch):
-    # the benchmark's stride sweep over 10 seeds and 100-trial bound, both
-    # counted and stopped before they step
+    # the benchmark's 10-minute simulate, stride sweep over 10 seeds and
+    # 100-trial bound, each counted and stopped before it steps
     counted = []
 
-    def count(runs, steps, field):
+    def count(runs, steps, burn_in, field):
         counted.append(runs * steps)
         raise _Counted
 
     monkeypatch.setattr(cli, "_check_steps", count)
     seeds = [str(s) for s in range(1, 12)]
-    for argv in (["sweep", "--axis", "stride", "--values", "1", "2", "3", "5",
+    for argv in (["simulate", "--t-obs", "600", "--out", tmp_path / "sim"],
+                 ["sweep", "--axis", "stride", "--values", "1", "2", "3", "5",
                   "10", "--t-obs", "600", "--estimator", "UML", "CML",
                   "--seed", *seeds[:10], "--out", tmp_path / "sweep"],
                  ["bound", "--stride", "3", "--t-obs", "600", "--trials",
@@ -1701,7 +1721,8 @@ def test_benchmark_runs_and_studies_stay_far_under_the_step_cap(
         with pytest.raises(_Counted):
             run(*argv, "--model", fixture_model_path)
     burn_in = default_burn_in(fixture_systems[0])
-    assert counted == [10 * (burn_in + 35999), 100 * (-(-burn_in // 3) + 11999)]
+    assert counted == [burn_in + 35999, 10 * (burn_in + 35999),
+                       100 * (-(-burn_in // 3) + 11999)]
     # acceptance criteria 3-5 (50 seeds of 20 minutes) and 6 (500 trials of
     # 1,000 samples) through the library, were they run as one command
     counted += [50 * (burn_in + 72000 - 1), 500 * (746 + 1000 - 1)]

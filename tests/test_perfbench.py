@@ -68,6 +68,8 @@ def test_tracer_wraps_cli_bindings_of_the_hot_layers(tmp_path):
     assert all(binding() is originals[name]
                for name, binding in HOT_LAYERS.items())
     calls = {name: count for name, (_, count) in tracer.self_times([0]).items()}
+    # the fixture's 2,151-step burn-in in 17 segments of STEP_CHUNK steps,
+    # then the 120-sample window in one block
     assert {name: calls[name] for name in HOT_LAYERS} == {
-        "sim.simulate": 2, "io_config.save_trajectory": 1,
+        "sim.simulate": 18, "io_config.save_trajectory": 1,
         "io_config.load_trajectory": 1}

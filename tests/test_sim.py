@@ -282,6 +282,29 @@ def test_steady_start_zero_burn_in_returns_origin():
     assert np.array_equal(steady_start(disc, 0, seed=0), np.zeros(4))
 
 
+@pytest.mark.parametrize("burn_in", [0, 1, STEP_CHUNK - 1, STEP_CHUNK,
+                                     STEP_CHUNK + 1, 3 * STEP_CHUNK])
+def test_steady_start_gives_the_end_state_of_one_simulate_run(burn_in):
+    # segments of STEP_CHUNK steps on one Generator, whole and partial
+    _, disc = systems_for(path3_model(), DT_BASE)
+    origin = np.zeros(6)
+    held = simulate(disc, burn_in, origin, 5).states[-1] if burn_in else origin
+    assert np.array_equal(steady_start(disc, burn_in, 5), held)
+
+
+def test_steady_start_holds_one_segment_of_a_long_burn_in():
+    # the whole burn-in, 200,001 states of 4, would take 6.4 MB
+    _, disc = systems_for(two_gen_model(d=(10.0, 10.0), beta=0.001), DT_BASE)
+    tracemalloc.start()
+    try:
+        x0 = steady_start(disc, 200_000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x0.shape == (4,) and np.all(np.isfinite(x0))
+    assert peak < 2**20
+
+
 def test_steady_start_matches_ar1_stationary_variance():
     # with no network the speed decouples into a scalar AR(1) recursion
     _, disc = systems_for(single_gen_model(m=1.0, d=1.0, sigma=0.5), DT_BASE)
