@@ -110,20 +110,20 @@ def covariances(traj: Trajectory) -> CovariancePair:
 def fold_covariances(chunks, windows) -> list[list[CovariancePair]]:
     """Covariance pairs of strided windows, folded one chunk at a time.
 
-    chunks yields (..., m, 2N) arrays that continue one another along the
-    m axis: together they hold the states X_0, X_1, ... of every sequence
-    on the leading axes.  Window (n_keep, stride) keeps X_0, X_stride,
-    X_2stride, ... below X_{n_keep}, as `subsample` of the first n_keep
-    states does.  Returns result[w][k], the pair of window w for the k-th
-    sequence in C order of the leading axes; every window must keep at
-    least 2 states.  Each chunk is folded and dropped, and a window's last
-    kept state carries into the next chunk, so memory does not grow with
-    the windows.  Every window has its own running fold, but windows that
-    hold one fold and keep the same rows of a chunk share one product of
-    those rows: windows of one stride share until the shorter one ends,
-    so a set of t_obs windows costs about as much as its longest window,
-    and each window keeps the bits of a fold of that window alone.  One
-    chunk with stride 1 gives `covariances` bit for bit.
+    chunks yields (..., m, 2N) arrays, contiguous or any strided views (the
+    layout moves no bit), that continue one another along the m axis: together
+    they hold the states X_0, X_1, ... of every sequence on the leading axes.
+    Window (n_keep, stride) keeps X_0, X_stride, X_2stride, ... below
+    X_{n_keep}, as `subsample` of the first n_keep states does.  Returns
+    result[w][k], the pair of window w for the k-th sequence in C order of the
+    leading axes; every window must keep at least 2 states.  Each chunk is
+    folded and dropped, and a window's last kept state carries into the next
+    chunk, so memory does not grow with the windows.  Every window has its own
+    running fold, but windows that hold one fold and keep the same rows of a
+    chunk share one product of those rows: windows of one stride share until
+    the shorter one ends, so a set of t_obs windows costs about as much as its
+    longest window, and each window keeps the bits of a fold of that window
+    alone.  One chunk with stride 1 gives `covariances` bit for bit.
     """
     windows = list(windows)
     # per window: the running sums of X_t X_t^T, X_{t+1} X_t^T and
@@ -164,13 +164,14 @@ def fold_covariances(chunks, windows) -> list[list[CovariancePair]]:
 
 
 def _fold(sums: list | None, last: np.ndarray | None, kept: np.ndarray) -> list:
-    """sums plus the products of consecutive kept states, `last` before them."""
+    """sums plus the products of consecutive kept states, `last` before them.
+    np.sum adds in memory order, so the squares are formed in C order."""
     if last is not None:
         kept = np.concatenate([last[..., None, :], kept], axis=-2)
     x0, x1 = kept[..., :-1, :], kept[..., 1:, :]
     part = [np.matmul(x0.swapaxes(-1, -2), x0),
             np.matmul(x1.swapaxes(-1, -2), x0),
-            np.sum(x1 * x1, axis=(-2, -1))]
+            np.sum(np.multiply(x1, x1, order="C"), axis=(-2, -1))]
     return part if sums is None else [a + b for a, b in zip(sums, part)]
 
 

@@ -29,20 +29,21 @@ Determinism contract:
   * `simulate`, `steady_start`, `steady_trajectory` and `steady_run`
     step one seed as one row, so each step is one gemv and a seed's
     trajectory (and every file written from it) is bit-identical on rerun.
-  * `steady_blocks` steps a group of seeds as a group of rows, one gemm
-    per step, and folds each group for the `bound` and `sweep` commands,
-    which keep only per-seed moments and fits.  It draws the
-    same noise as `steady_trajectory`, but gemm rounds differently from
-    gemv, so a seed's covariances agree with those of `steady_trajectory`
-    to about 1e-14 relative (about 1e-10 in a sweep's `eps`), not
-    bitwise.  A lone seed is stepped beside an idle zero row, so every
-    product is a gemm and a seed's bits do not depend on which seeds
-    share its group.  The groups do depend on the machine: where a forked
-    helper can run (os.fork and two usable CPUs), the seeds split into an
-    even number of near-equal groups and the helper steps and folds every
-    other one; elsewhere they go in groups of STEP_GROUP.  None of this
-    moves a bit: results are bit-identical on rerun, on one CPU or two,
-    with the helper or without.
+  * `steady_blocks` steps a group of seeds as a group of rows, one gemm per
+    step, and folds each group for the `bound` and `sweep` commands, which
+    keep only per-seed moments and fits.  A fold reads seed-major views of the
+    stepper's time-major chunks, each valid until the next is drawn (a fold
+    that keeps a block must copy it).  It draws the same noise as
+    `steady_trajectory`, but gemm rounds differently from gemv, so a seed's
+    covariances agree with those of `steady_trajectory` to about 1e-14
+    relative (about 1e-10 in a sweep's `eps`), not bitwise.  A lone seed is
+    stepped beside an idle zero row, so every product is a gemm and a seed's
+    bits do not depend on which seeds share its group.  The groups do depend
+    on the machine: where a forked helper can run (os.fork and two usable
+    CPUs), the seeds split into an even number of near-equal groups and the
+    helper steps and folds every other one; elsewhere they go in groups of
+    STEP_GROUP.  None of this moves a bit: results are bit-identical on rerun,
+    on one CPU or two, with the helper or without.
   * Across versions: the noise rule decides which draw lands in which
     row, so a trajectory, sweep cell or bound report of a swing model
     made by swingid 0.1.0 is another realization than 0.2.0's from the
@@ -388,16 +389,16 @@ def steady_blocks(sys: DiscreteSystem, seeds, burn_in: int, n_steps: int,
     Seed k covers the same states as `steady_trajectory(sys, n_steps + 1,
     burn_in, seeds[k])`, from the same noise streams.  The seeds go in
     consecutive groups of at most STEP_GROUP, and for each group of k seeds
-    this runs fold(x0, blocks): x0 is the (k, 2N) array of their states
-    X_0, and blocks yields (k, m, 2N) arrays holding X_1..X_{n_steps} in
-    order, STEP_CHUNK states at a time, each overwritten by the next.
-    Returns an iterator of fold's results, one per group, in seed order.
-    It comes from `in_order`: a forked helper may fold every other group,
-    so a result must pickle, and closing the iterator reaps the helper.
+    this runs fold(x0, blocks): x0 is the (k, 2N) array of their states X_0,
+    and blocks yields (k, m, 2N) seed-major views of the stepper's time-major
+    chunks, X_1..X_{n_steps} in order, STEP_CHUNK states at a time; each is
+    valid until the next is drawn, so a fold that keeps a block must copy it.
+    Returns an iterator of fold's results, one per group, in seed order.  It
+    comes from `in_order`: a forked helper may fold every other group, so a
+    result must pickle, and closing the iterator reaps the helper.
     """
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
-    n2 = 2 * sys.n_gen
     seeds = list(seeds)
     bounds = _group_bounds(len(seeds))
 
@@ -406,21 +407,13 @@ def steady_blocks(sys: DiscreteSystem, seeds, burn_in: int, n_steps: int,
         k = len(streams)
         # a one-row product takes the matrix-vector path, which rounds
         # differently: a lone seed is stepped beside a zero row without noise
-        rows = max(k, 2)
-        x = np.zeros((rows, n2))
+        x = np.zeros((max(k, 2), 2 * sys.n_gen))
         burn = [np.random.default_rng(b) for b, _ in streams]
         for x in _advance(sys, x, burn, burn_in):  # no burn-in block outlives it
             x = x[-1].copy()
         run_rngs = [np.random.default_rng(r) for _, r in streams]
-
-        def blocks():
-            seed_major = np.empty((k, min(STEP_CHUNK, n_steps), n2))
-            for block in _advance(sys, x, run_rngs, n_steps):
-                out = seed_major[:, :len(block)]
-                out[...] = block[:, :k].transpose(1, 0, 2)
-                yield out
-
-        return fold(x[:k], blocks())
+        return fold(x[:k], (block[:, :k].transpose(1, 0, 2)
+                            for block in _advance(sys, x, run_rngs, n_steps)))
 
     return in_order(zip(bounds, bounds[1:]), run)
 

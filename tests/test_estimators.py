@@ -192,6 +192,27 @@ def test_fold_shares_each_stride_with_the_bits_of_separate_folds():
             assert got.next_sq_sum == ref.next_sq_sum
             assert got.n_samples == ref.n_samples
 
+
+def test_fold_of_strided_views_keeps_the_bits_of_contiguous_chunks():
+    # steady_blocks hands its folds seed-major views of a time-major chunk
+    # (STEP_CHUNK steps, max(k, 2) rows); the layout must move no bit
+    rng = np.random.default_rng(16)
+    n2, sizes = 20, [128] * 7 + [103]
+    windows = [(1000, 1), (1000, 2), (1000, 3), (1000, 5), (1000, 10),
+               (300, 3), (600, 3)]
+    for k in (1, 5, 50):
+        x0 = rng.standard_normal((k, 1, n2))
+        views = [x0] + [rng.standard_normal((m, max(k, 2), n2))[:, :k]
+                        .transpose(1, 0, 2) for m in sizes]
+        got = fold_covariances(iter(views), windows)
+        ref = fold_covariances(map(np.ascontiguousarray, views), windows)
+        for pairs, ref_pairs in zip(got, ref, strict=True):
+            for pair, ref_pair in zip(pairs, ref_pairs, strict=True):
+                assert np.array_equal(pair.sigma0, ref_pair.sigma0)
+                assert np.array_equal(pair.sigma1, ref_pair.sigma1)
+                assert pair.next_sq_sum == ref_pair.next_sq_sum
+
+
 def _count_fold_calls(monkeypatch, chunks, windows) -> int:
     calls = [0]
     real = estimators._fold
