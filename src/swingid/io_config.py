@@ -25,10 +25,13 @@ Formats:
                   per-block routine: csv_text's format, minus its per-cell
                   type test (+30% on 36,001 x 21 values).
                   A read with stride k keeps rows 0, k, 2k, ... and the t
-                  column.  The caller holds the kept states, 8 bytes a row
-                  for t, two blocks, one of the helper's results and, at
-                  the end, one copy of the kept states; the helper one
-                  block and its result.
+                  column, each written as parsed into one array sized from
+                  the file's bytes over the length of its first two rows,
+                  plus an eighth; it grows in place only if later rows are
+                  shorter, and is trimmed to the rows read.  The caller
+                  holds those two arrays (the kept states and 8 bytes a
+                  row for t), two blocks and one of the helper's results;
+                  the helper one block and its result.
                   Numbers are read by numpy's text parser, which rounds
                   correctly like float(): decimal or exponent notation with
                   optional sign and surrounding blanks, and nan/inf (both
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import os
 from contextlib import closing
 from dataclasses import MISSING, dataclass, fields
 from functools import partial
@@ -242,9 +246,8 @@ def _parse_rows(width: int, stride: int, job: tuple[int, list[str]]):
         return None
     if data.shape[1] != width:
         return None
-    # copies, so that no view keeps the block alive
     first_kept = -i * _ROWS_PER_BLOCK % stride
-    return (data[:, 0].copy(), data[first_kept::stride, 1:].copy(),
+    return (data[:, 0], data[first_kept::stride, 1:],
             bool(np.all(np.isfinite(data))))
 
 
@@ -258,8 +261,6 @@ def load_trajectory(path, stride: int = 1) -> Trajectory:
     if stride < 1:
         raise ValueError("stride must be at least 1")
     path = Path(path)
-    times: list[np.ndarray] = []
-    kept: list[np.ndarray] = []
     finite = True
     with open(path, errors="surrogateescape") as fh:
         lines = filter(str.strip, fh)  # blank lines are skipped
@@ -275,21 +276,35 @@ def load_trajectory(path, stride: int = 1) -> Trajectory:
         if len(ahead) < 2:
             raise ValidationError(
                 f"{path}: need at least 2 samples to infer dt", field="t")
+        # one array each for t and the kept states, sized as if every row
+        # were as long as the first two, and an eighth more
+        rows = 2 * os.fstat(fh.fileno()).st_size // sum(map(len, ahead))
+        t = np.empty(rows + rows // 8)
+        states = np.empty((-(-len(t) // stride), 2 * n))
+        n_rows = n_kept = 0
         lines = chain(ahead, lines)
         blocks = iter(lambda: list(islice(lines, _ROWS_PER_BLOCK)), [])
         parse = partial(_parse_rows, len(header), stride)
         with closing(in_order(enumerate(blocks), parse)) as parsed:
-            for i, block in enumerate(parsed):
+            for block in parsed:
                 if block is None:
-                    raise _bad_row(path, len(header), i * _ROWS_PER_BLOCK)
+                    raise _bad_row(path, len(header), n_rows)
                 block_t, block_kept, block_finite = block
                 # reported once every row has parsed, as a bad row comes first
                 finite = finite and block_finite
-                times.append(block_t)
-                kept.append(block_kept)
+                if n_rows + len(block_t) > len(t):  # later rows are shorter
+                    # in place: no view of t or states outlives its statement
+                    t.resize(len(t) + len(t) // 4 + _ROWS_PER_BLOCK,
+                             refcheck=False)
+                    states.resize((-(-len(t) // stride), 2 * n), refcheck=False)
+                t[n_rows:n_rows + len(block_t)] = block_t
+                states[n_kept:n_kept + len(block_kept)] = block_kept
+                n_rows += len(block_t)
+                n_kept += len(block_kept)
     if not finite:
         raise ValidationError(f"{path}: NaN or infinite values", field="row")
-    t = np.concatenate(times)
+    t = t[:n_rows]
+    states.resize((n_kept, 2 * n), refcheck=False)
     dt = t[1] - t[0]
     if dt <= 0.0:
         raise ValidationError(f"{path}: t column must be increasing", field="t")
@@ -301,8 +316,7 @@ def load_trajectory(path, stride: int = 1) -> Trajectory:
         raise ValidationError(f"{path}: t column is not uniformly spaced",
                               field="t")
     # dt scales with the stride as in subsample
-    return Trajectory(dt=float(dt) * stride, states=np.concatenate(kept),
-                      n_gen=n)
+    return Trajectory(dt=float(dt) * stride, states=states, n_gen=n)
 
 
 # --------------------------------------------------------- matrices / records

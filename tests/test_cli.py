@@ -397,6 +397,36 @@ def test_simulate_missing_model_file(tmp_path):
                "--t-obs", "5", "--out", tmp_path / "o") == 2
 
 
+def test_simulate_window_of_one_sample_exits_2_writing_nothing(
+        tmp_path, small_model_path, capsys):
+    assert run("simulate", "--model", small_model_path, "--t-obs", "0.01",
+               "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == (
+        f"validation error: t_obs=0.01 s yields 1 samples at "
+        f"dt_base={DT_BASE!r}; need at least 2\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--t-obs", "1"],
+    ["sweep", "--axis", "stride", "--values", "1"],
+    ["bound", "--t-obs", "1"],
+], ids=["simulate", "sweep", "bound"])
+def test_command_without_a_model_exits_2(tmp_path, capsys, argv):
+    assert run(*argv, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == (
+        "validation error: a model is required (--config or --model)\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "bound"])
+def test_missing_config_file_exits_2(tmp_path, capsys, command):
+    config = tmp_path / "nope.ini"
+    assert run(command, "--config", config) == 2
+    assert capsys.readouterr().err == (
+        f"validation error: {config}: cannot read config file\n")
+
+
 # --------------------------------------------------------------------- estimate
 
 @pytest.fixture()
@@ -834,6 +864,29 @@ def test_sweep_failed_cell_marked_not_fatal(tmp_path, small_model_path):
     assert cells[100.0] == "nan"
     manifest = load_records(out / "manifest.csv")
     assert manifest["failed_cells"] == "1"
+
+
+def test_sweep_on_a_noiseless_model_fails_every_cell_and_exits_0(tmp_path,
+                                                                  capsys):
+    # without noise every state is the origin, so every Sigma_0 is singular
+    model = tmp_path / "quiet.grid"
+    save_model(model, two_gen_model(sigma=(0.0, 0.0)))
+    out = tmp_path / "sw"
+    assert run("sweep", "--model", model, "--axis", "stride", "--values", "1",
+               "3", "--t-obs", "5", "--seed", "1", "2", "--estimator", "UML",
+               "CML", "--out", out) == 0
+    captured = capsys.readouterr()
+    failures = captured.err.splitlines()
+    assert len(failures) == 8
+    assert all(line.startswith("cell failed (value=") and "singular" in line
+               for line in failures)
+    assert captured.out.startswith("sweep over stride: 8 cells (8 failed)")
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 8
+    assert all(row.endswith(",nan") for row in rows)
+    assert (out / "sweep_mean.csv").read_text() == (
+        "axis_value,estimator,mean_eps,n_seeds\n")
+    assert load_records(out / "manifest.csv")["failed_cells"] == "8"
 
 
 def test_sweep_computes_covariances_once_per_window(tmp_path, small_model_path,
@@ -1400,6 +1453,42 @@ def test_eigen_dimension_mismatch(tmp_path, small_model_path, capsys):
     bad.write_text("1.0,0.0\n0.0,1.0\n")
     assert run("eigen", bad, "--model", small_model_path) == 2
     assert "generators" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["1.0,2.0,3.0\n4.0,5.0,6.0\n",
+                                  "1.0,0.0,0.0\n0.0,1.0,0.0\n0.0,0.0,1.0\n",
+                                  "1.0,2.0\n"],
+                         ids=["2x3", "3x3", "1x2"])
+def test_eigen_matrix_not_square_of_even_size_exits_2(tmp_path, capsys, text):
+    matrix = tmp_path / "a.csv"
+    matrix.write_text(text)
+    assert run("eigen", matrix) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "validation error: matrix must be square with even dimension\n")
+    assert captured.out == ""
+
+
+def test_eigen_against_a_matrix_of_another_shape_exits_2(tmp_path, capsys):
+    matrix, other = tmp_path / "a.csv", tmp_path / "b.csv"
+    save_matrix(matrix, np.diag([-1.0, 0.0]))
+    save_matrix(other, np.diag([-1.0, 0.0, -2.0, 0.0]))
+    assert run("eigen", matrix, "--against", other,
+               "--out", tmp_path / "eig.csv") == 2
+    assert capsys.readouterr().err == (
+        "validation error: matrices must have equal shape\n")
+    assert not (tmp_path / "eig.csv").exists()
+
+
+def test_eigen_without_truth_prints_its_table_and_no_distance(tmp_path,
+                                                              capsys):
+    matrix = tmp_path / "a.csv"
+    save_matrix(matrix, np.diag([-1.0, 0.0]))
+    assert run("eigen", matrix) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ("re,im,source\n0.0,0.0,estimate\n"
+                            "-1.0,0.0,estimate\ncritical: -1.000000+0.000000j\n")
+    assert captured.err == ""
 
 
 # ------------------------------------------------------------------ bound / kron

@@ -5,7 +5,10 @@ from __future__ import annotations
 import importlib.util
 import math
 
-from swingid.io_config import save_model
+import pytest
+
+from swingid.cli import main as swingid
+from swingid.io_config import load_records, save_model
 
 from conftest import FIXTURE_MODEL, REPO_ROOT
 
@@ -65,3 +68,55 @@ def test_make_fixture_writes_the_shipped_model(tmp_path):
     path = tmp_path / "fixture10.grid"
     save_model(path, script.make_fixture(12))
     assert path.read_bytes() == FIXTURE_MODEL.read_bytes()
+
+
+@pytest.mark.parametrize("n_gen,loads,radius", [
+    (10, 29, 0.20), (30, 87, 0.13), (60, 174, 0.10), (100, 290, 0.08)])
+def test_make_fixture_scales_loads_and_radius_with_the_generators(
+        n_gen, loads, radius):
+    script = _load_script("make_fixture")
+    assert script.n_loads(n_gen) == loads
+    assert script.radius_for(n_gen) == radius
+
+
+def test_make_fixture_n_gen_flag_writes_the_grid_of_its_rule(tmp_path, capsys):
+    script = _load_script("make_fixture")
+    path = tmp_path / "fixture30.grid"
+    assert script.main(["--n-gen", "30", "--out", str(path)]) == 0
+    assert "nodes=117 generators=30" in capsys.readouterr().out
+    save_model(tmp_path / "ref.grid", script.make_fixture(12, 30))
+    assert path.read_bytes() == (tmp_path / "ref.grid").read_bytes()
+
+
+def test_thirty_generator_grid_end_to_end(tmp_path, capsys):
+    # CML at 600 s and stride 3 over seeds 1-5 of the N = 30 grid read
+    # 0.0524, 0.0468, 0.0497, 0.0502 and 0.0495; the bound is the worst
+    # of them plus 15%
+    bound = 0.06
+    script = _load_script("make_fixture")
+    model = tmp_path / "fixture30.grid"
+    save_model(model, script.make_fixture(12, 30))
+    out = tmp_path / "run"
+    assert swingid(["simulate", "--model", str(model), "--t-obs", "600",
+                    "--seed", "1", "--out", str(out)]) == 0
+    assert swingid(["estimate", str(out / "traj_seed1.csv"), "--model",
+                    str(model), "--stride", "3", "--estimator", "CML",
+                    "--out", str(out)]) == 0
+    eps = float(load_records(out / "ahat_d_cml.meta")["eps"])
+    assert eps < bound
+    assert swingid(["eigen", str(out / "ahat_d_cml.csv"), "--model",
+                    str(model)]) == 0
+    printed = capsys.readouterr().out
+    assert len(printed.split("critical:")[1].split()) >= 1
+    distance = float(printed.split("spectral_distance,")[1].split()[0])
+    assert 0.0 < distance < 0.1
+    # the other four seeds through sweep, whose fold agrees with the file
+    # pipeline up to the rounding of the batched Euler step
+    sweep = tmp_path / "sweep"
+    assert swingid(["sweep", "--model", str(model), "--axis", "stride",
+                    "--values", "3", "--t-obs", "600", "--seed", "1", "2", "3",
+                    "4", "5", "--estimator", "CML", "--out", str(sweep)]) == 0
+    cells = [float(row.split(",")[3]) for row in
+             (sweep / "sweep.csv").read_text().splitlines()[1:]]
+    assert len(cells) == 5 and cells[0] == pytest.approx(eps, rel=1e-9)
+    assert max(cells) < bound
