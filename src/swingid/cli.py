@@ -260,9 +260,8 @@ def cmd_estimate(args) -> int:
               else np.zeros((2 * strided.n_gen,) * 2))
     cov = covariances(strided)
     cond_sigma0 = float(np.linalg.cond(cov.sigma0))
-    # A forked helper may fit every other estimator.  The fork stops the thread
-    # pool that covariances()'s large products woke, and no fit or estimate_b
-    # makes a threaded BLAS call, so the helper's fits get a core of their own.
+    # A forked helper may fit every other estimator; the fork stops OpenBLAS's
+    # thread pool, which covariances() woke at N = 30 (not on the fixture).
     # Nothing is written before every fit has succeeded.
     with closing(sim.in_order(
             cfg.estimators,

@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .sim import Trajectory
+from .sim import STEP_CHUNK, Trajectory
 
 UML = "UML"
 CML = "CML"
@@ -101,10 +101,11 @@ class EstimationResult:
 
 
 def covariances(traj: Trajectory) -> CovariancePair:
-    """Sigma_1, Sigma_0 and the residual-objective constant, divisor T-1."""
+    """Sigma_1, Sigma_0 and the residual-objective constant, divisor T-1,
+    folded STEP_CHUNK rows at a time as sweep folds its runs."""
     if traj.n_samples < 2:
         raise ValueError("trajectory must have at least 2 samples")
-    return fold_covariances([traj.states], [(traj.n_samples, 1)])[0][0]
+    return fold_covariances(traj.blocks(STEP_CHUNK), [(traj.n_samples, 1)])[0][0]
 
 
 def fold_covariances(chunks, windows) -> list[list[CovariancePair]]:
@@ -117,13 +118,14 @@ def fold_covariances(chunks, windows) -> list[list[CovariancePair]]:
     X_{n_keep}, as `subsample` of the first n_keep states does.  Returns
     result[w][k], the pair of window w for the k-th sequence in C order of the
     leading axes; every window must keep at least 2 states.  Each chunk is
-    folded and dropped, and a window's last kept state carries into the next
-    chunk, so memory does not grow with the windows.  Every window has its own
-    running fold, but windows that hold one fold and keep the same rows of a
-    chunk share one product of those rows: windows of one stride share until
-    the shorter one ends, so a set of t_obs windows costs about as much as its
-    longest window, and each window keeps the bits of a fold of that window
-    alone.  One chunk with stride 1 gives `covariances` bit for bit.
+    folded and dropped, a window's last kept state carrying into the next, so
+    memory does not grow with the windows.  Windows that hold one fold and keep
+    the same rows of a chunk share one product of those rows: windows of one
+    stride share until the shorter one ends, so a set of t_obs windows costs
+    about as much as its longest, each keeping the bits of a fold of it alone.
+    The bits depend on where chunks split: at N = 10 the products of
+    STEP_CHUNK-row chunks stay under OpenBLAS's threading threshold, and
+    at 2N = 20 to 240 their bits were measured the same on 1 and 2 threads.
     """
     windows = list(windows)
     # per window: the running sums of X_t X_t^T, X_{t+1} X_t^T and

@@ -255,16 +255,15 @@ def _start_helper(work: Callable) -> tuple[int, BinaryIO, BinaryIO] | None:
     handler and flushes no buffer it inherited.  It inherits numpy's error
     state, so an np.errstate around the call holds in the helper too.
 
-    A stepping or fitting helper calls BLAS (small matmuls) after the
-    fork.  That is safe with numpy's OpenBLAS: its pthread_atfork handler
-    stops its thread pool before the fork, so the helper starts with no
-    pool and no held lock, and a threaded call in either process starts a
-    new pool.  The helpers' matmuls are below OpenBLAS's threading
-    threshold anyway.  Stopping the pool also ends its spin: after a
-    threaded product the worker busy-waits for about 0.13 s of CPU, so on
-    two CPUs a helper forked during that spin would share its core.
-    Python 3.12 and later may still issue a DeprecationWarning for a fork
-    while other threads are alive.
+    A stepping or fitting helper calls BLAS after the fork.  That is safe with
+    numpy's OpenBLAS: its pthread_atfork handler stops its thread pool before
+    the fork, so the helper starts with no pool and no held lock, and a
+    threaded call in either process starts a new pool.  Stopping the pool also
+    ends its spin: after a threaded product the worker busy-waits for about
+    0.13 s of CPU, which on two CPUs would share the helper's core; the
+    covariances of `estimate` woke it at N = 30, not on the fixture.  Python
+    3.12 and later may still issue a DeprecationWarning for a fork while other
+    threads are alive.
     """
     for stream in (_sys.stdout, _sys.stderr):
         if stream is not None:  # None where the process has no such fd

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +24,9 @@ from swingid.estimators import (CML, LASSO, SOLVER_TOL, UML,
                                 lasso_kill_threshold, ls_objective,
                                 singular_value_threshold, slr_optimality_gap,
                                 soft_threshold, threshold_structure)
-from swingid.sim import (DT_BASE, Trajectory, default_burn_in, simulate,
-                         spawn_seeds, steady_start, steady_trajectory,
-                         subsample)
+from swingid.sim import (DT_BASE, STEP_CHUNK, Trajectory, default_burn_in,
+                         simulate, spawn_seeds, steady_start,
+                         steady_trajectory, subsample)
 
 from conftest import single_gen_model, systems_for, two_gen_model
 
@@ -103,11 +108,71 @@ def test_covariances_match_reference_formula_bitwise():
         states = rng.standard_normal((n_samples, dim))
         x0, x1 = states[:-1], states[1:]
         sigma0 = x0.T @ x0 / (n_samples - 1)
-        cov = covariances(make_traj(states))
+        cov = fold_covariances([states], [(n_samples, 1)])[0][0]
         assert np.array_equal(cov.sigma0, (sigma0 + sigma0.T) / 2.0)
         assert np.array_equal(cov.sigma1, x1.T @ x0 / (n_samples - 1))
         assert cov.next_sq_sum == float(np.sum(x1 * x1))
         assert cov.n_samples == n_samples
+
+
+@pytest.mark.parametrize("n_samples", [2, 128, 129, 4097])
+def test_covariances_fold_the_trajectory_in_step_chunks(n_samples):
+    # covariances runs the fold that sweep runs, on chunks of the same size
+    states = np.random.default_rng(n_samples).standard_normal((n_samples, 6))
+    traj = make_traj(states)
+    cov = covariances(traj)
+    ref = fold_covariances(traj.blocks(STEP_CHUNK), [(n_samples, 1)])[0][0]
+    assert np.array_equal(cov.sigma0, ref.sigma0)
+    assert np.array_equal(cov.sigma1, ref.sigma1)
+    assert cov.next_sq_sum == ref.next_sq_sum
+    assert cov.n_samples == ref.n_samples == n_samples
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@pytest.mark.skipif(_usable_cpus() < 2,
+                    reason="needs two usable CPUs for a threaded BLAS call")
+def test_covariances_keep_their_bits_on_any_thread_count():
+    # a whole-window Sigma_1 product ran on OpenBLAS's threads, whose bits
+    # change with their count; the 129-row products of the fold do not
+    probe = (
+        "import sys, numpy as np\n"
+        "from swingid.estimators import covariances\n"
+        "from swingid.sim import Trajectory\n"
+        "for dim in (20, 60):\n"
+        "    states = np.random.default_rng(dim).standard_normal((3600, dim))\n"
+        "    cov = covariances(Trajectory(dt=1.0, states=states, n_gen=dim // 2))\n"
+        "    for part in (cov.sigma0, cov.sigma1, np.float64(cov.next_sq_sum)):\n"
+        "        sys.stdout.write(part.tobytes().hex())\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    outs = [subprocess.run([sys.executable, "-c", probe], env=run_env,
+                           check=True, capture_output=True, text=True,
+                           timeout=120).stdout
+            for run_env in (env, dict(env, OPENBLAS_NUM_THREADS="1"))]
+    assert outs[0] and outs[0] == outs[1]
+
+
+def test_covariances_hold_one_chunk_of_the_states():
+    # an hour of fixture samples; squaring the whole window at once held a
+    # temporary the size of the states, 33 MiB
+    traj = make_traj(np.random.default_rng(7).standard_normal((216_000, 20)))
+    covariances(make_traj(traj.states[:300]))  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        covariances(traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def _chunked(states: np.ndarray, sizes) -> list[np.ndarray]:

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import swingid
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -47,3 +49,16 @@ def test_cli_imports_numpy_but_not_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "['numpy']"
+
+
+def test_workflow_python_steps_compile():
+    # the workflow's `shell: python` steps run only on a CI runner, so a
+    # syntax error in one would first show there
+    yaml = pytest.importorskip("yaml")
+    workflow = SRC.parent / ".github" / "workflows" / "tests.yml"
+    jobs = yaml.safe_load(workflow.read_text())["jobs"]
+    steps = [step for job in jobs.values() for step in job["steps"]
+             if step.get("shell") == "python"]
+    assert len(steps) >= 4
+    for step in steps:
+        compile(step["run"], step["name"], "exec")
