@@ -187,10 +187,9 @@ def theorem1_bound(sys: DiscreteSystem, n_samples: int, epsilon: float,
                            n_trials=n_trials, burn_in=burn_in)
     trace_mean, inv_mean, discarded = _sigma0_moments(
         sys, n_samples, n_trials, seed, burn_in)
-    rhs = b_norm / (epsilon * math.sqrt(n_samples - 1)) * math.sqrt(
-        trace_mean * inv_mean)
-    rhs_continuous = float(np.linalg.norm(sys.b_diag)) / sys.dt / (
-        epsilon * math.sqrt(n_samples - 1)) * math.sqrt(trace_mean * inv_mean)
+    scale, root = epsilon * math.sqrt(n_samples - 1), math.sqrt(trace_mean * inv_mean)
+    rhs = b_norm / scale * root
+    rhs_continuous = float(np.linalg.norm(sys.b_diag)) / sys.dt / scale * root
     return BoundReport(epsilon=epsilon, rhs=rhs, rhs_continuous=rhs_continuous,
                        trace_sigma0_mean=trace_mean, inv_norm_mean=inv_mean,
                        n_trials=n_trials, n_discarded=discarded,

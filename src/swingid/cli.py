@@ -311,8 +311,7 @@ def cmd_sweep(args) -> int:
     _, cont, _ = _build_systems(cfg.model_path)
     a_d_true = cont.a_d
     values = sorted(cfg.sweep_values)
-    # one (t_obs, stride) span per axis value, whose (n_keep, stride) window
-    # is cut from the first n_keep base-step states of one steady run per seed
+    # one (t_obs, stride) span per axis value: n samples at stride k, window (k n, k)
     if cfg.sweep_variable == "t_obs":
         spans, field = [(v, cfg.stride) for v in values], "sweep_values"
     else:
@@ -321,17 +320,17 @@ def cmd_sweep(args) -> int:
             raise ValidationError("stride values must be integers >= 1",
                                   field="sweep_values")
         spans, field = [(cfg.t_obs, int(v)) for v in values], "t_obs"
-    windows = [(_window_samples(t, 1, field), k) for t, k in spans]
-    # two values that round to one window would run the same cells twice
-    for (v0, w0), (v1, w1) in itertools.combinations(zip(values, windows), 2):
-        if w0 == w1:
+    counts = [(_window_samples(t, k, field), k) for t, k in spans]
+    # two values that keep the same samples would run the same cells twice
+    for (v0, c0), (v1, c1) in itertools.combinations(zip(values, counts), 2):
+        if c0 == c1:
             raise ValidationError(
                 f"sweep_values {v0!r} and {v1!r} give the same window of "
-                f"{w0[0]} samples at stride {w0[1]}", field="sweep_values")
-    deficits = [_sample_deficit(_window_samples(t, k, field), cont.n_gen)
-                for t, k in spans]
+                f"{c0[0]} samples at stride {c0[1]}", field="sweep_values")
+    deficits = [_sample_deficit(n, cont.n_gen) for n, _ in counts]
     # deficit windows fail without covariances, so only the others are run
     folded = [w for w, deficit in enumerate(deficits) if deficit is None]
+    windows = [(k * n, k) for n, k in counts]
     base_samples = max((windows[w][0] for w in folded), default=1)
     disc, burn_in, _, step = _base_run(cont, base_samples)
     _check_steps(len(cfg.seeds), burn_in + base_samples - 1, burn_in, field)
@@ -464,7 +463,7 @@ def cmd_bound(args) -> int:
         raise ValidationError(deficit, field="t_obs")
     seed = cfg.seeds[0]
     # the model's burn-in counts base steps; the bound steps stride of them
-    _, base_burn_in, _, _ = _base_run(cont, _window_samples(cfg.t_obs, 1))
+    _, base_burn_in, _, _ = _base_run(cont, cfg.stride * n_samples)
     burn_in = -(-base_burn_in // cfg.stride)
     _check_steps(args.trials, burn_in + n_samples - 1, burn_in, "t_obs")
     report = analysis.theorem1_bound(disc, n_samples, args.epsilon,

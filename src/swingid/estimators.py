@@ -531,13 +531,15 @@ def estimate_b(traj: Trajectory, a_hat: np.ndarray) -> np.ndarray:
         raise ValueError(f"a_hat must be {n2}x{n2}, got {a_hat.shape}")
     if traj.n_samples < 2:
         raise ValueError("trajectory must have at least 2 samples")
-    # 1,024 rows at a time, off OpenBLAS's threads, summed in row order as one pass
-    total = np.zeros(n2)
-    for x in (traj.states[i:i + 1025] for i in range(0, traj.n_samples - 1, 1024)):
-        sq = np.square(x[1:] - x[:-1] @ a_hat.T)
+    # covariances' STEP_CHUNK-row chunks, summed in row order as one pass; the last
+    # reaches back to a full chunk, as OpenBLAS rounds a few rows differently
+    total, tm1 = np.zeros(n2), traj.n_samples - 1
+    for i in range(0, tm1, STEP_CHUNK):
+        x = traj.states[max(min(i, tm1 - STEP_CHUNK), 0):i + STEP_CHUNK + 1]
+        sq = np.square(x[1:] - x[:-1] @ a_hat.T)[-min(STEP_CHUNK, tm1 - i):]
         sq[0] += total
         total = sq.sum(axis=0)
-    return np.sqrt(total / (traj.n_samples - 1))
+    return np.sqrt(total / tm1)
 
 
 def threshold_structure(a_hat: np.ndarray, n_gen: int) -> np.ndarray:

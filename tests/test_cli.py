@@ -1046,12 +1046,29 @@ def test_sweep_rejects_nonpositive_t_obs_value(tmp_path, small_model_path,
 
 def test_sweep_rejects_t_obs_values_that_share_a_window(tmp_path,
                                                        small_model_path, capsys):
-    # both round to 1800 steps of 1/60 s, which would run the same cells twice
+    # both round to 1800 steps of 1/60 s, so keep the same 600 samples at
+    # stride 3, which would run the same cells twice
     assert run("sweep", "--model", small_model_path, "--axis", "t_obs",
                "--values", "30", "30.001", "--seed", "1",
                "--out", tmp_path / "sw") == 2
     assert ("validation error: sweep_values 30.0 and 30.001 give the same "
-            "window of 1800 samples at stride 3") in capsys.readouterr().err
+            "window of 600 samples at stride 3") in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
+
+
+def test_sweep_rejects_t_obs_values_that_keep_the_same_samples(
+        tmp_path, small_model_path, monkeypatch, capsys):
+    # 599 and 600 base steps differ, but at stride 3 both keep 200 samples
+    def never(*args):
+        raise AssertionError("stepped a sweep of duplicate windows")
+
+    monkeypatch.setattr(sim, "_advance", never)
+    assert run("sweep", "--model", small_model_path, "--axis", "t_obs",
+               "--values", "9.99", "10", "--stride", "3", "--seed", "1",
+               "--out", tmp_path / "sw") == 2
+    assert capsys.readouterr().err == (
+        "validation error: sweep_values 9.99 and 10.0 give the same window "
+        "of 200 samples at stride 3\n")
     assert not (tmp_path / "sw").exists()
 
 
